@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apery", help="least member of S per residue class mod a")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--oracle", action="store_true", help="use the membership table")
+    p.add_argument("--oracle", action="store_true", help="derive from the round-robin Apery set")
     _add_format(p, "plain")
     p.set_defaults(func=_cmd_apery)
 
@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embedding", help="minimal generators and their count")
     p.add_argument("--a", type=int)
     p.add_argument("--b", type=int)
-    p.add_argument("--oracle", action="store_true", help="recompute by reachability")
+    p.add_argument("--oracle", action="store_true", help="recompute from the round-robin Apery set")
     p.add_argument("--certify", action="store_true", help="replay the decomposition tables")
     _add_format(p, "plain", choices=("plain", "json"))
     p.set_defaults(func=_cmd_embedding)

@@ -11,7 +11,7 @@ from .semigroup import (
     EXCEPTIONAL_CASES,
     EXCEPTIONAL_PAIRS,
     QuadraticSemigroup,
-    _close_under_step,
+    _apery,
     generator,
     make_semigroup,
 )
@@ -71,31 +71,32 @@ def minimal_generators_closed(s: QuadraticSemigroup) -> MinimalGeneratorSet:
     return MinimalGeneratorSet(semigroup=s, indices=indices)
 
 
-def minimal_generators_oracle(
-    s: QuadraticSemigroup, last_index: int | None = None
-) -> MinimalGeneratorSet:
-    """Recompute minimality by reachability, using no closed forms.
+def minimal_generators_oracle(s: QuadraticSemigroup) -> MinimalGeneratorSet:
+    """Recompute minimality from the Apery set, using no closed forms.
 
-    y_n is minimal exactly when it is not a sum of earlier generators;
-    later generators are all larger, so testing each y_n against the span
-    of y_1..y_{n-1} before adding it is exact.  Candidates run out to
-    a + 5, past the provable cutoff at a.
+    The minimal generators are a together with the nonzero Apery elements
+    w that no other nonzero Apery element w' reaches, i.e. w - w' is never
+    in S (Rosales & Garcia-Sanchez, Numerical Semigroups, ch. 1).  Each is
+    some y_n, read back by walking the generators in order.
     """
-    if last_index is None:
-        last_index = s.a + 5 if not s.trivial else s.a + s.b + 6
-    if last_index < 1:
-        raise ValueError("last_index must be >= 1")
-    gens = [(n, generator(s, n)) for n in range(1, last_index + 1)]
-    bound = max((y for _, y in gens), default=0)
-    reach = np.zeros(bound + 1, dtype=bool)
-    reach[0] = True
-    indices = []
-    for n, y in gens:
-        if y == 0:
-            continue
-        if not reach[y]:
-            indices.append(n)
-        _close_under_step(reach, y)
+    if s.trivial:
+        # The lone minimal generator 1 is y_1, or y_2 when a = 0.
+        return MinimalGeneratorSet(semigroup=s, indices=(1,) if s.a == 1 else (2,))
+    a, b = s.a, s.b
+    ap = _apery(a, b)
+    # reached[r]: Ap[r] - w' is in S for some other nonzero Apery element w'.
+    reached = np.zeros(a, dtype=bool)
+    reached[0] = True
+    for w_prime in ap[1:]:
+        diff = ap - w_prime
+        reached |= (diff > 0) & (diff >= ap[diff % a])
+    indices = [1]
+    n, y = 1, a
+    for w in np.sort(ap[~reached]).tolist():
+        while y < w:
+            y += a + n * b
+            n += 1
+        indices.append(n)
     return MinimalGeneratorSet(semigroup=s, indices=tuple(indices))
 
 

@@ -11,10 +11,9 @@ from .mu import MuTable
 from .semigroup import (
     EXCEPTIONAL_PAIRS,
     QuadraticSemigroup,
-    membership_bound,
+    _apery,
     mu_ab_closed,
     require_nontrivial,
-    shared_membership,
 )
 
 __all__ = [
@@ -61,18 +60,12 @@ def apery_closed(s: QuadraticSemigroup, table: MuTable | None = None) -> AperySe
 
 
 def apery_oracle(s: QuadraticSemigroup) -> AperySet:
-    """Apery set by scanning the membership table, one residue class at a time."""
+    """Apery set by round robin over the generators alone."""
     if s.trivial:
         if s.a == 1:
             return AperySet(modulus=1, elements=(0,))
         raise ValueError("Apery set needs a positive modulus a")
-    a = s.a
-    reach = shared_membership(s).reachable
-    elements = []
-    for r in range(a):
-        hits = np.flatnonzero(reach[r::a])
-        elements.append(r + a * int(hits[0]))
-    return AperySet(modulus=a, elements=tuple(elements))
+    return AperySet(modulus=s.a, elements=tuple(_apery(s.a, s.b).tolist()))
 
 
 def frobenius(s: QuadraticSemigroup, table: MuTable | None = None) -> int:
@@ -103,12 +96,14 @@ def genus(s: QuadraticSemigroup, table: MuTable | None = None) -> int:
 
 
 def genus_oracle(s: QuadraticSemigroup) -> int:
-    """Count the gaps directly off the membership table."""
+    """Count the gaps class by class off the Apery set (Selmer's formula).
+
+    The class of r mod a has (Ap[r] - r)/a gaps: its numbers below Ap[r].
+    """
     if s.trivial:
         return 0
-    f = frobenius_oracle(s)
-    reach = shared_membership(s, f + 1).reachable
-    return int(np.count_nonzero(~reach[: f + 1]))
+    ap = _apery(s.a, s.b)
+    return int((ap - np.arange(s.a)).sum()) // s.a
 
 
 def frobenius_bounds(a: int, b: int) -> tuple[float, float]:

@@ -21,13 +21,16 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ORACLE_LIMIT",
+    "TABLE_LIMIT",
     "BoundProfile",
     "MuTable",
     "adopt_shared_table",
@@ -48,9 +51,12 @@ __all__ = [
 
 ORACLE_LIMIT = 10_000
 
+# Largest n a MuTable grows to: 10**8 entries of int64 is 800 MB.
+TABLE_LIMIT = 10**8
+
 _CACHE_MAGIC = b"QSMU"
-_CACHE_VERSION = 1
-_CACHE_HEADER = 4 + 1 + 8
+_CACHE_VERSION = 2
+_CACHE_HEADER = 4 + 1 + 8 + 4
 
 # Below this the table is filled one entry at a time; past it, in blocks of
 # consecutive n sharing the same largest part index.
@@ -130,14 +136,19 @@ class MuTable:
         return int(self._values[n])
 
     def ensure(self, n_max: int) -> "MuTable":
-        """Grow the table to cover 0..n_max; values already present are kept."""
+        """Grow the table to cover 0..n_max; values already present are kept.
+
+        Raises ValueError, before allocating, past TABLE_LIMIT.
+        """
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
         if n_max <= self._n_max:
             return self
+        if n_max > TABLE_LIMIT:
+            raise ValueError(f"mu table is limited to n <= {TABLE_LIMIT}, asked for {n_max}")
         # Doubling keeps repeated one-step extensions linear overall while
         # a fresh table gets exactly the size asked for.
-        target = max(n_max, 2 * self._n_max)
+        target = max(n_max, min(2 * self._n_max, TABLE_LIMIT))
         if target + 1 > len(self._values):
             grown = np.zeros(target + 1, dtype=np.int64)
             grown[: self._n_max + 1] = self._values[: self._n_max + 1]
@@ -319,19 +330,32 @@ def bounds_csv(n_max: int, table: MuTable | None = None) -> str:
 
 
 def save_table(table: MuTable, path: str) -> None:
-    """Write the table: magic, version byte, little-endian u64 n_max, then values."""
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(bytes([_CACHE_VERSION]))
-        fh.write(struct.pack("<Q", table.n_max))
-        fh.write(table.values.astype("<u8").tobytes())
+    """Write the table: magic, version byte, little-endian u64 n_max, u32
+    CRC-32 of the value bytes, then the values as little-endian u64.
+
+    The file is written beside `path` and renamed over it, so a reader
+    never sees a torn file.
+    """
+    body = table.values.astype("<u8").tobytes()
+    header = _CACHE_MAGIC + bytes([_CACHE_VERSION])
+    header += struct.pack("<QI", table.n_max, zlib.crc32(body))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(body)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_table(path: str) -> MuTable:
-    """Read a cache file back, validating layout and spot values.
+    """Read a cache file back, validating layout, checksum and spot values.
 
-    Raises ValueError on any mismatch; callers treat the cache as
-    disposable and recompute.
+    Raises ValueError on any mismatch, including a version-1 file (which
+    has no checksum); callers treat the cache as disposable and recompute.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -339,9 +363,11 @@ def load_table(path: str) -> MuTable:
         raise ValueError("not a mu table cache file")
     if blob[4] != _CACHE_VERSION:
         raise ValueError(f"unsupported cache version {blob[4]}")
-    (n_max,) = struct.unpack_from("<Q", blob, 5)
+    n_max, crc = struct.unpack_from("<QI", blob, 5)
     if len(blob) != _CACHE_HEADER + 8 * (n_max + 1):
         raise ValueError("cache length does not match declared n_max")
+    if zlib.crc32(memoryview(blob)[_CACHE_HEADER:]) != crc:
+        raise ValueError("cache fails checksum")
     values = np.frombuffer(blob, dtype="<u8", offset=_CACHE_HEADER).astype(np.int64)
     if values[0] != 0:
         raise ValueError("cache fails spot check: mu(0) != 0")

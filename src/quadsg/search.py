@@ -362,7 +362,7 @@ def exception_certificates(table: MuTable | None = None) -> list[Certificate]:
 
     Per case: the mu value, the witness generator the reduced lift lands
     on, membership one step below failing, and agreement with the
-    membership-table oracle.
+    Apery-set oracle.
     """
     out = []
     for case in EXCEPTIONAL_CASES:

@@ -12,6 +12,7 @@ least m with m*a + n*b in S, written mu_{a,b}(n) here, equals mu(n) for
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +24,6 @@ __all__ = [
     "EXCEPTIONAL_CASES",
     "EXCEPTIONAL_PAIRS",
     "ExceptionalCase",
-    "MembershipTable",
     "NotANumericalSemigroup",
     "QuadraticSemigroup",
     "contains",
@@ -31,18 +31,12 @@ __all__ = [
     "generator",
     "lift_contains",
     "make_semigroup",
-    "membership_bound",
-    "membership_table",
     "mu_ab_closed",
     "mu_ab_oracle",
     "mu_ab_shift",
     "project",
     "require_nontrivial",
-    "shared_membership",
 ]
-
-# Hard cap on membership table entries, roughly a 256 MB bool array.
-_MEMORY_LIMIT = 1 << 28
 
 
 class NotANumericalSemigroup(ValueError):
@@ -143,99 +137,40 @@ def describe(s: QuadraticSemigroup, count: int = 8) -> dict:
     }
 
 
-def membership_bound(s: QuadraticSemigroup) -> int:
-    """Default table size: provably past every least-per-residue element.
+@functools.lru_cache(maxsize=64)
+def _apery(a: int, b: int) -> np.ndarray:
+    """Read-only Apery set of nontrivial S(a,b) w.r.t. a, by round robin.
 
-    mu_{a,b} never exceeds mu, which never exceeds the three-triangular
-    ceiling, so every least element of a residue class lies at or below
-    the Frobenius ceiling plus a; one more for slack.  Holds for the
-    exceptional pairs too, since their least lifts are smaller still.
+    Starts from the span of y_1 = a (only class 0 reached) and folds in
+    y_2, y_3, ... (Boecker & Liptak, Algorithmica 48, 2007).  Adding y
+    moves along the cycles k -> k + y mod a, one per class mod
+    gcd(y, a); from a cycle's least entry, entry j becomes
+    min over i <= j of Ap[i] + (j - i)*y.  Generators grow with n, so once
+    one exceeds every entry no later one can lower any: the stop is exact.
+    Uses only the generators; never mu or a closed form.
     """
-    a, b = s.a, s.b
-    if s.trivial:
-        return 2 * (a + b) + 16
-    upper = a / 2.0 * (3.0 + math.sqrt(24.0 * a - 15.0)) + a * b - a - b
-    return math.ceil(upper) + a + 1
-
-
-def _close_under_step(reach: np.ndarray, step: int) -> None:
-    """Close a reachability mask under adding multiples of `step`, in place.
-
-    Columns of the (padded) mask reshaped to width `step` are the residue
-    classes mod step; a prefix logical-or down each column is exactly the
-    closure, with no bound on how many copies of `step` are used.
-    """
-    m = reach.shape[0]
-    pad = (-m) % step
-    if pad:
-        padded = np.concatenate([reach, np.zeros(pad, dtype=bool)])
-    else:
-        padded = reach
-    cols = padded.reshape(-1, step)
-    np.logical_or.accumulate(cols, axis=0, out=cols)
-    if pad:
-        reach[:] = padded[:m]
-
-
-@dataclass(frozen=True)
-class MembershipTable:
-    """Exact membership of 0..bound in S; `reachable` is read-only."""
-
-    semigroup: QuadraticSemigroup
-    bound: int
-    reachable: np.ndarray
-
-    def contains(self, x: int) -> bool:
-        if not 0 <= x <= self.bound:
-            raise ValueError(f"table covers 0..{self.bound}, asked for {x}")
-        return bool(self.reachable[x])
-
-
-def membership_table(s: QuadraticSemigroup, bound: int | None = None) -> MembershipTable:
-    """Brute-force reachability for 0..bound over every generator <= bound.
-
-    Every generator in range participates, with no minimality filtering;
-    this is the ground truth the closed forms are measured against.
-    """
-    if bound is None:
-        bound = membership_bound(s)
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    if bound + 1 > _MEMORY_LIMIT:
-        raise ValueError(f"membership table of size {bound + 1} exceeds the memory budget")
-    reach = np.zeros(bound + 1, dtype=bool)
-    reach[0] = True
-    n = 1
-    while True:
-        y = generator(s, n)
-        if y > bound:
-            break
-        if y > 0:
-            _close_under_step(reach, y)
+    # After y_2 every entry is at most (a-1)*y_2 and only y <= max(Ap) are
+    # folded, so every walk stays below a*a*y_2.  Under 2**62 no int64 wraps
+    # and no walk reaches the `unreached` marker 2**62 - 1.
+    if a * a * (2 * a + b) >= 1 << 62:
+        raise ValueError(f"S({a},{b}) is too large for the Apery-set oracle")
+    unreached = (1 << 62) - 1
+    ap = np.full(a, unreached, dtype=np.int64)
+    ap[0] = 0
+    n, y = 2, 2 * a + b
+    while y <= ap.max():
+        d = math.gcd(y, a)
+        length = a // d
+        steps = np.arange(length, dtype=np.int64)
+        cycles = (np.arange(d)[:, None] + steps * (y % a)) % a
+        start = ap[cycles].argmin(axis=1)
+        cycles = np.take_along_axis(cycles, (start[:, None] + steps) % length, axis=1)
+        walk = steps * y
+        ap[cycles] = np.minimum.accumulate(ap[cycles] - walk, axis=1) + walk
+        y += a + n * b
         n += 1
-    reach.flags.writeable = False
-    return MembershipTable(semigroup=s, bound=bound, reachable=reach)
-
-
-_membership_cache: dict[tuple[int, int], MembershipTable] = {}
-
-
-def shared_membership(s: QuadraticSemigroup, min_bound: int = 0) -> MembershipTable:
-    """Cached membership table for s, grown geometrically when extended.
-
-    Tables are immutable; growth replaces the cache entry, so snapshots
-    held by other threads stay valid.
-    """
-    key = (s.a, s.b)
-    table = _membership_cache.get(key)
-    need = max(min_bound, membership_bound(s))
-    if table is not None and table.bound >= need:
-        return table
-    if table is not None:
-        need = max(need, 2 * table.bound)
-    table = membership_table(s, need)
-    _membership_cache[key] = table
-    return table
+    ap.flags.writeable = False
+    return ap
 
 
 def contains(s: QuadraticSemigroup, x: int) -> bool:
@@ -244,7 +179,7 @@ def contains(s: QuadraticSemigroup, x: int) -> bool:
         return False
     if s.trivial:
         return True
-    return bool(shared_membership(s, x).reachable[x])
+    return x >= int(_apery(s.a, s.b)[x % s.a])
 
 
 def lift_contains(m: int, n: int, table: MuTable | None = None) -> bool:
@@ -260,23 +195,17 @@ def project(m: int, n: int, s: QuadraticSemigroup) -> int:
 
 
 def mu_ab_oracle(s: QuadraticSemigroup, n: int) -> int:
-    """Least m with m*a + n*b in S, read off the membership table.
+    """Least m with m*a + n*b in S, read off the Apery set.
 
-    Scans the residue class of n*b mod a for its least element; the
-    default table bound provably contains one.
+    The least member of S in the class of n*b mod a is the Apery element
+    there; m is its distance from n*b in steps of a.
     """
     require_nontrivial(s)
     a, b = s.a, s.b
     if not 0 <= n < a:
         raise ValueError("oracle domain is 0 <= n < a; reduce via mu_ab_shift")
-    table = shared_membership(s)
-    target = (n * b) % a
-    hits = np.flatnonzero(table.reachable[target::a])
-    least = target + a * int(hits[0])
-    quotient, rest = divmod(least - n * b, a)
-    if rest:
-        raise AssertionError("least residue element inconsistent with its class")
-    return quotient
+    least = int(_apery(a, b)[(n * b) % a])
+    return (least - n * b) // a
 
 
 def mu_ab_closed(s: QuadraticSemigroup, n: int, table: MuTable | None = None) -> int:

@@ -49,6 +49,26 @@ def semigroup_members(a: int, b: int, bound: int) -> set[int]:
     return members
 
 
+def minimal_generators_naive(a: int, b: int, bound: int) -> list[int]:
+    """Indices n >= 1 whose y_n is not a sum of two nonzero members.
+
+    Built on `semigroup_members` up to bound.  Asserts that bound ends
+    with a run of a consecutive members: then everything past it is in S,
+    so every minimal generator (at most the Frobenius number plus a) lies
+    within bound and the answer is exact.
+    """
+    members = semigroup_members(a, b, bound)
+    assert all(x in members for x in range(bound - a + 1, bound + 1)), "bound too small"
+    indices = []
+    n = 1
+    while n * a + tri(n) * b <= bound:
+        y = n * a + tri(n) * b
+        if y > 0 and not any(y - x in members for x in members if 0 < x < y):
+            indices.append(n)
+        n += 1
+    return indices
+
+
 def lift_members(m_max: int, n_max: int) -> list[list[bool]]:
     """Reachable (m,n) from generators (i, C(i,2)), i >= 1, by BFS on a grid."""
     reach = [[False] * (n_max + 1) for _ in range(m_max + 1)]

@@ -1,10 +1,12 @@
 """Minimal generator decisions, the oracle, and the embedding dimension."""
 
 import math
+import time
 
 import pytest
 
 import quadsg as q
+from helpers import minimal_generators_naive
 
 
 def test_is_minimal_examples():
@@ -82,6 +84,21 @@ def test_closed_vs_oracle_indicator():
         oracle = set(q.minimal_generators_oracle(s).indices)
         for n in range(1, a + 6):
             assert q.is_minimal_closed(s, n) == (n in oracle), (a, b, n)
+
+
+def test_oracle_vs_naive_closure():
+    pairs = [(a, b) for a in range(2, 17) for b in range(1, 6) if math.gcd(a, b) == 1]
+    for a, b in pairs + [(29, 1), (30, 7)]:
+        s = q.make_semigroup(a, b)
+        expected = minimal_generators_naive(a, b, 700)
+        assert list(q.minimal_generators_oracle(s).indices) == expected, (a, b)
+
+
+def test_oracle_speed_at_a_1000():
+    start = time.perf_counter()
+    gens = q.minimal_generators_oracle(q.make_semigroup(1000, 1))
+    assert time.perf_counter() - start < 0.5
+    assert len(gens) == q.embedding_dimension(1000, 1)
 
 
 def test_dimension_vs_oracle():

@@ -1,12 +1,19 @@
 """mu values, the growable table, the search oracle, bounds, and the cache."""
 
+import importlib
 import math
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
 import quadsg as q
+from quadsg import cli
 from helpers import mu_table_plain
+
+# The package's function mu shadows the submodule on the package object.
+mu_module = importlib.import_module("quadsg.mu")
 
 PLAIN_LIMIT = 3000
 
@@ -197,11 +204,14 @@ def test_cache_layout(tmp_path):
     q.save_table(small, str(path))
     blob = path.read_bytes()
     assert blob[:4] == b"QSMU"
-    assert blob[4] == 1
+    assert blob[4] == 2
     assert int.from_bytes(blob[5:13], "little") == 5
-    assert len(blob) == 13 + 8 * 6
-    assert int.from_bytes(blob[13:21], "little") == 0
-    assert int.from_bytes(blob[21:29], "little") == 2
+    assert int.from_bytes(blob[13:17], "little") == zlib.crc32(blob[17:])
+    assert len(blob) == 17 + 8 * 6
+    assert int.from_bytes(blob[17:25], "little") == 0
+    assert int.from_bytes(blob[25:33], "little") == 2
+    # Written beside the target and renamed over it: nothing left behind.
+    assert [p.name for p in tmp_path.iterdir()] == ["mu.bin"]
 
 
 def test_cache_rejects_corruption(tmp_path):
@@ -224,8 +234,58 @@ def test_cache_rejects_corruption(tmp_path):
 
     # Tamper with the value at a triangular position.
     tampered = bytearray(good)
-    pos = 13 + 8 * q.triangular(7)
+    pos = 17 + 8 * q.triangular(7)
     tampered[pos : pos + 8] = (99).to_bytes(8, "little")
     path.write_bytes(bytes(tampered))
     with pytest.raises(ValueError):
         q.load_table(str(path))
+
+
+def test_cache_rejects_interior_corruption(tmp_path):
+    table = q.MuTable(10_000)
+    path = tmp_path / "mu.bin"
+    q.save_table(table, str(path))
+    blob = bytearray(path.read_bytes())
+    # The entry for n = 9999 is second from the end; 164 ^ 0b111 = 163.
+    pos = len(blob) - 16
+    assert blob[pos] == table[9999] == 164
+    blob[pos] ^= 0b111
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError):
+        q.load_table(str(path))
+
+
+def test_ensure_refuses_past_limit_before_allocating():
+    assert q.TABLE_LIMIT >= 2 * 10**7
+    table = q.MuTable(10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="limited"):
+            table.ensure(10**10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert table.n_max == 10
+
+
+def test_cli_mu_past_limit_is_domain_error(monkeypatch, capsys):
+    monkeypatch.setattr(mu_module, "_shared", mu_module.MuTable())
+    monkeypatch.delenv("QUADSG_MEMO_PATH", raising=False)
+    assert cli.run(["mu", "--n", "10000000000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_cli_rebuilds_version_1_cache(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(mu_module, "_shared", mu_module.MuTable())
+    path = tmp_path / "mu.cache"
+    values = q.MuTable(40).values.astype("<u8").tobytes()
+    path.write_bytes(b"QSMU" + bytes([1]) + (40).to_bytes(8, "little") + values)
+    monkeypatch.setenv("QUADSG_MEMO_PATH", str(path))
+    assert cli.run(["mu", "--n", "26"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "13\n"
+    assert "warning: ignoring mu cache" in err
+    assert q.load_table(str(path)).n_max >= 26

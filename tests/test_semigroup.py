@@ -3,7 +3,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 import quadsg as q
@@ -62,52 +61,17 @@ def test_describe_is_json_ready():
 def test_membership_matches_naive_closure(a, b):
     s = q.make_semigroup(a, b)
     bound = 400
-    table = q.membership_table(s, bound)
     naive = semigroup_members(a, b, bound)
-    got = {x for x in range(bound + 1) if table.reachable[x]}
+    got = {x for x in range(bound + 1) if q.contains(s, x)}
     assert got == naive
 
 
 def test_membership_no_members_below_a():
     for a, b in [(5, 2), (29, 1), (7, 3)]:
         s = q.make_semigroup(a, b)
-        table = q.membership_table(s)
-        assert not table.reachable[1:a].any()
-        assert table.reachable[0]
-        assert table.reachable[a]
-
-
-def test_membership_bound_zero():
-    table = q.membership_table(q.make_semigroup(2, 1), 0)
-    assert table.bound == 0
-    assert table.reachable.tolist() == [True]
-
-
-def test_membership_table_errors():
-    s = q.make_semigroup(2, 1)
-    with pytest.raises(ValueError):
-        q.membership_table(s, -1)
-    with pytest.raises(ValueError):
-        q.membership_table(s, 1 << 29)
-
-
-def test_membership_table_contains_method():
-    s = q.make_semigroup(3, 2)
-    table = q.membership_table(s, 50)
-    assert table.contains(0)
-    assert not table.contains(1)
-    assert table.contains(3)
-    with pytest.raises(ValueError):
-        table.contains(51)
-    with pytest.raises(ValueError):
-        table.contains(-1)
-
-
-def test_membership_default_bound_formula():
-    for a, b in [(2, 1), (29, 1), (50, 1), (10, 3)]:
-        s = q.make_semigroup(a, b)
-        _, high = q.frobenius_bounds(a, b)
-        assert q.membership_bound(s) == math.ceil(high) + a + 1
+        assert not any(q.contains(s, x) for x in range(1, a))
+        assert q.contains(s, 0)
+        assert q.contains(s, a)
 
 
 def test_contains():
@@ -122,12 +86,19 @@ def test_contains():
     assert not q.contains(trivial, -1)
 
 
-def test_shared_membership_growth_is_prefix_stable():
-    s = q.make_semigroup(7, 2)
-    small = q.shared_membership(s)
-    big = q.shared_membership(s, small.bound * 3)
-    assert big.bound >= small.bound * 3
-    assert np.array_equal(big.reachable[: small.bound + 1], small.reachable)
+def test_contains_far_past_frobenius():
+    # Membership is read off the Apery set, so no array grows with x.
+    assert q.contains(q.make_semigroup(2, 1), 10**12) is True
+    assert q.contains(q.make_semigroup(2, 1), 2**70 + 1) is True
+
+
+def test_oracle_refuses_pairs_past_int64():
+    # Unguarded, the int64 walks wrap here and the Apery set comes out wrong.
+    s = q.make_semigroup(100, 9 * 10**16 + 1)
+    with pytest.raises(ValueError):
+        q.contains(s, 10**20)
+    with pytest.raises(ValueError):
+        q.mu_ab_oracle(s, 1)
 
 
 def test_lift_contains_examples():

@@ -65,14 +65,6 @@ def _write_csv(header: list[str], rows) -> None:
     writer.writerows(rows)
 
 
-def _threads(ns) -> int:
-    if ns.threads is not None:
-        if ns.threads < 1:
-            raise ValueError("--threads must be at least 1")
-        return ns.threads
-    return os.cpu_count() or 1
-
-
 def _cmd_mu(ns) -> int:
     value = mu(ns.n)
     if ns.format == "json":
@@ -227,7 +219,7 @@ def _cmd_embedding(ns) -> int:
 
 
 def _cmd_search_drop(ns) -> int:
-    report = search_mod.search_mu_drop(ns.a_max, threads=_threads(ns))
+    report = search_mod.search_mu_drop(ns.a_max)
     rows = [[h.a, h.n, h.mu_n, h.mu_shifted, h.drop] for h in report.hits]
     if ns.format == "json":
         _print_json(
@@ -247,7 +239,7 @@ def _cmd_search_drop(ns) -> int:
 
 
 def _cmd_search_eq(ns) -> int:
-    report = search_mod.search_embedding_eq(ns.a_max, raw=ns.raw, threads=_threads(ns))
+    report = search_mod.search_embedding_eq(ns.a_max, raw=ns.raw)
     header = ["a", "n", "binom", "residue", "mu_residue"]
     rows = [[h.a, h.n, h.binom, h.residue, h.mu_residue] for h in report.hits]
     if ns.raw:
@@ -283,7 +275,6 @@ def _cmd_g_analysis(ns) -> int:
 
 
 def _cmd_certify(ns) -> int:
-    threads = _threads(ns)
     checks = 0
     failures = 0
 
@@ -307,20 +298,20 @@ def _cmd_certify(ns) -> int:
     for cert in search_mod.decomposition_certificates():
         report(f"{cert.kind} a={cert.a} n={cert.n}", cert.ok, cert.detail)
 
-    drop = search_mod.search_mu_drop(485, threads=threads, table=table)
+    drop = search_mod.search_mu_drop(485, table=table)
     report(
         "drop search to 485 finds exactly the eight known pairs",
         drop.pairs() == search_mod.EXPECTED_DROP_PAIRS
         and all(h.drop == 2 for h in drop.hits),
     )
 
-    eq = search_mod.search_embedding_eq(655, threads=threads, table=table)
+    eq = search_mod.search_embedding_eq(655, table=table)
     report(
         "residue search to 655 finds exactly the thirty known pairs",
         eq.pairs() == search_mod.EXPECTED_RESIDUE_PAIRS,
     )
 
-    raw = search_mod.search_embedding_eq(655, raw=True, threads=threads, table=table)
+    raw = search_mod.search_embedding_eq(655, raw=True, table=table)
     extras = [h for h in raw.hits if h.excluded_by]
     print(f"INFO raw residue scan extras at 655: {len(extras)} (reported, not asserted)")
 
@@ -437,14 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = mode.add_parser("mu-drop", help="pairs where one shift lowers mu by 2..4")
     d.add_argument("--a-max", type=int, required=True)
-    d.add_argument("--threads", type=int, default=None)
     _add_format(d, "csv", choices=("csv", "json"))
     d.set_defaults(func=_cmd_search_drop)
 
     e = mode.add_parser("embedding-eq", help="pairs where an extra generator could enter")
     e.add_argument("--a-max", type=int, required=True)
     e.add_argument("--raw", action="store_true", help="keep hits that fail side constraints")
-    e.add_argument("--threads", type=int, default=None)
     _add_format(e, "csv", choices=("csv", "json"))
     e.set_defaults(func=_cmd_search_eq)
 
@@ -454,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="replay every certificate and search")
     p.add_argument("--all", action="store_true", help="accepted for compatibility; always runs everything")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("tgrid", help="membership grid of the lifted pair monoid")

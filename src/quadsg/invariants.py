@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mu import MuTable
+from .mu import MuTable, shared_table
 from .semigroup import (
     EXCEPTIONAL_PAIRS,
     QuadraticSemigroup,
@@ -53,6 +53,8 @@ def apery_closed(s: QuadraticSemigroup, table: MuTable | None = None) -> AperySe
     """
     require_nontrivial(s)
     a, b = s.a, s.b
+    # Fill, or refuse past TABLE_LIMIT, before allocating a entries.
+    (shared_table() if table is None else table).ensure(a - 1)
     elements = [0] * a
     for n in range(a):
         elements[(n * b) % a] = mu_ab_closed(s, n, table) * a + n * b
@@ -91,6 +93,8 @@ def genus(s: QuadraticSemigroup, table: MuTable | None = None) -> int:
     if s.trivial:
         return 0
     a, b = s.a, s.b
+    # Refuse past TABLE_LIMIT before a loop that would fill toward it.
+    (shared_table() if table is None else table).ensure(a - 1)
     lift_sum = sum(mu_ab_closed(s, n, table) for n in range(a))
     return lift_sum + (a - 1) * (b - 1) // 2
 

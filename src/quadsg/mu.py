@@ -96,8 +96,7 @@ def largest_index(n: int) -> int:
 class MuTable:
     """Bottom-up table of mu values on 0..n_max, growable in place.
 
-    Construction is single threaded.  `values` exposes a read-only view, so
-    a table shared between threads is safe once `ensure` has returned.
+    Only `ensure` writes; `values` exposes a read-only view.
 
     The fill restricts the recursion to a window of part indices.  Any
     partition counted by mu uses parts C(i,2) <= i(k-1)/2 when every index

@@ -92,3 +92,44 @@ def least_lift_scan(contains, a: int, b: int, n: int) -> int:
     while not contains(m * a + n * b):
         m += 1
     return m
+
+
+def drop_hits_plain(values, a_max: int) -> list[tuple[int, int, int, int]]:
+    """(a, n, mu(n), mu(n+a)) for 3 <= n < a <= a_max with a drop in 2..4,
+    by a double loop over `values` (mu(0..2*a_max - 1))."""
+    found = []
+    for a in range(4, a_max + 1):
+        for n in range(3, a):
+            mu_n = int(values[n])
+            mu_shifted = int(values[n + a])
+            if 2 <= mu_n - mu_shifted <= 4:
+                found.append((a, n, mu_n, mu_shifted))
+    return found
+
+
+def residue_hits_plain(values, a_max: int, raw: bool) -> list[tuple]:
+    """(a, n, C(n,2), C(n,2) mod a, mu of it, excluded_by) for every
+    1 <= n <= a <= a_max with mu(C(n,2) mod a) = n + 1, by a double loop.
+
+    Strict mode drops hits with C(n,2) <= a, C(n,2) > C(a,2) or a dividing
+    C(n,2); raw mode keeps them, naming the violated constraints."""
+    found = []
+    for a in range(2, a_max + 1):
+        limit = tri(a)
+        for n in range(1, a + 1):
+            binom = tri(n)
+            residue = binom % a
+            mu_residue = int(values[residue])
+            if mu_residue != n + 1:
+                continue
+            reasons = []
+            if binom <= a:
+                reasons.append("binom_not_above_a")
+            if binom > limit:
+                reasons.append("binom_above_limit")
+            if residue == 0:
+                reasons.append("binom_multiple_of_a")
+            if reasons and not raw:
+                continue
+            found.append((a, n, binom, residue, mu_residue, ";".join(reasons)))
+    return found

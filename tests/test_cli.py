@@ -64,6 +64,9 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "mu", "--n", "5", "--bogus")[0] == cli.USAGE_EXIT
     assert run_cli(capsys, "search")[0] == cli.USAGE_EXIT
     assert run_cli(capsys, "mu")[0] == cli.USAGE_EXIT
+    assert run_cli(capsys, "certify", "--all", "--threads", "2")[0] == cli.USAGE_EXIT
+    argv = ("search", "mu-drop", "--a-max", "30", "--threads", "2")
+    assert run_cli(capsys, *argv)[0] == cli.USAGE_EXIT
 
 
 def test_help_exits_zero(capsys):
@@ -131,6 +134,14 @@ def test_frobenius_and_genus(capsys):
     code, out, _ = run_cli(capsys, "genus", "--a", "2", "--b", "1", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"a": 2, "b": 1, "genus": 2}
+
+
+def test_closed_forms_past_limit_are_domain_errors(capsys):
+    for command in ("apery", "invariants", "frobenius", "genus"):
+        code, out, err = run_cli(capsys, command, "--a", str(10**11), "--b", "1")
+        assert code == 1, command
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
 def test_invariants_single(capsys):

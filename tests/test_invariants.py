@@ -1,6 +1,7 @@
 """Apery sets, Frobenius number, genus, and the analytic bounds."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -153,3 +154,18 @@ def test_invariant_summary():
     assert q.invariant_summary(q.make_semigroup(29, 2)).bounds_certified
     with pytest.raises(ValueError):
         q.invariant_summary(q.make_semigroup(1, 1))
+
+
+def test_closed_forms_refuse_oversized_a_before_allocating():
+    s = q.make_semigroup(10**11, 1)
+    table = q.MuTable(10)
+    tracemalloc.start()
+    try:
+        for closed_form in (q.apery_closed, q.frobenius, q.genus):
+            with pytest.raises(ValueError, match="limited"):
+                closed_form(s, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert table.n_max == 10

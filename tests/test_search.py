@@ -1,10 +1,12 @@
 """Exhaustive searches, the gap function g, and the certificate replays."""
 
 import math
+from dataclasses import astuple
 
 import pytest
 
 import quadsg as q
+from helpers import drop_hits_plain, residue_hits_plain
 
 
 @pytest.fixture(scope="module")
@@ -64,15 +66,14 @@ def test_raw_matches_strict(table):
     assert all(hit.excluded_by == "" for hit in raw.hits)
 
 
-def test_threads_deterministic(table):
-    base_drop = q.search_mu_drop(300, table=table)
-    base_eq = q.search_embedding_eq(300, table=table)
-    for threads in (2, 3, 4):
-        assert q.search_mu_drop(300, threads=threads, table=table).hits == base_drop.hits
-        assert (
-            q.search_embedding_eq(300, threads=threads, table=table).hits
-            == base_eq.hits
-        )
+@pytest.mark.parametrize("a_max", [4, 29, 300, 700])
+def test_scans_match_plain_loops(table, a_max):
+    values = table.values.tolist()
+    drop = q.search_mu_drop(a_max, table=table)
+    assert [astuple(h) for h in drop.hits] == drop_hits_plain(values, a_max)
+    for raw in (False, True):
+        eq = q.search_embedding_eq(a_max, raw=raw, table=table)
+        assert [astuple(h) for h in eq.hits] == residue_hits_plain(values, a_max, raw)
 
 
 def test_search_domains():

@@ -5,8 +5,11 @@ import importlib
 import io
 import json
 import math
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import quadsg as q
 from quadsg import cli
@@ -331,3 +334,175 @@ def test_memo_cache_corrupt(tmp_path, monkeypatch, capsys):
     assert "warning: ignoring mu cache" in captured.err
     # The bad file was replaced with a valid one.
     assert path.read_bytes()[:4] == b"QSMU"
+
+
+# Full stdout of one command per format on small inputs: a str is the text
+# itself, anything else is a json document printed with indent=2.
+GOLDEN = {
+    ("semigroup", "--a", "3", "--b", "2", "--format", "plain"): (
+        "S(3,2) trivial=false generators 0 3 8 15 24 35 48 63\n"
+    ),
+    ("semigroup", "--a", "3", "--b", "2"): {
+        "a": 3,
+        "b": 2,
+        "trivial": False,
+        "generators": [0, 3, 8, 15, 24, 35, 48, 63],
+    },
+    ("invariants", "--a", "29", "--b", "1", "--format", "plain"): (
+        "frobenius 345\n"
+        "genus 217\n"
+        "frobenius_bounds 231 420.891662\n"
+        "genus_bounds 154.583333 299.353804\n"
+        "bounds_certified false\n"
+    ),
+    ("invariants", "--a", "29", "--b", "1", "--format", "json"): {
+        "a": 29,
+        "b": 1,
+        "frobenius": 345,
+        "genus": 217,
+        "frobenius_low": 231.0,
+        "frobenius_high": 420.8916621702968,
+        "genus_low": 154.58333333333334,
+        "genus_high": 299.3538038809752,
+        "bounds_certified": False,
+    },
+    ("invariants", "--a", "29", "--b", "1"): (
+        "a,b,frobenius,genus,F_lo,F_hi,g_lo,g_hi\n"
+        "29,1,345,217,231,420.891662,154.583333,299.353804\n"
+    ),
+    ("invariants", "--sweep", "--a-max", "6", "--b-max", "2", "--format", "plain"): (
+        "a,b,frobenius,genus,F_lo,F_hi,g_lo,g_hi\n"
+        "2,1,3,2,3,7.74456265,1.58333333,4.84402771\n"
+        "3,1,11,6,6.68465844,14.8247517,3.87886648,10.4920755\n"
+        "3,2,13,7,8.68465844,16.8247517,4.87886648,11.4920755\n"
+        "4,1,14,9,11,23,6.66666667,16.8105453\n"
+        "5,1,24,14,15.8614066,32.1173769,9.85710697,23.716497\n"
+        "5,2,28,16,19.8614066,36.1173769,11.857107,25.716497\n"
+        "6,1,41,21,21.2093727,42.0734501,13.3970039,31.1518738\n"
+    ),
+    ("invariants", "--sweep", "--a-max", "3", "--b-max", "1", "--format", "json"): [
+        {
+            "a": 2,
+            "b": 1,
+            "frobenius": 3,
+            "genus": 2,
+            "frobenius_low": 3.0,
+            "frobenius_high": 7.744562646538029,
+            "genus_low": 1.5833333333333333,
+            "genus_high": 4.84402771492608,
+            "bounds_certified": True,
+        },
+        {
+            "a": 3,
+            "b": 1,
+            "frobenius": 11,
+            "genus": 6,
+            "frobenius_low": 6.68465843842649,
+            "frobenius_high": 14.824751652906123,
+            "genus_low": 3.878866484812509,
+            "genus_high": 10.49207545367007,
+            "bounds_certified": True,
+        },
+    ],
+    ("bounds", "--n-max", "3", "--format", "json"): [
+        {"n": 1, "mu": 2, "lower": 2.0, "gauss": 4.372281323269014, "combined": 5.0},
+        {
+            "n": 2,
+            "mu": 4,
+            "lower": 2.5615528128088303,
+            "gauss": 5.274917217635375,
+            "combined": 6.432062647602388,
+        },
+        {"n": 3, "mu": 3, "lower": 3.0, "gauss": 6.0, "combined": 7.372281323269014},
+    ],
+    ("bounds", "--n-max", "3", "--format", "plain"): (
+        "1 2 2 4.37228132 5\n2 4 2.56155281 5.27491722 6.43206265\n3 3 3 6 7.37228132\n"
+    ),
+    ("apery", "--a", "4", "--b", "3", "--format", "json"): {
+        "a": 4,
+        "b": 3,
+        "modulus": 4,
+        "elements": [0, 21, 22, 11],
+    },
+    ("frobenius", "--a", "7", "--b", "2", "--format", "json"): {"a": 7, "b": 2, "frobenius": 52},
+    ("genus", "--a", "7", "--b", "2", "--format", "json"): {"a": 7, "b": 2, "genus": 28},
+    ("g-analysis", "--format", "json"): {
+        "local_max_location": 52.14627633912859,
+        "local_max_value": 4.59357877698022,
+        "root_at_2": 485.9356753528118,
+        "root_at_1": 655.268618860282,
+    },
+    ("tgrid", "--m-max", "6", "--n-max", "5", "--format", "plain"): (
+        "#######\n..#####\n....###\n...####\n.....##\n.......\n"
+    ),
+    ("embedding", "--a", "29", "--b", "1", "--format", "json"): {
+        "a": 29,
+        "b": 1,
+        "dimension": 9,
+        "indices": [1, 2, 3, 4, 5, 6, 7, 8, 11],
+        "elements": [29, 59, 90, 122, 155, 189, 224, 260, 374],
+    },
+    # elapsed is a timing; the test writes it as 0 before comparing.
+    ("search", "mu-drop", "--a-max", "50", "--format", "json"): {
+        "search_id": "mu-drop",
+        "a_max": 50,
+        "elapsed": 0,
+        "hits": [
+            {"a": 29, "n": 26, "mu_n": 13, "mu_n_plus_a": 11, "drop": 2},
+            {"a": 45, "n": 33, "mu_n": 15, "mu_n_plus_a": 13, "drop": 2},
+            {"a": 47, "n": 44, "mu_n": 16, "mu_n_plus_a": 14, "drop": 2},
+            {"a": 50, "n": 41, "mu_n": 16, "mu_n_plus_a": 14, "drop": 2},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_golden_stdout(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    expected = GOLDEN[argv]
+    if not isinstance(expected, str):
+        expected = json.dumps(expected, indent=2) + "\n"
+    out = re.sub(r'^  "elapsed": [-+.e0-9]+,$', '  "elapsed": 0,', out, flags=re.M)
+    assert out == expected
+
+
+_INT_FLAGS = {
+    "mu": ["--n"],
+    "bounds": ["--n-max"],
+    "semigroup": ["--a", "--b"],
+    "apery": ["--a", "--b"],
+    "frobenius": ["--a", "--b"],
+    "genus": ["--a", "--b"],
+    "invariants": ["--a", "--b", "--a-max", "--b-max"],
+    "embedding": ["--a", "--b"],
+    "search mu-drop": ["--a-max"],
+    "search embedding-eq": ["--a-max"],
+    "g-analysis": [],
+    "certify": [],
+    "tgrid": ["--m-max", "--n-max"],
+}
+_SWITCHES = ["--oracle", "--sweep", "--certify", "--all", "--raw"]
+_FORMATS = ["plain", "json", "csv", "xml"]
+
+
+@st.composite
+def _argvs(draw):
+    argv = draw(st.sampled_from(sorted(_INT_FLAGS))).split()
+    for flag in _INT_FLAGS[" ".join(argv)]:
+        if draw(st.booleans()):
+            argv += [flag, str(draw(st.integers(-3, 40)))]
+    argv += draw(st.lists(st.sampled_from(_SWITCHES), max_size=2, unique=True))
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(_FORMATS))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs())
+def test_any_argv_exits_cleanly(capsys, argv):
+    # Sizes stay small (ints up to 40), so no argv here allocates much.
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 1, cli.FAILURE_EXIT, cli.USAGE_EXIT), argv
+    assert "Traceback" not in out + err, argv

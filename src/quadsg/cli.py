@@ -12,18 +12,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from collections.abc import Iterable
+from dataclasses import asdict, astuple, dataclass
 
 from . import embedding as embedding_mod
 from . import invariants as invariants_mod
+from .invariants import frobenius, frobenius_oracle, genus, genus_oracle
 from .mu import (
+    TABLE_LIMIT,
     adopt_shared_table,
     bound_profiles,
-    bounds_csv,
     load_table,
     mu,
     save_table,
@@ -54,80 +57,84 @@ def _fmt(x: float) -> str:
     return format(x, ".9g")
 
 
-def _print_json(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+@dataclass
+class _Record:
+    """What one command prints, in each format it offers.
+
+    `doc` is the json document (dataclasses in it go through `asdict`),
+    `header` and `rows` the csv table, and `lines` the plain output, by
+    default the csv rows joined by spaces.  Large parts are generators, so
+    only the format asked for is built.  A format the record has nothing
+    for prints its plain lines.
+    """
+
+    doc: object = None
+    header: list | None = None
+    rows: Iterable = ()
+    lines: Iterable | None = None
+    code: int = 0
 
 
-def _write_csv(header: list[str], rows) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+def _render(fmt: str, record: _Record) -> None:
+    """Write a command's record to stdout: the one writer of command output."""
+    out = sys.stdout
+    if fmt == "json" and record.doc is not None:
+        json.dump(record.doc, out, indent=2, default=asdict)
+        out.write("\n")
+    elif fmt == "csv" and record.header is not None:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(record.header)
+        writer.writerows(record.rows)
+    else:
+        lines = record.lines
+        if lines is None:
+            lines = (" ".join(map(str, row)) for row in record.rows)
+        for line in lines:
+            out.write(f"{line}\n")
 
 
-def _cmd_mu(ns) -> int:
+def _verdicts(checks: list[tuple[str, bool]]) -> _Record:
+    """A PASS or FAIL line per (text, ok) check; exit 2 if any failed."""
+    lines = [f"{'PASS' if ok else 'FAIL'} {text}" for text, ok in checks]
+    return _Record(lines=lines, code=0 if all(ok for _, ok in checks) else FAILURE_EXIT)
+
+
+def _certificate_checks(certs) -> list[tuple[str, bool]]:
+    return [(f"{c.kind} a={c.a} n={c.n}: {c.detail}", c.ok) for c in certs]
+
+
+def _cmd_mu(ns) -> _Record:
     value = mu(ns.n)
-    if ns.format == "json":
-        _print_json({"n": ns.n, "mu": value})
-    elif ns.format == "csv":
-        _write_csv(["n", "mu"], [[ns.n, value]])
-    else:
-        print(value)
-    return 0
+    return _Record({"n": ns.n, "mu": value}, ["n", "mu"], [[ns.n, value]], [value])
 
 
-def _cmd_bounds(ns) -> int:
-    if ns.format == "csv":
-        sys.stdout.write(bounds_csv(ns.n_max))
-    elif ns.format == "json":
-        _print_json([asdict(p) for p in bound_profiles(ns.n_max)])
-    else:
-        for p in bound_profiles(ns.n_max):
-            print(p.n, p.mu, _fmt(p.lower), _fmt(p.gauss), _fmt(p.combined))
-    return 0
+def _cmd_bounds(ns) -> _Record:
+    profiles = bound_profiles(ns.n_max)
+    rows = ([p.n, p.mu, _fmt(p.lower), _fmt(p.gauss), _fmt(p.combined)] for p in profiles)
+    return _Record(profiles, ["n", "mu", "lower", "gauss", "combined"], rows)
 
 
-def _cmd_semigroup(ns) -> int:
+def _cmd_semigroup(ns) -> _Record:
     s = semigroup_mod.make_semigroup(ns.a, ns.b)
     info = semigroup_mod.describe(s)
-    if ns.format == "plain":
-        gens = " ".join(str(y) for y in info["generators"])
-        print(f"S({s.a},{s.b}) trivial={str(s.trivial).lower()} generators {gens}")
-    else:
-        _print_json(info)
-    return 0
+    gens = " ".join(map(str, info["generators"]))
+    line = f"S({s.a},{s.b}) trivial={str(s.trivial).lower()} generators {gens}"
+    return _Record(info, lines=[line])
 
 
-def _cmd_apery(ns) -> int:
+def _cmd_apery(ns) -> _Record:
     s = semigroup_mod.make_semigroup(ns.a, ns.b)
-    ap = invariants_mod.apery_oracle(s) if ns.oracle else invariants_mod.apery_closed(s)
-    if ns.format == "json":
-        _print_json({"a": s.a, "b": s.b, "modulus": ap.modulus, "elements": list(ap.elements)})
-    elif ns.format == "csv":
-        _write_csv(["residue", "element"], list(enumerate(ap.elements)))
-    else:
-        print(" ".join(str(w) for w in ap.elements))
-    return 0
+    ap = (invariants_mod.apery_oracle if ns.oracle else invariants_mod.apery_closed)(s)
+    doc = {"a": s.a, "b": s.b, "modulus": ap.modulus, "elements": ap.elements}
+    lines = [" ".join(map(str, ap.elements))]
+    return _Record(doc, ["residue", "element"], enumerate(ap.elements), lines)
 
 
-def _cmd_frobenius(ns) -> int:
+def _cmd_frobenius_or_genus(ns) -> _Record:
     s = semigroup_mod.make_semigroup(ns.a, ns.b)
-    value = invariants_mod.frobenius_oracle(s) if ns.oracle else invariants_mod.frobenius(s)
-    if ns.format == "json":
-        _print_json({"a": s.a, "b": s.b, "frobenius": value})
-    else:
-        print(value)
-    return 0
-
-
-def _cmd_genus(ns) -> int:
-    s = semigroup_mod.make_semigroup(ns.a, ns.b)
-    value = invariants_mod.genus_oracle(s) if ns.oracle else invariants_mod.genus(s)
-    if ns.format == "json":
-        _print_json({"a": s.a, "b": s.b, "genus": value})
-    else:
-        print(value)
-    return 0
+    closed, oracle = ns.forms
+    value = (oracle if ns.oracle else closed)(s)
+    return _Record({"a": s.a, "b": s.b, ns.command: value}, lines=[value])
 
 
 _SWEEP_HEADER = ["a", "b", "frobenius", "genus", "F_lo", "F_hi", "g_lo", "g_hi"]
@@ -146,48 +153,38 @@ def _summary_row(summary) -> list:
     ]
 
 
-def _cmd_invariants(ns) -> int:
+def _cmd_invariants(ns) -> _Record:
     if ns.sweep:
         if ns.a_max is None or ns.b_max is None:
             raise _UsageError("--sweep needs --a-max and --b-max")
-        summaries = []
-        for a in range(2, ns.a_max + 1):
-            for b in range(1, ns.b_max + 1):
-                if math.gcd(a, b) != 1:
-                    continue
-                s = semigroup_mod.make_semigroup(a, b)
-                summaries.append(invariants_mod.invariant_summary(s))
-        if ns.format == "json":
-            _print_json([asdict(x) for x in summaries])
-        else:
-            _write_csv(_SWEEP_HEADER, [_summary_row(x) for x in summaries])
-        return 0
+        if ns.a_max > TABLE_LIMIT + 1:
+            raise ValueError(f"sweep needs a_max <= {TABLE_LIMIT + 1}, got {ns.a_max}")
+        summaries = [
+            invariants_mod.invariant_summary(semigroup_mod.make_semigroup(a, b))
+            for a in range(2, ns.a_max + 1)
+            for b in range(1, ns.b_max + 1)
+            if math.gcd(a, b) == 1
+        ]
+        # A plain sweep prints the csv table, as it always has.
+        csv_rows = itertools.chain([_SWEEP_HEADER], map(_summary_row, summaries))
+        lines = (",".join(map(str, row)) for row in csv_rows)
+        return _Record(summaries, _SWEEP_HEADER, map(_summary_row, summaries), lines)
     if ns.a is None or ns.b is None:
         raise _UsageError("need --a and --b (or --sweep with --a-max/--b-max)")
-    s = semigroup_mod.make_semigroup(ns.a, ns.b)
-    summary = invariants_mod.invariant_summary(s)
-    if ns.format == "json":
-        _print_json(asdict(summary))
-    elif ns.format == "csv":
-        _write_csv(_SWEEP_HEADER, [_summary_row(summary)])
-    else:
-        print(f"frobenius {summary.frobenius}")
-        print(f"genus {summary.genus}")
-        print(f"frobenius_bounds {_fmt(summary.frobenius_low)} {_fmt(summary.frobenius_high)}")
-        print(f"genus_bounds {_fmt(summary.genus_low)} {_fmt(summary.genus_high)}")
-        print(f"bounds_certified {str(summary.bounds_certified).lower()}")
-    return 0
+    summary = invariants_mod.invariant_summary(semigroup_mod.make_semigroup(ns.a, ns.b))
+    lines = [
+        f"frobenius {summary.frobenius}",
+        f"genus {summary.genus}",
+        f"frobenius_bounds {_fmt(summary.frobenius_low)} {_fmt(summary.frobenius_high)}",
+        f"genus_bounds {_fmt(summary.genus_low)} {_fmt(summary.genus_high)}",
+        f"bounds_certified {str(summary.bounds_certified).lower()}",
+    ]
+    return _Record(summary, _SWEEP_HEADER, [_summary_row(summary)], lines)
 
 
-def _cmd_embedding(ns) -> int:
+def _cmd_embedding(ns) -> _Record:
     if ns.certify:
-        failures = 0
-        for cert in search_mod.decomposition_certificates():
-            status = "PASS" if cert.ok else "FAIL"
-            if not cert.ok:
-                failures += 1
-            print(f"{status} {cert.kind} a={cert.a} n={cert.n}: {cert.detail}")
-        return 0 if failures == 0 else FAILURE_EXIT
+        return _verdicts(_certificate_checks(search_mod.decomposition_certificates()))
     if ns.a is None or ns.b is None:
         raise _UsageError("need --a and --b (or --certify)")
     dimension = embedding_mod.embedding_dimension(ns.a, ns.b)
@@ -201,161 +198,100 @@ def _cmd_embedding(ns) -> int:
             f"error: index list of length {len(gens)} disagrees with dimension {dimension}",
             file=sys.stderr,
         )
-        return FAILURE_EXIT
-    if ns.format == "json":
-        _print_json(
-            {
-                "a": ns.a,
-                "b": ns.b,
-                "dimension": dimension,
-                "indices": list(gens.indices),
-                "elements": list(gens.elements),
-            }
-        )
-    else:
-        print(f"dimension {dimension}")
-        print("indices " + " ".join(str(n) for n in gens.indices))
-    return 0
+        return _Record(code=FAILURE_EXIT)
+    doc = {
+        "a": ns.a,
+        "b": ns.b,
+        "dimension": dimension,
+        "indices": gens.indices,
+        "elements": gens.elements,
+    }
+    lines = [f"dimension {dimension}", "indices " + " ".join(map(str, gens.indices))]
+    return _Record(doc, lines=lines)
 
 
-def _cmd_search_drop(ns) -> int:
+def _cmd_search_drop(ns) -> _Record:
     report = search_mod.search_mu_drop(ns.a_max)
-    rows = [[h.a, h.n, h.mu_n, h.mu_shifted, h.drop] for h in report.hits]
-    if ns.format == "json":
-        _print_json(
-            {
-                "search_id": report.search_id,
-                "a_max": report.a_max,
-                "elapsed": report.elapsed,
-                "hits": [
-                    {"a": h.a, "n": h.n, "mu_n": h.mu_n, "mu_n_plus_a": h.mu_shifted, "drop": h.drop}
-                    for h in report.hits
-                ],
-            }
-        )
-    else:
-        _write_csv(["a", "n", "mu_n", "mu_n_plus_a", "drop"], rows)
-    return 0
+    hits = [
+        {"a": h.a, "n": h.n, "mu_n": h.mu_n, "mu_n_plus_a": h.mu_shifted, "drop": h.drop}
+        for h in report.hits
+    ]
+    header = ["a", "n", "mu_n", "mu_n_plus_a", "drop"]
+    return _Record({**asdict(report), "hits": hits}, header, [list(h.values()) for h in hits])
 
 
-def _cmd_search_eq(ns) -> int:
-    report = search_mod.search_embedding_eq(ns.a_max, raw=ns.raw)
+def _cmd_search_eq(ns) -> _Record:
+    report = search_mod.search_embedding_eq(ns.a_max)
     header = ["a", "n", "binom", "residue", "mu_residue"]
-    rows = [[h.a, h.n, h.binom, h.residue, h.mu_residue] for h in report.hits]
-    if ns.raw:
-        header.append("excluded_by")
-        rows = [row + [h.excluded_by] for row, h in zip(rows, report.hits)]
-    if ns.format == "json":
-        _print_json(
-            {
-                "search_id": report.search_id,
-                "a_max": report.a_max,
-                "elapsed": report.elapsed,
-                "hits": [asdict(h) for h in report.hits],
-            }
-        )
-    else:
-        _write_csv(header, rows)
-    return 0
+    return _Record(report, header, map(astuple, report.hits))
 
 
-def _cmd_g_analysis(ns) -> int:
+def _cmd_g_analysis(ns) -> _Record:
     ga = search_mod.g_analysis()
-    if ns.format == "json":
-        _print_json(asdict(ga))
-    elif ns.format == "csv":
-        _write_csv(
-            ["quantity", "value"],
-            [[k, _fmt(v)] for k, v in asdict(ga).items()],
-        )
-    else:
-        for k, v in asdict(ga).items():
-            print(k, _fmt(v))
-    return 0
+    return _Record(ga, ["quantity", "value"], [[k, _fmt(v)] for k, v in asdict(ga).items()])
 
 
-def _cmd_certify(ns) -> int:
-    checks = 0
-    failures = 0
-
-    def report(name: str, ok: bool, info: str = "") -> None:
-        nonlocal checks, failures
-        checks += 1
-        if not ok:
-            failures += 1
-        suffix = f": {info}" if info else ""
-        print(f"{'PASS' if ok else 'FAIL'} {name}{suffix}")
-
+def _cmd_certify(ns) -> _Record:
     table = shared_table()
     table.ensure(triangular(2000))
     anchors = table[0] == 0 and table[1] == 2 and table[2] == 4
-    triangular_ok = all(table[triangular(i)] == i for i in range(2, 2001))
-    report("mu anchors and exact triangular values to index 2000", anchors and triangular_ok)
+    exact = all(table[triangular(i)] == i for i in range(2, 2001))
+    checks = [("mu anchors and exact triangular values to index 2000", anchors and exact)]
 
-    for cert in search_mod.exception_certificates(table):
-        report(f"exceptional drop a={cert.a} n={cert.n}", cert.ok, cert.detail)
+    for c in search_mod.exception_certificates(table):
+        checks.append((f"exceptional drop a={c.a} n={c.n}: {c.detail}", c.ok))
 
-    for cert in search_mod.decomposition_certificates():
-        report(f"{cert.kind} a={cert.a} n={cert.n}", cert.ok, cert.detail)
+    checks += _certificate_checks(search_mod.decomposition_certificates())
 
     drop = search_mod.search_mu_drop(485, table=table)
-    report(
+    checks.append((
         "drop search to 485 finds exactly the eight known pairs",
         drop.pairs() == search_mod.EXPECTED_DROP_PAIRS
         and all(h.drop == 2 for h in drop.hits),
-    )
+    ))
 
     eq = search_mod.search_embedding_eq(655, table=table)
-    report(
+    checks.append((
         "residue search to 655 finds exactly the thirty known pairs",
         eq.pairs() == search_mod.EXPECTED_RESIDUE_PAIRS,
-    )
-
-    raw = search_mod.search_embedding_eq(655, raw=True, table=table)
-    extras = [h for h in raw.hits if h.excluded_by]
-    print(f"INFO raw residue scan extras at 655: {len(extras)} (reported, not asserted)")
+    ))
 
     ga = search_mod.g_analysis()
-    report(
+    checks.append((
         "bound-gap peak near 52.15 with value near 4.59",
         abs(ga.local_max_location - 52.15) <= 0.05
         and abs(ga.local_max_value - 4.59) <= 0.02,
-    )
-    report(
+    ))
+    checks.append((
         "bound-gap roots solve to 1e-9 inside (485, 486) and (655, 656)",
         abs(search_mod.g_of(ga.root_at_2) - 2.0) <= 1e-9
         and abs(search_mod.g_of(ga.root_at_1) - 1.0) <= 1e-9
         and 485 < ga.root_at_2 < 486
         and 655 < ga.root_at_1 < 656,
-    )
-    report(
+    ))
+    checks.append((
         "bound-gap values at the recorded crossings are within 0.01",
         abs(search_mod.g_of(485.92) - 2.0) <= 0.01
         and abs(search_mod.g_of(655.24) - 1.0) <= 0.01,
-    )
+    ))
 
-    print(f"certified {checks - failures}/{checks} checks")
-    return 0 if failures == 0 else FAILURE_EXIT
+    record = _verdicts(checks)
+    record.lines.append(f"certified {sum(ok for _, ok in checks)}/{len(checks)} checks")
+    return record
 
 
-def _cmd_tgrid(ns) -> int:
+def _cmd_tgrid(ns) -> _Record:
     if ns.m_max > 500 or ns.n_max > 500:
         raise ValueError("grid extents are limited to 500")
     if ns.m_max < 0 or ns.n_max < 0:
         raise ValueError("grid extents must be nonnegative")
     table = shared_table()
     table.ensure(ns.n_max)
-    if ns.format == "plain":
-        for n in range(ns.n_max + 1):
-            v = table[n]
-            print("".join("#" if v <= m else "." for m in range(ns.m_max + 1)))
-    else:
-        rows = []
-        for n in range(ns.n_max + 1):
-            v = table[n]
-            rows.extend([m, n, 1 if v <= m else 0] for m in range(ns.m_max + 1))
-        _write_csv(["m", "n", "member"], rows)
-    return 0
+    mus = [table[n] for n in range(ns.n_max + 1)]
+    columns = range(ns.m_max + 1)
+    lines = ("".join("#" if v <= m else "." for m in columns) for v in mus)
+    rows = ([m, n, 1 if v <= m else 0] for n, v in enumerate(mus) for m in columns)
+    return _Record(header=["m", "n", "member"], rows=rows, lines=lines)
 
 
 def _add_format(p, default: str, choices=("plain", "json", "csv")) -> None:
@@ -392,19 +328,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p, "plain")
     p.set_defaults(func=_cmd_apery)
 
-    p = sub.add_parser("frobenius", help="largest integer outside S")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--oracle", action="store_true")
-    _add_format(p, "plain", choices=("plain", "json"))
-    p.set_defaults(func=_cmd_frobenius)
-
-    p = sub.add_parser("genus", help="number of gaps of S")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--oracle", action="store_true")
-    _add_format(p, "plain", choices=("plain", "json"))
-    p.set_defaults(func=_cmd_genus)
+    for name, help_text, closed, oracle in (
+        ("frobenius", "largest integer outside S", frobenius, frobenius_oracle),
+        ("genus", "number of gaps of S", genus, genus_oracle),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--a", type=int, required=True)
+        p.add_argument("--b", type=int, required=True)
+        p.add_argument("--oracle", action="store_true")
+        _add_format(p, "plain", choices=("plain", "json"))
+        p.set_defaults(func=_cmd_frobenius_or_genus, forms=(closed, oracle))
 
     p = sub.add_parser("invariants", help="frobenius, genus, and bounds together")
     p.add_argument("--a", type=int)
@@ -433,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = mode.add_parser("embedding-eq", help="pairs where an extra generator could enter")
     e.add_argument("--a-max", type=int, required=True)
-    e.add_argument("--raw", action="store_true", help="keep hits that fail side constraints")
     _add_format(e, "csv", choices=("csv", "json"))
     e.set_defaults(func=_cmd_search_eq)
 
@@ -475,7 +407,8 @@ def run(argv: list[str] | None = None) -> int:
             preloaded = cached.n_max
 
     try:
-        code = ns.func(ns)
+        record = ns.func(ns)
+        _render(getattr(ns, "format", "plain"), record)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
@@ -490,7 +423,7 @@ def run(argv: list[str] | None = None) -> int:
                 save_table(table, memo_path)
             except OSError as exc:
                 print(f"warning: could not save mu cache at {memo_path}: {exc}", file=sys.stderr)
-    return code
+    return record.code
 
 
 def main() -> None:

@@ -65,9 +65,18 @@ def is_minimal_closed(s: QuadraticSemigroup, n: int) -> bool:
 
 
 def minimal_generators_closed(s: QuadraticSemigroup) -> MinimalGeneratorSet:
-    """Minimal indices per the decision procedure, over the window 1..a+5."""
-    last = s.a + 5 if not s.trivial else s.a + s.b + 6
-    indices = tuple(n for n in range(1, last + 1) if is_minimal_closed(s, n))
+    """Minimal indices per the decision procedure of `is_minimal_closed`.
+
+    They are 1..largest_index(a - 1), the n with C(n,2) < a, followed by
+    the extra index of an exceptional pair; a trivial S has the lone
+    generator y_1, or y_2 when a = 0.
+    """
+    if s.trivial:
+        return MinimalGeneratorSet(semigroup=s, indices=(1,) if s.a == 1 else (2,))
+    indices = tuple(range(1, largest_index(s.a - 1) + 1))
+    extra = _EXTRA_MINIMAL_INDEX.get((s.a, s.b))
+    if extra is not None:
+        indices += (extra,)
     return MinimalGeneratorSet(semigroup=s, indices=indices)
 
 

@@ -18,8 +18,6 @@ for the table.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 import struct
@@ -35,7 +33,6 @@ __all__ = [
     "MuTable",
     "adopt_shared_table",
     "bound_profiles",
-    "bounds_csv",
     "combined_bound",
     "gauss_bound",
     "inverse_triangular",
@@ -308,24 +305,6 @@ def bound_profiles(n_max: int, table: MuTable | None = None) -> list[BoundProfil
         BoundProfile(n, t[n], lower_bound(n), gauss_bound(n), combined_bound(n))
         for n in range(1, n_max + 1)
     ]
-
-
-def bounds_csv(n_max: int, table: MuTable | None = None) -> str:
-    """CSV text of `bound_profiles`, header n,mu,lower,gauss,combined."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "mu", "lower", "gauss", "combined"])
-    for p in bound_profiles(n_max, table):
-        writer.writerow(
-            [
-                p.n,
-                p.mu,
-                format(p.lower, ".9g"),
-                format(p.gauss, ".9g"),
-                format(p.combined, ".9g"),
-            ]
-        )
-    return buf.getvalue()
 
 
 def save_table(table: MuTable, path: str) -> None:

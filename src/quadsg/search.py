@@ -65,26 +65,23 @@ class DropHit:
 
 @dataclass(frozen=True)
 class ResidueHit:
-    """C(n,2) mod a has mu exactly n + 1.
-
-    `excluded_by` lists the side constraints a raw scan hit violates,
-    semicolon separated; it is empty for strict hits.
-    """
+    """C(n,2) mod a has mu exactly n + 1."""
 
     a: int
     n: int
     binom: int
     residue: int
     mu_residue: int
-    excluded_by: str = ""
 
 
 @dataclass(frozen=True)
 class SearchReport:
+    """One search's hits; `quadsg search --format json` prints the fields in order."""
+
     search_id: str
     a_max: int
-    hits: tuple
     elapsed: float
+    hits: tuple
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((h.a, h.n) for h in self.hits)
@@ -110,17 +107,17 @@ def search_mu_drop(a_max: int, table: MuTable | None = None) -> SearchReport:
         drop = values[3:a] - values[3 + a : 2 * a]
         for n in (np.flatnonzero((drop >= 2) & (drop <= 4)) + 3).tolist():
             hits.append(DropHit(a, n, int(values[n]), int(values[n + a])))
-    return SearchReport("mu-drop", a_max, tuple(hits), time.perf_counter() - start)
+    return SearchReport("mu-drop", a_max, time.perf_counter() - start, tuple(hits))
 
 
-def search_embedding_eq(
-    a_max: int, raw: bool = False, table: MuTable | None = None
-) -> SearchReport:
+def search_embedding_eq(a_max: int, table: MuTable | None = None) -> SearchReport:
     """All (a, n), 1 <= n <= a <= a_max, with mu(C(n,2) mod a) = n + 1.
 
-    Strict mode also demands a < C(n,2) <= C(a,2) and that a does not
-    divide C(n,2); raw mode keeps every bare equation hit and labels the
-    constraint it would have been dropped by.
+    Every such hit already meets the side constraints a < C(n,2) <= C(a,2)
+    with a not dividing C(n,2), so none needs a check.  If C(n,2) < a the
+    residue is C(n,2) itself, whose mu is n (0 for n = 1).  If a divides
+    C(n,2), including C(n,2) = a, the residue is 0 and mu(0) = 0.  Neither
+    is n + 1, and n <= a already keeps C(n,2) <= C(a,2).
     """
     if not 2 <= a_max <= _SEARCH_CAP:
         raise ValueError(f"a_max must be in 2..{_SEARCH_CAP}")
@@ -132,23 +129,11 @@ def search_embedding_eq(
     binoms = indices * (indices - 1) // 2
     hits = []
     for a in range(2, a_max + 1):
-        limit = triangular(a)
         ns = indices[:a]
         for n in ns[values[binoms[:a] % a] == ns + 1].tolist():
             binom = triangular(n)
-            residue = binom % a
-            reasons = []
-            if binom <= a:
-                reasons.append("binom_not_above_a")
-            if binom > limit:
-                reasons.append("binom_above_limit")
-            if residue == 0:
-                reasons.append("binom_multiple_of_a")
-            if reasons and not raw:
-                continue
-            hits.append(ResidueHit(a, n, binom, residue, n + 1, ";".join(reasons)))
-    name = "embedding-eq-raw" if raw else "embedding-eq"
-    return SearchReport(name, a_max, tuple(hits), time.perf_counter() - start)
+            hits.append(ResidueHit(a, n, binom, binom % a, n + 1))
+    return SearchReport("embedding-eq", a_max, time.perf_counter() - start, tuple(hits))
 
 
 def g_of(a: float) -> float:

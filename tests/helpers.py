@@ -107,12 +107,12 @@ def drop_hits_plain(values, a_max: int) -> list[tuple[int, int, int, int]]:
     return found
 
 
-def residue_hits_plain(values, a_max: int, raw: bool) -> list[tuple]:
+def residue_hits_plain(values, a_max: int) -> list[tuple]:
     """(a, n, C(n,2), C(n,2) mod a, mu of it, excluded_by) for every
     1 <= n <= a <= a_max with mu(C(n,2) mod a) = n + 1, by a double loop.
 
-    Strict mode drops hits with C(n,2) <= a, C(n,2) > C(a,2) or a dividing
-    C(n,2); raw mode keeps them, naming the violated constraints."""
+    excluded_by names, semicolon separated, the side constraints a hit
+    violates: C(n,2) <= a, C(n,2) > C(a,2), or a dividing C(n,2)."""
     found = []
     for a in range(2, a_max + 1):
         limit = tri(a)
@@ -129,7 +129,5 @@ def residue_hits_plain(values, a_max: int, raw: bool) -> list[tuple]:
                 reasons.append("binom_above_limit")
             if residue == 0:
                 reasons.append("binom_multiple_of_a")
-            if reasons and not raw:
-                continue
             found.append((a, n, binom, residue, mu_residue, ";".join(reasons)))
     return found

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -70,6 +71,8 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "certify", "--all", "--threads", "2")[0] == cli.USAGE_EXIT
     argv = ("search", "mu-drop", "--a-max", "30", "--threads", "2")
     assert run_cli(capsys, *argv)[0] == cli.USAGE_EXIT
+    argv = ("search", "embedding-eq", "--a-max", "13", "--raw")
+    assert run_cli(capsys, *argv)[0] == cli.USAGE_EXIT
 
 
 def test_help_exits_zero(capsys):
@@ -93,12 +96,14 @@ def test_semigroup_json(capsys):
 
 
 def test_bounds_csv(capsys):
-    code, out, _ = run_cli(capsys, "bounds", "--n-max", "3")
+    code, out, _ = run_cli(capsys, "bounds", "--n-max", "12")
     assert code == 0
+    assert out.endswith("\n")
     rows = parse_csv(out)
     assert rows[0] == ["n", "mu", "lower", "gauss", "combined"]
     assert rows[1] == ["1", "2", "2", "4.37228132", "5"]
-    assert len(rows) == 4
+    assert len(rows) == 13
+    assert rows[10][:3] == ["10", "5", "5"]
 
 
 def test_bounds_json(capsys):
@@ -145,6 +150,15 @@ def test_closed_forms_past_limit_are_domain_errors(capsys):
         assert code == 1, command
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+def test_sweep_past_limit_is_domain_error(capsys):
+    start = time.perf_counter()
+    argv = ("invariants", "--sweep", "--a-max", str(10**11), "--b-max", "1")
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
 def test_invariants_single(capsys):
@@ -223,18 +237,6 @@ def test_search_embedding_eq(capsys):
     rows = parse_csv(out)
     assert rows[0] == ["a", "n", "binom", "residue", "mu_residue"]
     assert rows[1:] == [["10", "6", "15", "5", "7"], ["13", "7", "21", "8", "8"]]
-
-
-def test_search_embedding_eq_raw(capsys):
-    code, out, _ = run_cli(capsys, "search", "embedding-eq", "--a-max", "13", "--raw")
-    assert code == 0
-    rows = parse_csv(out)
-    assert rows[0] == ["a", "n", "binom", "residue", "mu_residue", "excluded_by"]
-    assert [r[:5] for r in rows[1:]] == [
-        ["10", "6", "15", "5", "7"],
-        ["13", "7", "21", "8", "8"],
-    ]
-    assert all(r[5] == "" for r in rows[1:])
 
 
 def test_g_analysis_plain(capsys):

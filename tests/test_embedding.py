@@ -81,9 +81,19 @@ def test_closed_vs_oracle_indicator():
     pairs += sorted(q.EXCEPTIONAL_PAIRS)
     for a, b in pairs:
         s = q.make_semigroup(a, b)
-        oracle = set(q.minimal_generators_oracle(s).indices)
+        oracle = q.minimal_generators_oracle(s).indices
+        assert q.minimal_generators_closed(s).indices == oracle, (a, b)
         for n in range(1, a + 6):
             assert q.is_minimal_closed(s, n) == (n in oracle), (a, b, n)
+
+
+def test_closed_generators_at_large_a():
+    start = time.perf_counter()
+    gens = q.minimal_generators_closed(q.make_semigroup(10**11, 1))
+    assert time.perf_counter() - start < 0.5
+    assert len(gens) == q.embedding_dimension(10**11, 1) == 447_214
+    assert gens.indices[-1] == 447_214
+    assert q.minimal_generators_closed(q.make_semigroup(1, 10**11)).indices == (1,)
 
 
 def test_oracle_vs_naive_closure():

@@ -56,14 +56,6 @@ def test_eq_search_full(table):
         assert hit.binom == hit.n * (hit.n - 1) // 2
         assert hit.residue == hit.binom % hit.a
         assert hit.mu_residue == hit.n + 1
-        assert hit.excluded_by == ""
-
-
-def test_raw_matches_strict(table):
-    raw = q.search_embedding_eq(655, raw=True, table=table)
-    strict = q.search_embedding_eq(655, table=table)
-    assert raw.pairs() == strict.pairs()
-    assert all(hit.excluded_by == "" for hit in raw.hits)
 
 
 @pytest.mark.parametrize("a_max", [4, 29, 300, 700])
@@ -71,9 +63,11 @@ def test_scans_match_plain_loops(table, a_max):
     values = table.values.tolist()
     drop = q.search_mu_drop(a_max, table=table)
     assert [astuple(h) for h in drop.hits] == drop_hits_plain(values, a_max)
-    for raw in (False, True):
-        eq = q.search_embedding_eq(a_max, raw=raw, table=table)
-        assert [astuple(h) for h in eq.hits] == residue_hits_plain(values, a_max, raw)
+    plain = residue_hits_plain(values, a_max)
+    # No bare equation hit violates a side constraint, so the scan checks none.
+    assert [hit for hit in plain if hit[-1]] == []
+    eq = q.search_embedding_eq(a_max, table=table)
+    assert [astuple(h) for h in eq.hits] == [hit[:-1] for hit in plain]
 
 
 def test_search_domains():

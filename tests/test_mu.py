@@ -179,6 +179,21 @@ def test_bound_profiles_shape(table):
         q.bound_profiles(0, table)
 
 
+def test_bounds_csv(monkeypatch, capsys):
+    # The bounds CSV is written by the CLI renderer from bound_profiles.
+    monkeypatch.setattr(mu_module, "_shared", mu_module.MuTable())
+    monkeypatch.delenv("QUADSG_MEMO_PATH", raising=False)
+    assert cli.run(["bounds", "--n-max", "12", "--format", "csv"]) == 0
+    text = capsys.readouterr().out
+    lines = text.splitlines()
+    assert lines[0] == "n,mu,lower,gauss,combined"
+    assert lines[1] == "1,2,2,4.37228132,5"
+    assert len(lines) == 13
+    assert text.endswith("\n")
+    row10 = lines[10].split(",")
+    assert row10[:3] == ["10", "5", "5"]
+
+
 def test_cache_roundtrip(tmp_path, table):
     path = tmp_path / "mu.bin"
     q.save_table(table, str(path))

@@ -8,152 +8,21 @@ each closed form against an oracle derived from one Apery set, computed
 by round robin from the generators alone.
 """
 
-from .embedding import (
-    MinimalGeneratorSet,
-    embedding_dimension,
-    is_minimal_closed,
-    minimal_generators_closed,
-    minimal_generators_oracle,
-    verify_decomposition,
-)
-from .invariants import (
-    AperySet,
-    InvariantSummary,
-    apery_closed,
-    apery_oracle,
-    bounds_certified,
-    frobenius,
-    frobenius_bounds,
-    frobenius_oracle,
-    genus,
-    genus_bounds,
-    genus_oracle,
-    invariant_summary,
-)
-from .mu import (
-    ORACLE_LIMIT,
-    TABLE_LIMIT,
-    BoundProfile,
-    MuTable,
-    adopt_shared_table,
-    bound_profiles,
-    combined_bound,
-    gauss_bound,
-    inverse_triangular,
-    largest_index,
-    load_table,
-    lower_bound,
-    mu,
-    mu_oracle,
-    save_table,
-    shared_table,
-    triangular,
-)
-from .search import (
-    EMBED_DECOMPOSITIONS,
-    EXPECTED_DROP_PAIRS,
-    EXPECTED_RESIDUE_PAIRS,
-    EXTRA_INDEX_ROWS,
-    Certificate,
-    DropHit,
-    GAnalysis,
-    ResidueHit,
-    SearchReport,
-    decomposition_certificates,
-    exception_certificates,
-    g_analysis,
-    g_local_max,
-    g_of,
-    g_solve,
-    search_embedding_eq,
-    search_mu_drop,
-)
-from .semigroup import (
-    EXCEPTIONAL_CASES,
-    EXCEPTIONAL_PAIRS,
-    ExceptionalCase,
-    NotANumericalSemigroup,
-    QuadraticSemigroup,
-    contains,
-    describe,
-    generator,
-    lift_contains,
-    make_semigroup,
-    mu_ab_closed,
-    mu_ab_oracle,
-    mu_ab_shift,
-    project,
-    require_nontrivial,
-)
+from . import embedding, invariants, mu, search, semigroup
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ORACLE_LIMIT",
-    "TABLE_LIMIT",
-    "EMBED_DECOMPOSITIONS",
-    "EXCEPTIONAL_CASES",
-    "EXCEPTIONAL_PAIRS",
-    "EXPECTED_DROP_PAIRS",
-    "EXPECTED_RESIDUE_PAIRS",
-    "EXTRA_INDEX_ROWS",
-    "AperySet",
-    "BoundProfile",
-    "Certificate",
-    "DropHit",
-    "ExceptionalCase",
-    "GAnalysis",
-    "InvariantSummary",
-    "MinimalGeneratorSet",
-    "MuTable",
-    "NotANumericalSemigroup",
-    "QuadraticSemigroup",
-    "ResidueHit",
-    "SearchReport",
-    "adopt_shared_table",
-    "apery_closed",
-    "apery_oracle",
-    "bound_profiles",
-    "bounds_certified",
-    "combined_bound",
-    "contains",
-    "decomposition_certificates",
-    "describe",
-    "embedding_dimension",
-    "exception_certificates",
-    "frobenius",
-    "frobenius_bounds",
-    "frobenius_oracle",
-    "g_analysis",
-    "g_local_max",
-    "g_of",
-    "g_solve",
-    "gauss_bound",
-    "generator",
-    "genus",
-    "genus_bounds",
-    "genus_oracle",
-    "inverse_triangular",
-    "invariant_summary",
-    "is_minimal_closed",
-    "largest_index",
-    "lift_contains",
-    "load_table",
-    "lower_bound",
-    "make_semigroup",
-    "minimal_generators_closed",
-    "minimal_generators_oracle",
-    "mu",
-    "mu_ab_closed",
-    "mu_ab_oracle",
-    "mu_ab_shift",
-    "mu_oracle",
-    "project",
-    "require_nontrivial",
-    "save_table",
-    "search_embedding_eq",
-    "search_mu_drop",
-    "shared_table",
-    "triangular",
-    "verify_decomposition",
+    name
+    for module in (embedding, invariants, mu, search, semigroup)
+    for name in module.__all__
 ]
+
+# Star imports come after __all__ is read from the submodules: `from .mu
+# import *` rebinds the package attribute mu from the submodule to the
+# function, which is what `quadsg.mu` must mean.
+from .embedding import *  # noqa: E402,F403
+from .invariants import *  # noqa: E402,F403
+from .mu import *  # noqa: E402,F403
+from .search import *  # noqa: E402,F403
+from .semigroup import *  # noqa: E402,F403

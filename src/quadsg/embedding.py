@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mu import largest_index, triangular
+from .mu import largest_index
 from .semigroup import (
     EXCEPTIONAL_CASES,
     EXCEPTIONAL_PAIRS,
@@ -19,7 +19,6 @@ from .semigroup import (
 __all__ = [
     "MinimalGeneratorSet",
     "embedding_dimension",
-    "is_minimal_closed",
     "minimal_generators_closed",
     "minimal_generators_oracle",
     "verify_decomposition",
@@ -45,31 +44,15 @@ class MinimalGeneratorSet:
         return len(self.indices)
 
 
-def is_minimal_closed(s: QuadraticSemigroup, n: int) -> bool:
-    """Decide whether y_n is a minimal generator, without any search.
-
-    For nontrivial S: y_n is minimal when C(n,2) < a; it is never minimal
-    when n > a or a divides C(n,2); in the remaining band it is minimal
-    only at the single extra index of an exceptional pair.
-    """
-    if n < 1:
-        raise ValueError("generator index must be >= 1")
-    if s.trivial:
-        return generator(s, n) == 1
-    t = triangular(n)
-    if t < s.a:
-        return True
-    if n > s.a or t % s.a == 0:
-        return False
-    return _EXTRA_MINIMAL_INDEX.get((s.a, s.b)) == n
-
-
 def minimal_generators_closed(s: QuadraticSemigroup) -> MinimalGeneratorSet:
-    """Minimal indices per the decision procedure of `is_minimal_closed`.
+    """Minimal indices of S, decided without any search.
 
-    They are 1..largest_index(a - 1), the n with C(n,2) < a, followed by
-    the extra index of an exceptional pair; a trivial S has the lone
-    generator y_1, or y_2 when a = 0.
+    For nontrivial S, y_n is minimal when C(n,2) < a; it is never minimal
+    when n > a or a divides C(n,2) (so not at C(n,2) = a either); in the
+    remaining band, C(n,2) > a with n <= a and a not dividing C(n,2), it
+    is minimal only at the single extra index of an exceptional pair.  So
+    the indices are 1..largest_index(a - 1) followed by that extra index.
+    A trivial S has the lone generator y_1, or y_2 when a = 0.
     """
     if s.trivial:
         return MinimalGeneratorSet(semigroup=s, indices=(1,) if s.a == 1 else (2,))

@@ -8,9 +8,11 @@ though its values at the recorded locations are on target. The assertion
 states both numbers; see the test body.
 """
 
+import importlib
 import math
 import time
 
+import numpy as np
 import pytest
 
 import quadsg as q
@@ -64,10 +66,12 @@ def test_criterion_01_mu_base_values(report):
 
 def test_criterion_02_oracle_equivalence(big_table, report):
     start = time.perf_counter()
-    bad = [n for n in range(301) if big_table[n] != q.mu_oracle(n)]
+    fold = importlib.import_module("quadsg.mu")._mu_fold(10**4)
+    bad = np.flatnonzero(big_table.values[: 10**4 + 1] != fold).tolist()
+    bad += [n for n in range(301) if big_table[n] != q.mu_oracle(n)]
     elapsed = time.perf_counter() - start
     ok = not bad and elapsed < 30.0
-    report(2, ok, f"recursion equals search oracle for n <= 300, {elapsed:.3f}s")
+    report(2, ok, f"recursion equals fold oracle for n <= 10000, {elapsed:.3f}s")
     assert not bad, f"oracle disagrees at {bad[:5]}"
     assert elapsed < 30.0
 

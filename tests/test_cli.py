@@ -149,12 +149,13 @@ def test_closed_forms_past_limit_are_domain_errors(capsys):
 
 
 def test_sweep_past_limit_is_domain_error(capsys):
-    start = time.perf_counter()
-    argv = ("invariants", "--sweep", "--a-max", str(10**11), "--b-max", "1")
-    code, out, err = run_cli(capsys, *argv)
-    assert time.perf_counter() - start < 2
-    assert (code, out) == (1, "")
-    assert err.count("\n") == 1 and err.startswith("error: "), err
+    for a_max, b_max in [(10**11, 1), (10**11, 0), (2, 10**11)]:
+        start = time.perf_counter()
+        argv = ("invariants", "--sweep", "--a-max", str(a_max), "--b-max", str(b_max))
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (1, ""), argv
+        assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
 def test_invariants_single(capsys):

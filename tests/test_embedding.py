@@ -9,44 +9,44 @@ import quadsg as q
 from helpers import minimal_generators_naive
 
 
+def closed_indices(a: int, b: int) -> tuple[int, ...]:
+    return q.minimal_generators_closed(q.make_semigroup(a, b)).indices
+
+
 def test_is_minimal_examples():
-    assert not q.is_minimal_closed(q.make_semigroup(10, 1), 6)
-    s29 = q.make_semigroup(29, 1)
-    assert q.is_minimal_closed(s29, 11)
-    assert not q.is_minimal_closed(s29, 19)
-    assert q.is_minimal_closed(q.make_semigroup(2, 1), 2)
-    with pytest.raises(ValueError):
-        q.is_minimal_closed(s29, 0)
+    assert 6 not in closed_indices(10, 1)
+    assert 11 in closed_indices(29, 1)
+    assert 19 not in closed_indices(29, 1)
+    assert 2 in closed_indices(2, 1)
 
 
 def test_is_minimal_55():
-    s = q.make_semigroup(55, 1)
-    assert q.is_minimal_closed(s, 15)
+    indices = closed_indices(55, 1)
+    assert 15 in indices
     for n in (26, 30, 41):
-        assert not q.is_minimal_closed(s, n)
+        assert n not in indices
 
 
 def test_is_minimal_branches():
-    s = q.make_semigroup(10, 1)
+    indices = closed_indices(10, 1)
     # C(n,2) < a keeps a generator minimal.
     for n in (1, 2, 3, 4):
-        assert q.is_minimal_closed(s, n)
+        assert n in indices
     # Indices past a never are.
-    assert not q.is_minimal_closed(s, 11)
-    assert not q.is_minimal_closed(s, 25)
+    assert 11 not in indices
+    assert 25 not in indices
     # a | C(n,2) never is (C(5,2) = 10 here).
-    assert not q.is_minimal_closed(s, 5)
+    assert 5 not in indices
     # The boundary C(n,2) = a is a multiple of a, hence not minimal.
-    s3 = q.make_semigroup(3, 2)
-    assert not q.is_minimal_closed(s3, 3)
+    assert 3 not in closed_indices(3, 2)
 
 
 def test_trivial_semigroups():
     s11 = q.make_semigroup(1, 1)
-    assert q.is_minimal_closed(s11, 1)
-    assert not q.is_minimal_closed(s11, 2)
-    assert q.minimal_generators_oracle(s11).indices == (1,)
-    assert q.minimal_generators_closed(s11).indices == (1,)
+    closed = q.minimal_generators_closed(s11).indices
+    assert 1 in closed
+    assert 2 not in closed
+    assert closed == q.minimal_generators_oracle(s11).indices == (1,)
     assert q.embedding_dimension(1, 1) == 1
 
     s01 = q.make_semigroup(0, 1)
@@ -83,8 +83,9 @@ def test_closed_vs_oracle_indicator():
         s = q.make_semigroup(a, b)
         oracle = q.minimal_generators_oracle(s).indices
         assert q.minimal_generators_closed(s).indices == oracle, (a, b)
+        closed = q.minimal_generators_closed(s).indices
         for n in range(1, a + 6):
-            assert q.is_minimal_closed(s, n) == (n in oracle), (a, b, n)
+            assert (n in closed) == (n in oracle), (a, b, n)
 
 
 def test_closed_generators_at_large_a():

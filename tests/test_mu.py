@@ -1,4 +1,4 @@
-"""mu values, the growable table, the search oracle, bounds, and the cache."""
+"""mu values, the growable table, the fold oracle, bounds, and the cache."""
 
 import importlib
 import math
@@ -18,8 +18,8 @@ mu_module = importlib.import_module("quadsg.mu")
 PLAIN_LIMIT = 3000
 
 # Hand-enumerable small cases (every partition written out by hand) and
-# the eight larger arguments the exceptional pairs hinge on; the latter are
-# re-verified against the exhaustive oracle below.
+# the eight larger arguments the exceptional pairs hinge on; all are
+# re-verified against the oracle below.
 FROZEN_MU = {
     0: 0,
     1: 2,
@@ -65,8 +65,19 @@ def test_table_matches_plain_dp(table, plain):
 
 
 def test_matches_exhaustive_oracle(table):
-    for n in range(151):
-        assert q.mu_oracle(n) == table[n]
+    # The fold is the unwindowed oracle; mu_oracle returns its last entry.
+    fold = mu_module._mu_fold(10**5)
+    mismatches = np.flatnonzero(q.MuTable(10**5).values != fold)
+    assert mismatches.size == 0, mismatches[:5]
+    for n in FROZEN_MU:
+        assert q.mu_oracle(n) == table[n] == fold[n]
+
+
+@pytest.mark.slow
+def test_matches_exhaustive_oracle_to_limit():
+    n = q.ORACLE_LIMIT
+    mismatches = np.flatnonzero(q.MuTable(n).values != mu_module._mu_fold(n))
+    assert mismatches.size == 0, mismatches[:5]
 
 
 def test_triangular_arguments_exact(table):
@@ -116,8 +127,14 @@ def test_getitem_bounds(table):
 def test_oracle_domain():
     with pytest.raises(ValueError):
         q.mu_oracle(-1)
-    with pytest.raises(ValueError):
-        q.mu_oracle(q.ORACLE_LIMIT + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="limited"):
+            q.mu_oracle(q.ORACLE_LIMIT + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     assert q.mu_oracle(0) == 0
 
 

@@ -157,19 +157,22 @@ def _cmd_invariants(ns) -> _Record:
     if ns.sweep:
         if ns.a_max is None or ns.b_max is None:
             raise _UsageError("--sweep needs --a-max and --b-max")
-        # Every summary is built before rendering, so bound the grid's size.
+        # json holds every summary at once, so bound the grid's size.
         if (ns.a_max - 1) * max(ns.b_max, 1) > TABLE_LIMIT:
             raise ValueError(f"sweep needs (a_max - 1) * b_max <= {TABLE_LIMIT}")
-        summaries = [
+        summaries = (
             invariants_mod.invariant_summary(semigroup_mod.make_semigroup(a, b))
             for a in range(2, ns.a_max + 1)
             for b in range(1, ns.b_max + 1)
             if math.gcd(a, b) == 1
-        ]
-        # A plain sweep prints the csv table, as it always has.
-        csv_rows = itertools.chain([_SWEEP_HEADER], map(_summary_row, summaries))
-        lines = (",".join(map(str, row)) for row in csv_rows)
-        return _Record(summaries, _SWEEP_HEADER, map(_summary_row, summaries), lines)
+        )
+        if ns.format == "json":
+            return _Record(list(summaries))
+        # Rows are rendered as they are made.  A plain sweep prints the csv
+        # table, as it always has.
+        rows = map(_summary_row, summaries)
+        lines = (",".join(map(str, row)) for row in itertools.chain([_SWEEP_HEADER], rows))
+        return _Record(header=_SWEEP_HEADER, rows=rows, lines=lines)
     if ns.a is None or ns.b is None:
         raise _UsageError("need --a and --b (or --sweep with --a-max/--b-max)")
     summary = invariants_mod.invariant_summary(semigroup_mod.make_semigroup(ns.a, ns.b))
@@ -343,7 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="frobenius, genus, and bounds together")
     p.add_argument("--a", type=int)
     p.add_argument("--b", type=int)
-    p.add_argument("--sweep", action="store_true", help="tabulate a coprime grid")
+    p.add_argument(
+        "--sweep",
+        action="store_true",
+        help="tabulate a coprime grid (csv and plain rows print as they are made; "
+        "json waits for the whole grid)",
+    )
     p.add_argument("--a-max", type=int)
     p.add_argument("--b-max", type=int)
     _add_format(p, "csv")

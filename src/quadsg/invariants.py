@@ -9,10 +9,10 @@ import numpy as np
 
 from .mu import MuTable, shared_table
 from .semigroup import (
+    EXCEPTIONAL_CASES,
     EXCEPTIONAL_PAIRS,
     QuadraticSemigroup,
     _apery,
-    mu_ab_closed,
     require_nontrivial,
 )
 
@@ -45,20 +45,50 @@ class AperySet:
     elements: tuple[int, ...]
 
 
+def _lifts(s: QuadraticSemigroup, table: MuTable | None) -> np.ndarray:
+    """mu_{a,b}(n) for n = 0..a-1 as one int64 array.
+
+    mu(0..a-1) from the table, less one at the exceptional n of (a, b):
+    the values `mu_ab_closed` gives one n at a time.
+    """
+    a = s.a
+    # Fill, or refuse past TABLE_LIMIT, before allocating a entries.
+    t = (shared_table() if table is None else table).ensure(a - 1)
+    lifts = t.values[:a].copy()
+    for c in EXCEPTIONAL_CASES:
+        if (c.a, c.b) == (a, s.b):
+            lifts[c.n] -= 1
+    return lifts
+
+
+def _lifted(s: QuadraticSemigroup, lifts: np.ndarray) -> np.ndarray:
+    """lifts[n]*a + n*b for n = 0..a-1, exact for every b.
+
+    int64 while the largest value, at most max(lifts)*a + (a-1)*b, stays
+    below 2**63; Python ints (an object array) past that.
+    """
+    a, b = s.a, s.b
+    n = np.arange(a, dtype=np.int64)
+    if int(lifts.max()) * a + (a - 1) * b >= 1 << 63:
+        lifts, n = lifts.astype(object), n.astype(object)
+    return lifts * a + n * b
+
+
 def apery_closed(s: QuadraticSemigroup, table: MuTable | None = None) -> AperySet:
     """Apery set with respect to a, assembled from the closed lift values.
 
     The element in the class of n*b mod a is mu_{a,b}(n)*a + n*b; as n
     runs over 0..a-1 the classes are hit exactly once since gcd(a,b) = 1.
+    All a lifts come from the mu table in one array, and one scatter puts
+    each element at its class (n*(b mod a)) mod a.  Tests check it against
+    the scalar definition, `mu_ab_closed` called once per n.
     """
     require_nontrivial(s)
-    a, b = s.a, s.b
-    # Fill, or refuse past TABLE_LIMIT, before allocating a entries.
-    (shared_table() if table is None else table).ensure(a - 1)
-    elements = [0] * a
-    for n in range(a):
-        elements[(n * b) % a] = mu_ab_closed(s, n, table) * a + n * b
-    return AperySet(modulus=a, elements=tuple(elements))
+    a = s.a
+    values = _lifted(s, _lifts(s, table))
+    elements = np.empty_like(values)
+    elements[np.arange(a, dtype=np.int64) * (s.b % a) % a] = values
+    return AperySet(modulus=a, elements=tuple(elements.tolist()))
 
 
 def apery_oracle(s: QuadraticSemigroup) -> AperySet:
@@ -70,11 +100,25 @@ def apery_oracle(s: QuadraticSemigroup) -> AperySet:
     return AperySet(modulus=s.a, elements=tuple(_apery(s.a, s.b).tolist()))
 
 
+def _frobenius(s: QuadraticSemigroup, lifts: np.ndarray) -> int:
+    return int(_lifted(s, lifts).max()) - s.a
+
+
+def _genus(s: QuadraticSemigroup, lifts: np.ndarray) -> int:
+    # Each lift mu_{a,b}(n) is at most 2n, so the sum stays below 2*a**2 < 2**63.
+    return int(lifts.sum()) + (s.a - 1) * (s.b - 1) // 2
+
+
 def frobenius(s: QuadraticSemigroup, table: MuTable | None = None) -> int:
-    """Largest integer outside S; -1 when S is everything (trivial case)."""
+    """Largest integer outside S; -1 when S is everything (trivial case).
+
+    The largest Apery element less a, taken as the max of the lifted
+    array mu_{a,b}(n)*a + n*b without scattering it.  Tests check it
+    against the scalar definition, `mu_ab_closed` called once per n.
+    """
     if s.trivial:
         return -1
-    return max(apery_closed(s, table).elements) - s.a
+    return _frobenius(s, _lifts(s, table))
 
 
 def frobenius_oracle(s: QuadraticSemigroup) -> int:
@@ -86,17 +130,15 @@ def frobenius_oracle(s: QuadraticSemigroup) -> int:
 def genus(s: QuadraticSemigroup, table: MuTable | None = None) -> int:
     """Number of gaps, via the integer lift-sum formula.
 
-    g = sum of mu_{a,b}(n) over 0 <= n < a, plus (a-1)(b-1)/2.  The
-    division is exact: a and b cannot both be even (they are coprime), so
-    a-1 or b-1 is even.
+    g = sum of mu_{a,b}(n) over 0 <= n < a, plus (a-1)(b-1)/2, with the
+    sum taken over the lift array in one numpy reduction.  The division
+    is exact: a and b cannot both be even (they are coprime), so a-1 or
+    b-1 is even.  Tests check it against the scalar definition,
+    `mu_ab_closed` called once per n.
     """
     if s.trivial:
         return 0
-    a, b = s.a, s.b
-    # Refuse past TABLE_LIMIT before a loop that would fill toward it.
-    (shared_table() if table is None else table).ensure(a - 1)
-    lift_sum = sum(mu_ab_closed(s, n, table) for n in range(a))
-    return lift_sum + (a - 1) * (b - 1) // 2
+    return _genus(s, _lifts(s, table))
 
 
 def genus_oracle(s: QuadraticSemigroup) -> int:
@@ -156,15 +198,16 @@ class InvariantSummary:
 
 
 def invariant_summary(s: QuadraticSemigroup, table: MuTable | None = None) -> InvariantSummary:
-    """Everything at once for one nontrivial semigroup."""
+    """Everything at once for one nontrivial semigroup; F and g share one lift array."""
     require_nontrivial(s)
+    lifts = _lifts(s, table)
     f_low, f_high = frobenius_bounds(s.a, s.b)
     g_low, g_high = genus_bounds(s.a, s.b)
     return InvariantSummary(
         a=s.a,
         b=s.b,
-        frobenius=frobenius(s, table),
-        genus=genus(s, table),
+        frobenius=_frobenius(s, lifts),
+        genus=_genus(s, lifts),
         frobenius_low=f_low,
         frobenius_high=f_high,
         genus_low=g_low,

@@ -6,6 +6,8 @@ bug in the package's optimized paths cannot hide here too.
 
 from __future__ import annotations
 
+from quadsg import mu_ab_closed
+
 
 def tri(i: int) -> int:
     return i * (i - 1) // 2
@@ -92,6 +94,16 @@ def least_lift_scan(contains, a: int, b: int, n: int) -> int:
     while not contains(m * a + n * b):
         m += 1
     return m
+
+
+def apery_closed_plain(s, table=None) -> tuple[int, ...]:
+    """Apery set of S(a,b) w.r.t. a by one `mu_ab_closed` call per n, in
+    Python ints: the class of n*b mod a holds mu_{a,b}(n)*a + n*b."""
+    a, b = s.a, s.b
+    elements = [0] * a
+    for n in range(a):
+        elements[(n * b) % a] = mu_ab_closed(s, n, table) * a + n * b
+    return tuple(elements)
 
 
 def drop_hits_plain(values, a_max: int) -> list[tuple[int, int, int, int]]:

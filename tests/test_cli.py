@@ -5,8 +5,13 @@ import importlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -156,6 +161,32 @@ def test_sweep_past_limit_is_domain_error(capsys):
         assert time.perf_counter() - start < 2
         assert (code, out) == (1, ""), argv
         assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+def test_sweep_streams_rows():
+    # A sweep too large to finish prints its first rows at once; the
+    # watchdog kills it if they do not come within 10 s.
+    src_dir = str(Path(q.__file__).resolve().parents[1])
+    path = os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = ["invariants", "--sweep", "--a-max", "100000001", "--b-max", "1", "--format", "csv"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quadsg.cli", *argv], stdout=subprocess.PIPE, text=True, env=env
+    )
+    watchdog = threading.Timer(10, proc.kill)
+    watchdog.start()
+    try:
+        lines = [proc.stdout.readline() for _ in range(3)]
+    finally:
+        watchdog.cancel()
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+    assert lines == [
+        "a,b,frobenius,genus,F_lo,F_hi,g_lo,g_hi\n",
+        "2,1,3,2,3,7.74456265,1.58333333,4.84402771\n",
+        "3,1,11,6,6.68465844,14.8247517,3.87886648,10.4920755\n",
+    ]
 
 
 def test_invariants_single(capsys):

@@ -1,12 +1,17 @@
 """Apery sets, Frobenius number, genus, and the analytic bounds."""
 
+import importlib
 import math
+import time
 import tracemalloc
 
 import pytest
 
 import quadsg as q
-from helpers import semigroup_members
+from helpers import apery_closed_plain, semigroup_members
+
+# The package exports a function named mu; go through importlib for the module.
+mu_module = importlib.import_module("quadsg.mu")
 
 
 def test_apery_examples():
@@ -169,3 +174,49 @@ def test_closed_forms_refuse_oversized_a_before_allocating():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert table.n_max == 10
+
+
+def test_closed_forms_exact_past_int64():
+    # The benchmark's sweep grid, the exceptional pairs, and two pairs whose
+    # Apery elements pass 2**63, where an int64 computation would wrap.
+    pairs = [(a, b) for a in range(2, 401) for b in range(1, 11) if math.gcd(a, b) == 1]
+    pairs += sorted(q.EXCEPTIONAL_PAIRS) + [(5, 10**20 + 1), (1001, 2**62 + 1)]
+    table = q.MuTable(1000)
+    for a, b in pairs:
+        s = q.make_semigroup(a, b)
+        plain = apery_closed_plain(s, table)
+        assert q.apery_closed(s, table).elements == plain, (a, b)
+        assert q.frobenius(s, table) == max(plain) - a, (a, b)
+        # Selmer: the class of r holds (Ap[r] - r)/a gaps.
+        assert q.genus(s, table) == (sum(plain) - a * (a - 1) // 2) // a, (a, b)
+    assert max(apery_closed_plain(q.make_semigroup(1001, 2**62 + 1), table)) >= 1 << 63
+
+
+def test_frobenius_genus_speed_at_a_million(monkeypatch):
+    monkeypatch.setattr(mu_module, "_shared", q.MuTable(10**6))
+    s = q.make_semigroup(10**6 + 1, 1)
+    start = time.perf_counter()
+    q.frobenius(s)
+    q.genus(s)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("b", [1, 2])
+def test_closed_vs_oracle_at_a_100001(b):
+    s = q.make_semigroup(10**5 + 1, b)
+    assert q.apery_closed(s, q.MuTable(10**5)).elements == q.apery_oracle(s).elements
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("a", [10**6 + 1, 10**7 + 1])
+def test_invariants_inside_bounds_at_scale(a, capsys):
+    s = q.make_semigroup(a, 1)
+    table = q.MuTable(a - 1)
+    f, g = q.frobenius(s, table), q.genus(s, table)
+    f_low, f_high = q.frobenius_bounds(a, 1)
+    g_low, g_high = q.genus_bounds(a, 1)
+    with capsys.disabled():
+        print(f"\na = {a}: F/a^1.5 = {f / a**1.5:.4f}, g/a^1.5 = {g / a**1.5:.4f}")
+    assert f_low <= f <= f_high
+    assert g_low <= g <= g_high

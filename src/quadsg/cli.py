@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, astuple, dataclass
 
 from . import embedding as embedding_mod
@@ -61,11 +61,12 @@ def _fmt(x: float) -> str:
 class _Record:
     """What one command prints, in each format it offers.
 
-    `doc` is the json document (dataclasses in it go through `asdict`),
-    `header` and `rows` the csv table, and `lines` the plain output, by
-    default the csv rows joined by spaces.  Large parts are generators, so
-    only the format asked for is built.  A format the record has nothing
-    for prints its plain lines.
+    `doc` is the json document (dataclasses in it go through `asdict`; an
+    iterator prints as an array, one item at a time), `header` and `rows`
+    the csv table, and `lines` the plain output, by default the csv rows
+    joined by spaces.  Large parts are generators, so only the format asked
+    for is built.  A format the record has nothing for prints its plain
+    lines.
     """
 
     doc: object = None
@@ -79,7 +80,10 @@ def _render(fmt: str, record: _Record) -> None:
     """Write a command's record to stdout: the one writer of command output."""
     out = sys.stdout
     if fmt == "json" and record.doc is not None:
-        json.dump(record.doc, out, indent=2, default=asdict)
+        if isinstance(record.doc, Iterator):
+            _dump_array(record.doc, out)
+        else:
+            json.dump(record.doc, out, indent=2, default=asdict)
         out.write("\n")
     elif fmt == "csv" and record.header is not None:
         writer = csv.writer(out, lineterminator="\n")
@@ -91,6 +95,15 @@ def _render(fmt: str, record: _Record) -> None:
             lines = (" ".join(map(str, row)) for row in record.rows)
         for line in lines:
             out.write(f"{line}\n")
+
+
+def _dump_array(items: Iterator, out) -> None:
+    """Write items as `json.dump` writes their list at indent 2, as they come."""
+    sep = "[\n  "
+    for item in items:
+        out.write(sep + json.dumps(item, indent=2, default=asdict).replace("\n", "\n  "))
+        sep = ",\n  "
+    out.write("[]" if sep == "[\n  " else "\n]")
 
 
 def _verdicts(checks: list[tuple[str, bool]]) -> _Record:
@@ -157,7 +170,8 @@ def _cmd_invariants(ns) -> _Record:
     if ns.sweep:
         if ns.a_max is None or ns.b_max is None:
             raise _UsageError("--sweep needs --a-max and --b-max")
-        # json holds every summary at once, so bound the grid's size.
+        # Refuse an oversized grid before any work; this also keeps
+        # a_max - 1 within what the mu table holds.
         if (ns.a_max - 1) * max(ns.b_max, 1) > TABLE_LIMIT:
             raise ValueError(f"sweep needs (a_max - 1) * b_max <= {TABLE_LIMIT}")
         summaries = (
@@ -166,10 +180,10 @@ def _cmd_invariants(ns) -> _Record:
             for b in range(1, ns.b_max + 1)
             if math.gcd(a, b) == 1
         )
+        # Rows are rendered as they are made, in every format.  A plain
+        # sweep prints the csv table, as it always has.
         if ns.format == "json":
-            return _Record(list(summaries))
-        # Rows are rendered as they are made.  A plain sweep prints the csv
-        # table, as it always has.
+            return _Record(summaries)
         rows = map(_summary_row, summaries)
         lines = (",".join(map(str, row)) for row in itertools.chain([_SWEEP_HEADER], rows))
         return _Record(header=_SWEEP_HEADER, rows=rows, lines=lines)
@@ -349,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sweep",
         action="store_true",
-        help="tabulate a coprime grid (csv and plain rows print as they are made; "
-        "json waits for the whole grid)",
+        help="tabulate a coprime grid (rows print as they are made)",
     )
     p.add_argument("--a-max", type=int)
     p.add_argument("--b-max", type=int)

@@ -10,11 +10,13 @@ C(2,2) = 1.  Values satisfy
 
 Allowing i = 1 would add the useless option mu(n) + 1 and is skipped.
 
-The module provides a growable bottom-up table (`MuTable`), an oracle
-(`mu_oracle`) that folds in one part at a time with no window, checked
-against the table up to n = 10**6, the analytic envelope around mu
-(`lower_bound`, `gauss_bound`, `combined_bound`), and a binary on-disk cache
-for the table.
+The module provides a growable bottom-up table (`MuTable`), filled by
+one loop over fixed-width chunks of consecutive n with one slice minimum
+per part index and no entry-by-entry region, an oracle (`mu_oracle`) that
+folds in one part at a time with no window, checked against the table up
+to n = 10**6, the analytic envelope around mu (`lower_bound`,
+`gauss_bound`, `combined_bound`), and a binary on-disk cache for the
+table.
 """
 
 from __future__ import annotations
@@ -56,9 +58,11 @@ _CACHE_MAGIC = b"QSMU"
 _CACHE_VERSION = 2
 _CACHE_HEADER = 4 + 1 + 8 + 4
 
-# Below this the table is filled one entry at a time; past it, in blocks of
-# consecutive n sharing the same largest part index.
-_SCALAR_REGION_END = 100 * 99 // 2
+# Widest run of consecutive n that MuTable fills together: wide enough that
+# each np.minimum call does more arithmetic than call overhead, small
+# enough that a chunk stays in cache.  Of the powers 2**12..2**16, 2**14
+# filled mu(0..C(2000,2)) fastest on a 2-vCPU machine.
+_CHUNK = 1 << 14
 
 
 def triangular(i: int) -> int:
@@ -96,13 +100,22 @@ class MuTable:
 
     Only `ensure` writes; `values` exposes a read-only view.
 
-    The fill restricts the recursion to a window of part indices.  Any
-    partition counted by mu uses parts C(i,2) <= i(k-1)/2 when every index
-    is at most k, so n <= mu(n)(k-1)/2 and the largest index of an optimal
-    partition is at least 1 + 2n/U for any upper bound U >= mu(n).  Removing
-    that largest part shows the windowed recursion stays exact.  U comes
-    from a single probe of the recursion (drop one largest-fitting part),
-    never from the analytic bounds, which keeps those independently
+    The fill walks chunks lo..end of consecutive n, at most `_CHUNK` wide,
+    and restricts the recursion to a window of part indices.  Any partition
+    counted by mu uses parts C(i,2) <= i(k-1)/2 when every index is at most
+    k, so n <= mu(n)(k-1)/2 and the largest index of an optimal partition
+    is at least 1 + 2n/U for any upper bound U >= mu(n).
+
+    With j = largest_index(end), U = j + max mu(0..j-1) bounds mu on the
+    whole chunk: taking the largest fitting part C(i,2) <= n leaves
+    n - C(i,2) < i <= j.  Where 0..j-1 is not filled yet, mu(m) <= 2m
+    stands in.  So k_min = 1 + ceil(2*lo/U), taken at the chunk's low end,
+    is at most the largest index of every optimal partition in the chunk,
+    and mu(n) is the least mu(n - C(i,2)) + i over k_min <= i with
+    C(i,2) <= n.  The chunk is cut to end - lo < C(k_min,2), so every such
+    source lies below lo and is final: one np.minimum per part index fills
+    the chunk, and a chunk of one entry is the same step.  U comes from the
+    table, never from the analytic bounds, which keeps those independently
     testable.
     """
 
@@ -154,46 +167,22 @@ class MuTable:
         self._n_max = target
         return self
 
-    def _scalar_value(self, n: int) -> int:
-        # n >= 1, everything below n already filled.
-        dp = self._values
-        k_max = largest_index(n)
-        ub = int(dp[n - triangular(k_max)]) + k_max
-        k_min = max(2, 1 + -(-(2 * n) // ub))
-        best = ub
-        for i in range(k_min, k_max + 1):
-            v = int(dp[n - triangular(i)]) + i
-            if v < best:
-                best = v
-        return best
-
     def _fill(self, lo: int, hi: int) -> None:
         dp = self._values
-        n = lo
-        scalar_end = min(hi, _SCALAR_REGION_END)
-        while n <= scalar_end:
-            dp[n] = self._scalar_value(n)
-            n += 1
-        while n <= hi:
-            j = largest_index(n)
-            blk_lo = n
-            blk_hi = min(triangular(j + 1) - 1, hi)
-            rest_hi = blk_hi - triangular(j)
-            ub = int(dp[: rest_hi + 1].max()) + j
-            k_min = max(2, 1 + -(-(2 * blk_lo) // ub))
-            if triangular(k_min) <= blk_hi - blk_lo:
-                # Window reaches back into the block itself; rare and only
-                # for narrow leftover blocks, handled entrywise.
-                for m in range(blk_lo, blk_hi + 1):
-                    dp[m] = self._scalar_value(m)
-            else:
-                t0 = triangular(k_min)
-                block = dp[blk_lo - t0 : blk_hi - t0 + 1] + k_min
-                for i in range(k_min + 1, j + 1):
-                    t = triangular(i)
-                    np.minimum(block, dp[blk_lo - t : blk_hi - t + 1] + i, out=block)
-                dp[blk_lo : blk_hi + 1] = block
-            n = blk_hi + 1
+        while lo <= hi:
+            end = min(lo + _CHUNK - 1, hi)
+            j = largest_index(end)
+            ub = j + (int(dp[:j].max()) if j <= lo else 2 * (j - 1))
+            k_min = max(2, 1 + -(-(2 * lo) // ub))
+            t = triangular(k_min)
+            end = min(end, lo + t - 1)
+            np.add(dp[lo - t : end + 1 - t], k_min, out=dp[lo : end + 1])
+            for i in range(k_min + 1, largest_index(end) + 1):
+                t = triangular(i)
+                start = max(lo, t)
+                part = dp[start : end + 1]
+                np.minimum(part, dp[start - t : end + 1 - t] + i, out=part)
+            lo = end + 1
 
     @classmethod
     def _from_values(cls, values: np.ndarray) -> "MuTable":
@@ -246,8 +235,16 @@ def _mu_fold(n: int) -> np.ndarray:
         grid = np.zeros(rows * width, dtype=np.int64)
         grid[: n + 1] = values
         walk = np.arange(rows, dtype=np.int64)[:, None] * i
-        folded = np.minimum.accumulate(grid.reshape(rows, width) - walk, axis=0) + walk
-        values = folded.ravel()[: n + 1]
+        shifted = grid.reshape(rows, width) - walk
+        # The same running minimum either way: accumulate down axis 0 runs
+        # one inner loop per column, the loop one call per row; take the
+        # fewer.
+        if rows > width:
+            shifted = np.minimum.accumulate(shifted, axis=0)
+        else:
+            for r in range(1, rows):
+                np.minimum(shifted[r], shifted[r - 1], out=shifted[r])
+        values = (shifted + walk).ravel()[: n + 1]
     return values
 
 
@@ -255,7 +252,7 @@ def mu_oracle(n: int) -> int:
     """mu(n) by the unwindowed fold of `_mu_fold`, independent of `MuTable`.
 
     Refuses n past ORACLE_LIMIT before allocating; the fold takes about
-    30 s at that limit on a 2-vCPU machine.
+    12 s at that limit on a 2-vCPU machine.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

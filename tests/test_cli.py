@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -163,30 +164,66 @@ def test_sweep_past_limit_is_domain_error(capsys):
         assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
-def test_sweep_streams_rows():
-    # A sweep too large to finish prints its first rows at once; the
-    # watchdog kills it if they do not come within 10 s.
+def first_lines(argv, count):
+    """The first `count` stdout lines of a CLI subprocess, then kill it.
+
+    A watchdog kills the process if they do not come within 10 s.
+    """
     src_dir = str(Path(q.__file__).resolve().parents[1])
     path = os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
-    argv = ["invariants", "--sweep", "--a-max", "100000001", "--b-max", "1", "--format", "csv"]
     proc = subprocess.Popen(
         [sys.executable, "-m", "quadsg.cli", *argv], stdout=subprocess.PIPE, text=True, env=env
     )
     watchdog = threading.Timer(10, proc.kill)
     watchdog.start()
     try:
-        lines = [proc.stdout.readline() for _ in range(3)]
+        return [proc.stdout.readline() for _ in range(count)]
     finally:
         watchdog.cancel()
         proc.kill()
         proc.wait(timeout=10)
         proc.stdout.close()
+
+
+def test_sweep_streams_rows():
+    # A sweep too large to finish prints its first rows at once.
+    argv = ["invariants", "--sweep", "--a-max", "100000001", "--b-max", "1", "--format", "csv"]
+    lines = first_lines(argv, 3)
     assert lines == [
         "a,b,frobenius,genus,F_lo,F_hi,g_lo,g_hi\n",
         "2,1,3,2,3,7.74456265,1.58333333,4.84402771\n",
         "3,1,11,6,6.68465844,14.8247517,3.87886648,10.4920755\n",
     ]
+
+
+def test_sweep_json_streams_objects():
+    # The json array is written as it is made: a grid that passes the size
+    # check but could never be held in memory prints its first object.
+    argv = ["invariants", "--sweep", "--a-max", "10001", "--b-max", "10000", "--format", "json"]
+    first = [q.invariant_summary(q.make_semigroup(2, b)) for b in (1, 3)]
+    expected = json.dumps(first, indent=2, default=asdict).splitlines(keepends=True)
+    count = 1 + len(json.dumps(first[0], indent=2, default=asdict).splitlines())
+    assert first_lines(argv, count) == expected[:count]
+    assert expected[count - 1] == "  },\n"
+
+
+@pytest.mark.parametrize("a_max", [30, 1])
+def test_sweep_json_matches_list_form(capsys, a_max):
+    # Byte for byte what json.dump writes for the whole list, [] included.
+    summaries = [
+        q.invariant_summary(q.make_semigroup(a, b))
+        for a in range(2, a_max + 1)
+        for b in range(1, 4)
+        if math.gcd(a, b) == 1
+    ]
+    expected = io.StringIO()
+    json.dump(summaries, expected, indent=2, default=asdict)
+    argv = ["invariants", "--sweep", "--a-max", str(a_max), "--b-max", "3", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == expected.getvalue() + "\n"
+    assert (out == "[]\n") == (a_max == 1)
 
 
 def test_invariants_single(capsys):

@@ -2,6 +2,8 @@
 
 import importlib
 import math
+import random
+import time
 import tracemalloc
 import zlib
 
@@ -16,6 +18,7 @@ from helpers import mu_table_plain
 mu_module = importlib.import_module("quadsg.mu")
 
 PLAIN_LIMIT = 3000
+GROWTH_LIMIT = 3 * 10**5
 
 # Hand-enumerable small cases (every partition written out by hand) and
 # the eight larger arguments the exceptional pairs hinge on; all are
@@ -54,6 +57,12 @@ def table():
     return q.MuTable(PLAIN_LIMIT)
 
 
+@pytest.fixture(scope="module")
+def fold():
+    # The fold is the unwindowed oracle; mu_oracle returns its last entry.
+    return mu_module._mu_fold(GROWTH_LIMIT)
+
+
 def test_frozen_values(table, plain):
     for n, expected in FROZEN_MU.items():
         assert table[n] == expected
@@ -64,10 +73,8 @@ def test_table_matches_plain_dp(table, plain):
     assert np.array_equal(table.values, np.array(plain))
 
 
-def test_matches_exhaustive_oracle(table):
-    # The fold is the unwindowed oracle; mu_oracle returns its last entry.
-    fold = mu_module._mu_fold(10**5)
-    mismatches = np.flatnonzero(q.MuTable(10**5).values != fold)
+def test_matches_exhaustive_oracle(table, fold):
+    mismatches = np.flatnonzero(q.MuTable(10**5).values != fold[: 10**5 + 1])
     assert mismatches.size == 0, mismatches[:5]
     for n in FROZEN_MU:
         assert q.mu_oracle(n) == table[n] == fold[n]
@@ -100,6 +107,39 @@ def test_extension_matches_fresh_build():
         grown.ensure(target)
     fresh = q.MuTable(grown.n_max)
     assert np.array_equal(grown.values, fresh.values)
+
+
+def test_growth_in_random_steps_matches_fold(fold):
+    # Each pass grows one table by seeded random ensure steps and ends a
+    # fill exactly at every mark, so the next fill starts right after it:
+    # C(j,2) - 1, C(j,2) and C(j,2) + 1, and the chunk width -1, 0 and +1.
+    # ensure at least doubles the table, so a mark is hit exactly only
+    # from a table at most half its size.
+    rng = random.Random(8)
+    for d in (-1, 0, 1):
+        marks = [q.triangular(j) + d for j in (10, 100)]
+        marks += [mu_module._CHUNK + d] + [q.triangular(j) + d for j in (400, 774)]
+        grown = q.MuTable()
+        for mark in marks:
+            while grown.n_max < mark // 4:
+                grown.ensure(rng.randint(grown.n_max + 1, mark // 4))
+            grown.ensure(mark)
+            assert grown.n_max == mark
+        grown.ensure(GROWTH_LIMIT)
+        mismatches = np.flatnonzero(grown.values[: GROWTH_LIMIT + 1] != fold)
+        assert mismatches.size == 0, (d, mismatches[:5])
+
+
+def test_fill_speed_at_c_2000():
+    # certify fills the table to C(2000,2) in a fresh process.  The fastest
+    # of three fresh fills is timed, so one scheduling stall does not count.
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        table = q.MuTable(q.triangular(2000))
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.3, times
+    assert table[q.triangular(2000)] == 2000
 
 
 def test_mu_function_extends_given_table():

@@ -12,7 +12,8 @@ Allowing i = 1 would add the useless option mu(n) + 1 and is skipped.
 
 The module provides a growable bottom-up table (`MuTable`), filled by
 one loop over fixed-width chunks of consecutive n with one slice minimum
-per part index and no entry-by-entry region, an oracle (`mu_oracle`) that
+per part index, over the few part indices that two exact bounds on the
+largest index of an optimal partition leave, an oracle (`mu_oracle`) that
 folds in one part at a time with no window, checked against the table up
 to n = 10**6, the analytic envelope around mu (`lower_bound`,
 `gauss_bound`, `combined_bound`), and a binary on-disk cache for the
@@ -110,13 +111,30 @@ class MuTable:
     whole chunk: taking the largest fitting part C(i,2) <= n leaves
     n - C(i,2) < i <= j.  Where 0..j-1 is not filled yet, mu(m) <= 2m
     stands in.  So k_min = 1 + ceil(2*lo/U), taken at the chunk's low end,
-    is at most the largest index of every optimal partition in the chunk,
-    and mu(n) is the least mu(n - C(i,2)) + i over k_min <= i with
+    is at most the largest index of every optimal partition in the chunk.
+
+    A second bound raises k_min further.  A partition of n >= lo whose
+    largest index is k scores k + mu(r) at best, r = n - C(k,2).  The floor
+    f(m) = (1 + sqrt(8m+1))/2 is concave with f(0) > 0, hence subadditive,
+    and f(C(i,2)) = i, so any partition of m >= 1 scores at least f(m):
+    mu(m) >= f(m) for m >= 1 (not for m = 0, where f(0) = 1).  A score of
+    at most U then needs f(r) <= U - k, that is r <= C(U-k,2); for r = 0
+    that holds anyway.  Either way C(k,2) + C(U-k,2) >= n >= lo, so every
+    k with C(k,2) + C(U-k,2) < lo is ruled out.  The left side steps by
+    2k + 1 - U from k to k + 1, so it increases once 2k >= U: from such a
+    k_min the ruled-out indices are a prefix, and k_min steps past them.
+    The steps stop by k = U at the latest, where the left side is
+    C(U,2) > end because U >= j + 2 (mu(1) = 2, and j >= 2), so U - k never
+    goes negative.  At C(2000,2) and 10**7 this leaves 11 and 5 part
+    indices per chunk, where the first bound alone leaves 93 and 118.
+
+    So mu(n) is the least mu(n - C(i,2)) + i over k_min <= i with
     C(i,2) <= n.  The chunk is cut to end - lo < C(k_min,2), so every such
     source lies below lo and is final: one np.minimum per part index fills
     the chunk, and a chunk of one entry is the same step.  U comes from the
     table, never from the analytic bounds, which keeps those independently
-    testable.
+    testable; the second bound uses the floor f only through integer
+    triangular numbers.
     """
 
     def __init__(self, n_max: int = 0):
@@ -174,6 +192,9 @@ class MuTable:
             j = largest_index(end)
             ub = j + (int(dp[:j].max()) if j <= lo else 2 * (j - 1))
             k_min = max(2, 1 + -(-(2 * lo) // ub))
+            if 2 * k_min >= ub:
+                while triangular(k_min) + triangular(ub - k_min) < lo:
+                    k_min += 1
             t = triangular(k_min)
             end = min(end, lo + t - 1)
             np.add(dp[lo - t : end + 1 - t], k_min, out=dp[lo : end + 1])
@@ -337,19 +358,27 @@ def load_table(path: str) -> MuTable:
 
     Raises ValueError on any mismatch, including a version-1 file (which
     has no checksum); callers treat the cache as disposable and recompute.
+    The header and the file size are checked before the body is read, so a
+    foreign or oversized file is refused without allocating for it.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _CACHE_HEADER or blob[:4] != _CACHE_MAGIC:
-        raise ValueError("not a mu table cache file")
-    if blob[4] != _CACHE_VERSION:
-        raise ValueError(f"unsupported cache version {blob[4]}")
-    n_max, crc = struct.unpack_from("<QI", blob, 5)
-    if len(blob) != _CACHE_HEADER + 8 * (n_max + 1):
-        raise ValueError("cache length does not match declared n_max")
-    if zlib.crc32(memoryview(blob)[_CACHE_HEADER:]) != crc:
+        header = fh.read(_CACHE_HEADER)
+        if len(header) < _CACHE_HEADER or header[:4] != _CACHE_MAGIC:
+            raise ValueError("not a mu table cache file")
+        if header[4] != _CACHE_VERSION:
+            raise ValueError(f"unsupported cache version {header[4]}")
+        n_max, crc = struct.unpack_from("<QI", header, 5)
+        if n_max > TABLE_LIMIT:
+            raise ValueError(f"cache declares n_max {n_max} past the table limit {TABLE_LIMIT}")
+        if os.fstat(fh.fileno()).st_size != _CACHE_HEADER + 8 * (n_max + 1):
+            raise ValueError("cache length does not match declared n_max")
+        # Values are below 2**63, so the u64 bytes read as i64 unchanged.
+        values = np.empty(n_max + 1, dtype="<i8")
+        if fh.readinto(values) != values.nbytes:
+            raise ValueError("cache length does not match declared n_max")
+    if zlib.crc32(values) != crc:
         raise ValueError("cache fails checksum")
-    values = np.frombuffer(blob, dtype="<u8", offset=_CACHE_HEADER).astype(np.int64)
+    values = values.astype(np.int64, copy=False)
     if values[0] != 0:
         raise ValueError("cache fails spot check: mu(0) != 0")
     if n_max >= 1 and values[1] != 2:

@@ -142,6 +142,29 @@ def test_fill_speed_at_c_2000():
     assert table[q.triangular(2000)] == 2000
 
 
+def test_fill_speed_at_ten_million():
+    # The two-part bound leaves a few part indices per chunk; the linear
+    # bound alone left about U - j and took about 1.1 s on a 2-vCPU machine.
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        table = q.MuTable(10**7)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.5, times
+    assert table[q.triangular(4472)] == 4472
+
+
+@pytest.mark.slow
+def test_full_table_at_limit():
+    values = q.MuTable(q.TABLE_LIMIT).values
+    i = np.arange(2, q.largest_index(q.TABLE_LIMIT) + 1, dtype=np.int64)
+    assert np.array_equal(values[i * (i - 1) // 2], i)
+    for n in range(1, q.TABLE_LIMIT + 1, 1009):
+        m = int(values[n])
+        assert math.ceil(q.lower_bound(n) - 1e-9) <= m, n
+        assert m <= min(q.gauss_bound(n), q.combined_bound(n)) + 1e-9, n
+
+
 def test_mu_function_extends_given_table():
     own = q.MuTable()
     assert q.mu(26, own) == 13
@@ -314,6 +337,33 @@ def test_cache_rejects_interior_corruption(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError):
         q.load_table(str(path))
+
+
+@pytest.mark.parametrize(
+    "magic, version, n_max, size, reason",
+    [
+        (b"XXXX", 2, 10**7, 1 << 28, "not a mu table"),
+        (b"QSMU", 9, 10**7, 1 << 28, "unsupported cache version 9"),
+        (b"QSMU", 2, 10**6, 1 << 28, "length does not match"),
+        # Sized to match n_max, so only the limit can refuse it.
+        (b"QSMU", 2, q.TABLE_LIMIT + 1, 17 + 8 * (q.TABLE_LIMIT + 2), "table limit"),
+    ],
+    ids=["magic", "version", "size", "past-limit"],
+)
+def test_cache_rejects_bad_header_before_reading_body(tmp_path, magic, version, n_max, size, reason):
+    # A sparse file: the header and the file size alone must condemn it.
+    path = tmp_path / "mu.bin"
+    with open(path, "wb") as fh:
+        fh.write(magic + bytes([version]) + n_max.to_bytes(8, "little") + bytes(4))
+        fh.truncate(size)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=reason):
+            q.load_table(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_ensure_refuses_past_limit_before_allocating():

@@ -25,7 +25,7 @@ from . import invariants as invariants_mod
 from .invariants import frobenius, frobenius_oracle, genus, genus_oracle
 from .mu import (
     TABLE_LIMIT,
-    adopt_shared_table,
+    _adopt_shared_table,
     bound_profiles,
     load_table,
     mu,
@@ -256,19 +256,19 @@ def _cmd_certify(ns) -> _Record:
     exact = all(table[triangular(i)] == i for i in range(2, 2001))
     checks = [("mu anchors and exact triangular values to index 2000", anchors and exact)]
 
-    for c in search_mod.exception_certificates(table):
+    for c in search_mod.exception_certificates():
         checks.append((f"exceptional drop a={c.a} n={c.n}: {c.detail}", c.ok))
 
     checks += _certificate_checks(search_mod.decomposition_certificates())
 
-    drop = search_mod.search_mu_drop(485, table=table)
+    drop = search_mod.search_mu_drop(485)
     checks.append((
         "drop search to 485 finds exactly the eight known pairs",
         drop.pairs() == search_mod.EXPECTED_DROP_PAIRS
         and all(h.drop == 2 for h in drop.hits),
     ))
 
-    eq = search_mod.search_embedding_eq(655, table=table)
+    eq = search_mod.search_embedding_eq(655)
     checks.append((
         "residue search to 655 finds exactly the thirty known pairs",
         eq.pairs() == search_mod.EXPECTED_RESIDUE_PAIRS,
@@ -303,9 +303,7 @@ def _cmd_tgrid(ns) -> _Record:
         raise ValueError("grid extents are limited to 500")
     if ns.m_max < 0 or ns.n_max < 0:
         raise ValueError("grid extents must be nonnegative")
-    table = shared_table()
-    table.ensure(ns.n_max)
-    mus = [table[n] for n in range(ns.n_max + 1)]
+    mus = [mu(n) for n in range(ns.n_max + 1)]
     columns = range(ns.m_max + 1)
     lines = ("".join("#" if v <= m else "." for m in columns) for v in mus)
     rows = ([m, n, 1 if v <= m else 0] for n, v in enumerate(mus) for m in columns)
@@ -425,7 +423,7 @@ def run(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"warning: ignoring mu cache at {memo_path}: {exc}", file=sys.stderr)
         else:
-            adopt_shared_table(cached)
+            _adopt_shared_table(cached)
             preloaded = cached.n_max
 
     try:

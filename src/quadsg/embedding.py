@@ -28,6 +28,8 @@ _EXTRA_MINIMAL_INDEX: dict[tuple[int, int], int] = {
     (c.a, c.b): c.witness_index for c in EXCEPTIONAL_CASES
 }
 
+_INDEX_LIMIT = 10**7
+
 
 @dataclass(frozen=True)
 class MinimalGeneratorSet:
@@ -53,10 +55,18 @@ def minimal_generators_closed(s: QuadraticSemigroup) -> MinimalGeneratorSet:
     is minimal only at the single extra index of an exceptional pair.  So
     the indices are 1..largest_index(a - 1) followed by that extra index.
     A trivial S has the lone generator y_1, or y_2 when a = 0.
+
+    Raises ValueError, before allocating, past _INDEX_LIMIT = 10**7
+    indices (a past about 5*10**13): a tuple of that many Python ints
+    takes about 360 MB, and their elements as much again.
+    `embedding_dimension` still counts them.
     """
     if s.trivial:
         return MinimalGeneratorSet(semigroup=s, indices=(1,) if s.a == 1 else (2,))
-    indices = tuple(range(1, largest_index(s.a - 1) + 1))
+    count = largest_index(s.a - 1)
+    if count > _INDEX_LIMIT:
+        raise ValueError(f"index list is limited to {_INDEX_LIMIT} indices, S({s.a},{s.b}) has {count}")
+    indices = tuple(range(1, count + 1))
     extra = _EXTRA_MINIMAL_INDEX.get((s.a, s.b))
     if extra is not None:
         indices += (extra,)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mu import MuTable, shared_table
+from .mu import shared_table
 from .semigroup import (
     EXCEPTIONAL_CASES,
     EXCEPTIONAL_PAIRS,
@@ -45,7 +45,7 @@ class AperySet:
     elements: tuple[int, ...]
 
 
-def _lifts(s: QuadraticSemigroup, table: MuTable | None) -> np.ndarray:
+def _lifts(s: QuadraticSemigroup) -> np.ndarray:
     """mu_{a,b}(n) for n = 0..a-1 as one int64 array.
 
     mu(0..a-1) from the table, less one at the exceptional n of (a, b):
@@ -53,8 +53,7 @@ def _lifts(s: QuadraticSemigroup, table: MuTable | None) -> np.ndarray:
     """
     a = s.a
     # Fill, or refuse past TABLE_LIMIT, before allocating a entries.
-    t = (shared_table() if table is None else table).ensure(a - 1)
-    lifts = t.values[:a].copy()
+    lifts = shared_table().ensure(a - 1).values[:a].copy()
     for c in EXCEPTIONAL_CASES:
         if (c.a, c.b) == (a, s.b):
             lifts[c.n] -= 1
@@ -74,7 +73,7 @@ def _lifted(s: QuadraticSemigroup, lifts: np.ndarray) -> np.ndarray:
     return lifts * a + n * b
 
 
-def apery_closed(s: QuadraticSemigroup, table: MuTable | None = None) -> AperySet:
+def apery_closed(s: QuadraticSemigroup) -> AperySet:
     """Apery set with respect to a, assembled from the closed lift values.
 
     The element in the class of n*b mod a is mu_{a,b}(n)*a + n*b; as n
@@ -85,7 +84,7 @@ def apery_closed(s: QuadraticSemigroup, table: MuTable | None = None) -> AperySe
     """
     require_nontrivial(s)
     a = s.a
-    values = _lifted(s, _lifts(s, table))
+    values = _lifted(s, _lifts(s))
     elements = np.empty_like(values)
     elements[np.arange(a, dtype=np.int64) * (s.b % a) % a] = values
     return AperySet(modulus=a, elements=tuple(elements.tolist()))
@@ -109,7 +108,7 @@ def _genus(s: QuadraticSemigroup, lifts: np.ndarray) -> int:
     return int(lifts.sum()) + (s.a - 1) * (s.b - 1) // 2
 
 
-def frobenius(s: QuadraticSemigroup, table: MuTable | None = None) -> int:
+def frobenius(s: QuadraticSemigroup) -> int:
     """Largest integer outside S; -1 when S is everything (trivial case).
 
     The largest Apery element less a, taken as the max of the lifted
@@ -118,7 +117,7 @@ def frobenius(s: QuadraticSemigroup, table: MuTable | None = None) -> int:
     """
     if s.trivial:
         return -1
-    return _frobenius(s, _lifts(s, table))
+    return _frobenius(s, _lifts(s))
 
 
 def frobenius_oracle(s: QuadraticSemigroup) -> int:
@@ -127,7 +126,7 @@ def frobenius_oracle(s: QuadraticSemigroup) -> int:
     return max(apery_oracle(s).elements) - s.a
 
 
-def genus(s: QuadraticSemigroup, table: MuTable | None = None) -> int:
+def genus(s: QuadraticSemigroup) -> int:
     """Number of gaps, via the integer lift-sum formula.
 
     g = sum of mu_{a,b}(n) over 0 <= n < a, plus (a-1)(b-1)/2, with the
@@ -138,7 +137,7 @@ def genus(s: QuadraticSemigroup, table: MuTable | None = None) -> int:
     """
     if s.trivial:
         return 0
-    return _genus(s, _lifts(s, table))
+    return _genus(s, _lifts(s))
 
 
 def genus_oracle(s: QuadraticSemigroup) -> int:
@@ -197,10 +196,10 @@ class InvariantSummary:
     bounds_certified: bool
 
 
-def invariant_summary(s: QuadraticSemigroup, table: MuTable | None = None) -> InvariantSummary:
+def invariant_summary(s: QuadraticSemigroup) -> InvariantSummary:
     """Everything at once for one nontrivial semigroup; F and g share one lift array."""
     require_nontrivial(s)
-    lifts = _lifts(s, table)
+    lifts = _lifts(s)
     f_low, f_high = frobenius_bounds(s.a, s.b)
     g_low, g_high = genus_bounds(s.a, s.b)
     return InvariantSummary(

@@ -17,7 +17,7 @@ largest index of an optimal partition leave, an oracle (`mu_oracle`) that
 folds in one part at a time with no window, checked against the table up
 to n = 10**6, the analytic envelope around mu (`lower_bound`,
 `gauss_bound`, `combined_bound`), and a binary on-disk cache for the
-table.
+table.  `mu` and everything built on it read one process-wide table.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import math
 import os
 import struct
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,6 @@ __all__ = [
     "TABLE_LIMIT",
     "BoundProfile",
     "MuTable",
-    "adopt_shared_table",
     "bound_profiles",
     "combined_bound",
     "gauss_bound",
@@ -217,25 +217,23 @@ _shared = MuTable()
 
 
 def shared_table() -> MuTable:
-    """Process-wide table used by callers that do not pass their own."""
+    """The process-wide table that `mu`, the closed forms and the searches read."""
     return _shared
 
 
-def adopt_shared_table(table: MuTable) -> MuTable:
-    """Install `table` as the process-wide default if it covers more."""
+def _adopt_shared_table(table: MuTable) -> None:
+    """Install `table` as the process-wide table if it covers more."""
     global _shared
     if table.n_max > _shared.n_max:
         _shared = table
-    return _shared
 
 
-def mu(n: int, table: MuTable | None = None) -> int:
-    """mu(n), extending the given table (or the shared one) on demand."""
+def mu(n: int) -> int:
+    """mu(n), extending the process-wide table on demand."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    t = _shared if table is None else table
-    t.ensure(n)
-    return t[n]
+    _shared.ensure(n)
+    return _shared[n]
 
 
 def _mu_fold(n: int) -> np.ndarray:
@@ -319,16 +317,21 @@ class BoundProfile:
     combined: float
 
 
-def bound_profiles(n_max: int, table: MuTable | None = None) -> list[BoundProfile]:
-    """Profiles for n = 1..n_max."""
+def bound_profiles(n_max: int) -> Iterator[BoundProfile]:
+    """Profiles for n = 1..n_max, made as they are read.
+
+    The table grows with the rows (doubling, as `MuTable.ensure` does), so
+    the first rows come at once even where a full table takes seconds to
+    fill.  An n_max out of range is refused at the call, before any row.
+    """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    t = _shared if table is None else table
-    t.ensure(n_max)
-    return [
-        BoundProfile(n, t[n], lower_bound(n), gauss_bound(n), combined_bound(n))
+    if n_max > TABLE_LIMIT:
+        raise ValueError(f"mu table is limited to n <= {TABLE_LIMIT}, asked for {n_max}")
+    return (
+        BoundProfile(n, mu(n), lower_bound(n), gauss_bound(n), combined_bound(n))
         for n in range(1, n_max + 1)
-    ]
+    )
 
 
 def save_table(table: MuTable, path: str) -> None:
@@ -338,7 +341,9 @@ def save_table(table: MuTable, path: str) -> None:
     The file is written beside `path` and renamed over it, so a reader
     never sees a torn file.
     """
-    body = table.values.astype("<u8").tobytes()
+    # Values are below 2**63, so their i8 bytes are the u64 layout; on a
+    # little-endian host this is the table's own buffer, not a copy.
+    body = table.values.astype("<i8", copy=False)
     header = _CACHE_MAGIC + bytes([_CACHE_VERSION])
     header += struct.pack("<QI", table.n_max, zlib.crc32(body))
     tmp = f"{path}.{os.getpid()}.tmp"

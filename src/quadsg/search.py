@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import minimal_generators_oracle, verify_decomposition
-from .mu import MuTable, inverse_triangular, mu, shared_table, triangular
+from .mu import inverse_triangular, mu, shared_table, triangular
 from .semigroup import (
     EXCEPTIONAL_CASES,
     contains,
@@ -90,7 +90,7 @@ class SearchReport:
 _SEARCH_CAP = 5000
 
 
-def search_mu_drop(a_max: int, table: MuTable | None = None) -> SearchReport:
+def search_mu_drop(a_max: int) -> SearchReport:
     """All (a, n) with 3 <= n < a <= a_max and mu(n) - mu(n+a) in 2..4.
 
     A drop of at least 2 is the only way the least lift can land below
@@ -99,9 +99,7 @@ def search_mu_drop(a_max: int, table: MuTable | None = None) -> SearchReport:
     if not 4 <= a_max <= _SEARCH_CAP:
         raise ValueError(f"a_max must be in 4..{_SEARCH_CAP}")
     start = time.perf_counter()
-    t = shared_table() if table is None else table
-    t.ensure(2 * a_max)
-    values = t.values
+    values = shared_table().ensure(2 * a_max).values
     hits = []
     for a in range(4, a_max + 1):
         drop = values[3:a] - values[3 + a : 2 * a]
@@ -110,7 +108,7 @@ def search_mu_drop(a_max: int, table: MuTable | None = None) -> SearchReport:
     return SearchReport("mu-drop", a_max, time.perf_counter() - start, tuple(hits))
 
 
-def search_embedding_eq(a_max: int, table: MuTable | None = None) -> SearchReport:
+def search_embedding_eq(a_max: int) -> SearchReport:
     """All (a, n), 1 <= n <= a <= a_max, with mu(C(n,2) mod a) = n + 1.
 
     Every such hit already meets the side constraints a < C(n,2) <= C(a,2)
@@ -122,9 +120,7 @@ def search_embedding_eq(a_max: int, table: MuTable | None = None) -> SearchRepor
     if not 2 <= a_max <= _SEARCH_CAP:
         raise ValueError(f"a_max must be in 2..{_SEARCH_CAP}")
     start = time.perf_counter()
-    t = shared_table() if table is None else table
-    t.ensure(a_max)
-    values = t.values
+    values = shared_table().ensure(a_max).values
     indices = np.arange(1, a_max + 1)
     binoms = indices * (indices - 1) // 2
     hits = []
@@ -312,7 +308,7 @@ def _format_decomposition(n: int, coefficients: dict[int, int]) -> str:
     return f"y_{n} = " + " + ".join(terms)
 
 
-def exception_certificates(table: MuTable | None = None) -> list[Certificate]:
+def exception_certificates() -> list[Certificate]:
     """Re-derive each exceptional drop from scratch.
 
     Per case: the mu value, the witness generator the reduced lift lands
@@ -325,7 +321,7 @@ def exception_certificates(table: MuTable | None = None) -> list[Certificate]:
         m = case.mu_n - 1
         w = m * case.a + case.n
         checks = [
-            (mu(case.n, table) == case.mu_n, f"mu({case.n}) = {case.mu_n}"),
+            (mu(case.n) == case.mu_n, f"mu({case.n}) = {case.mu_n}"),
             (
                 w == generator(s, case.witness_index),
                 f"{m}*{case.a} + {case.n} = y_{case.witness_index}",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mu import MuTable, mu, triangular
+from .mu import mu, triangular
 
 __all__ = [
     "EXCEPTIONAL_CASES",
@@ -29,12 +29,9 @@ __all__ = [
     "contains",
     "describe",
     "generator",
-    "lift_contains",
     "make_semigroup",
     "mu_ab_closed",
     "mu_ab_oracle",
-    "mu_ab_shift",
-    "project",
     "require_nontrivial",
 ]
 
@@ -125,15 +122,16 @@ def generator(s: QuadraticSemigroup, n: int) -> int:
     return n * s.a + triangular(n) * s.b
 
 
-def describe(s: QuadraticSemigroup, count: int = 8) -> dict:
-    """JSON-ready summary: a, b, trivial, first `count` generators."""
-    if count < 1:
-        raise ValueError("count must be positive")
+_DESCRIBED_GENERATORS = 8
+
+
+def describe(s: QuadraticSemigroup) -> dict:
+    """JSON-ready summary: a, b, trivial, the first eight generators."""
     return {
         "a": s.a,
         "b": s.b,
         "trivial": s.trivial,
-        "generators": [generator(s, n) for n in range(count)],
+        "generators": [generator(s, n) for n in range(_DESCRIBED_GENERATORS)],
     }
 
 
@@ -182,18 +180,6 @@ def contains(s: QuadraticSemigroup, x: int) -> bool:
     return x >= int(_apery(s.a, s.b)[x % s.a])
 
 
-def lift_contains(m: int, n: int, table: MuTable | None = None) -> bool:
-    """Whether (m,n) lies in the lifted pair monoid: mu(n) <= m."""
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be nonnegative")
-    return mu(n, table) <= m
-
-
-def project(m: int, n: int, s: QuadraticSemigroup) -> int:
-    """Image of a lifted pair: m*a + n*b."""
-    return m * s.a + n * s.b
-
-
 def mu_ab_oracle(s: QuadraticSemigroup, n: int) -> int:
     """Least m with m*a + n*b in S, read off the Apery set.
 
@@ -203,35 +189,22 @@ def mu_ab_oracle(s: QuadraticSemigroup, n: int) -> int:
     require_nontrivial(s)
     a, b = s.a, s.b
     if not 0 <= n < a:
-        raise ValueError("oracle domain is 0 <= n < a; reduce via mu_ab_shift")
+        raise ValueError("oracle domain is 0 <= n < a")
     least = int(_apery(a, b)[(n * b) % a])
     return (least - n * b) // a
 
 
-def mu_ab_closed(s: QuadraticSemigroup, n: int, table: MuTable | None = None) -> int:
+def mu_ab_closed(s: QuadraticSemigroup, n: int) -> int:
     """mu_{a,b}(n) on the base window 0 <= n < a without any membership scan.
 
     Equals mu(n) except at the eight tabulated triples, where the value
-    drops by one.
+    drops by one.  Past the window, mu_{a,b}(n + a) = mu_{a,b}(n) - b:
+    multiply a witness by the relation between neighbouring generators.
     """
     require_nontrivial(s)
     if not 0 <= n < s.a:
-        raise ValueError("closed form domain is 0 <= n < a; reduce via mu_ab_shift")
-    value = mu(n, table)
+        raise ValueError("closed form domain is 0 <= n < a")
+    value = mu(n)
     if (s.a, s.b, n) in _EXCEPTIONAL_DROPS:
         return value - 1
     return value
-
-
-def mu_ab_shift(s: QuadraticSemigroup, n: int, i: int = 0) -> int:
-    """mu_{a,b} at n + i*a for any integers n, i.
-
-    Adding a to the argument subtracts b from the value (multiply a
-    witness by the relation between neighbouring generators), so any
-    argument reduces to the base window.
-    """
-    require_nontrivial(s)
-    total = n + i * s.a
-    base = total % s.a
-    steps = (total - base) // s.a
-    return mu_ab_closed(s, base) - steps * s.b

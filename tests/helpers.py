@@ -96,13 +96,13 @@ def least_lift_scan(contains, a: int, b: int, n: int) -> int:
     return m
 
 
-def apery_closed_plain(s, table=None) -> tuple[int, ...]:
+def apery_closed_plain(s) -> tuple[int, ...]:
     """Apery set of S(a,b) w.r.t. a by one `mu_ab_closed` call per n, in
     Python ints: the class of n*b mod a holds mu_{a,b}(n)*a + n*b."""
     a, b = s.a, s.b
     elements = [0] * a
     for n in range(a):
-        elements[(n * b) % a] = mu_ab_closed(s, n, table) * a + n * b
+        elements[(n * b) % a] = mu_ab_closed(s, n) * a + n * b
     return tuple(elements)
 
 

@@ -35,9 +35,12 @@ def report(capfd):
 
 @pytest.fixture(scope="module")
 def big_table():
+    """mu to C(2000,2), installed as the process-wide table the package reads."""
     if "table" not in _BUILT:
         _BUILT["table"] = q.MuTable(q.triangular(2000))
-    return _BUILT["table"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(importlib.import_module("quadsg.mu"), "_shared", _BUILT["table"])
+        yield _BUILT["table"]
 
 
 def _grid(a_max: int, b_max: int):
@@ -95,7 +98,7 @@ def test_criterion_03_bound_sandwich(big_table, report):
 
 def test_criterion_04_drop_search(big_table, report):
     start = time.perf_counter()
-    result = q.search_mu_drop(485, table=big_table)
+    result = q.search_mu_drop(485)
     elapsed = time.perf_counter() - start
     pairs_ok = result.pairs() == tuple(sorted(q.EXPECTED_DROP_PAIRS))
     drops_ok = all(hit.drop == 2 for hit in result.hits)
@@ -108,7 +111,7 @@ def test_criterion_04_drop_search(big_table, report):
 
 def test_criterion_05_exception_certificates(big_table, report):
     start = time.perf_counter()
-    certs = q.exception_certificates(table=big_table)
+    certs = q.exception_certificates()
     failed = [c for c in certs if not c.ok]
     s = q.make_semigroup(29, 1)
     explicit = (
@@ -132,7 +135,7 @@ def test_criterion_06_lift_closed_form(big_table, report):
     for a, b in _grid(100, 5):
         s = q.make_semigroup(a, b)
         for n in range(a):
-            if q.mu_ab_closed(s, n, table=big_table) != q.mu_ab_oracle(s, n):
+            if q.mu_ab_closed(s, n) != q.mu_ab_oracle(s, n):
                 bad.append((a, b, n))
     elapsed = time.perf_counter() - start
     ok = not bad and elapsed < 60.0
@@ -149,11 +152,11 @@ def test_criterion_07_apery_frobenius_genus(big_table, report):
     bad = []
     for a, b in grid:
         s = q.make_semigroup(a, b)
-        if q.apery_closed(s, table=big_table) != q.apery_oracle(s):
+        if q.apery_closed(s) != q.apery_oracle(s):
             bad.append(("apery", a, b))
-        if q.frobenius(s, table=big_table) != q.frobenius_oracle(s):
+        if q.frobenius(s) != q.frobenius_oracle(s):
             bad.append(("frobenius", a, b))
-        if q.genus(s, table=big_table) != q.genus_oracle(s):
+        if q.genus(s) != q.genus_oracle(s):
             bad.append(("genus", a, b))
     s21 = q.make_semigroup(2, 1)
     anchors = (
@@ -179,9 +182,9 @@ def test_criterion_08_invariant_bounds(big_table, report):
         s = q.make_semigroup(a, b)
         f_lo, f_hi = q.frobenius_bounds(a, b)
         g_lo, g_hi = q.genus_bounds(a, b)
-        if not f_lo - slack <= q.frobenius(s, table=big_table) <= f_hi + slack:
+        if not f_lo - slack <= q.frobenius(s) <= f_hi + slack:
             bad.append(("frobenius", a, b))
-        if not g_lo - slack <= q.genus(s, table=big_table) <= g_hi + slack:
+        if not g_lo - slack <= q.genus(s) <= g_hi + slack:
             bad.append(("genus", a, b))
     f_lo, _ = q.frobenius_bounds(2, 1)
     exact = q.frobenius(q.make_semigroup(2, 1)) == f_lo == 3.0
@@ -211,7 +214,7 @@ def test_criterion_09_embedding_dimension(report):
 
 def test_criterion_10_embedding_search(big_table, report):
     start = time.perf_counter()
-    result = q.search_embedding_eq(655, table=big_table)
+    result = q.search_embedding_eq(655)
     pairs_ok = result.pairs() == tuple(sorted(q.EXPECTED_RESIDUE_PAIRS))
     certs = q.decomposition_certificates()
     failed = [c for c in certs if not c.ok]
@@ -269,8 +272,8 @@ def test_criterion_12_growth_proxy(big_table, report):
     for a in (50, 100, 200, 400):
         s = q.make_semigroup(a, 1)
         scale = a ** 1.5
-        f_ratio = q.frobenius(s, table=big_table) / scale
-        g_ratio = q.genus(s, table=big_table) / scale
+        f_ratio = q.frobenius(s) / scale
+        g_ratio = q.genus(s) / scale
         if not 0.4 <= f_ratio <= 2.5:
             bad.append(("frobenius", a, f_ratio))
         if not 0.4 <= g_ratio <= 2.5:

@@ -197,6 +197,16 @@ def test_sweep_streams_rows():
     ]
 
 
+def test_bounds_streams_rows():
+    # A table that takes seconds to fill: the first rows still come at once.
+    lines = first_lines(["bounds", "--n-max", "100000000"], 3)
+    assert lines == [
+        "n,mu,lower,gauss,combined\n",
+        "1,2,2,4.37228132,5\n",
+        "2,4,2.56155281,5.27491722,6.43206265\n",
+    ]
+
+
 def test_sweep_json_streams_objects():
     # The json array is written as it is made: a grid that passes the size
     # check but could never be held in memory prints its first object.
@@ -265,6 +275,12 @@ def test_embedding_plain(capsys):
     code, out, _ = run_cli(capsys, "embedding", "--a", "29", "--b", "1")
     assert code == 0
     assert out.splitlines() == ["dimension 9", "indices 1 2 3 4 5 6 7 8 11"]
+
+
+def test_embedding_huge_a_is_domain_error(capsys):
+    code, out, err = run_cli(capsys, "embedding", "--a", str(10**21), "--b", "1")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
 def test_embedding_oracle_json(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -95,6 +96,20 @@ def test_closed_generators_at_large_a():
     assert len(gens) == q.embedding_dimension(10**11, 1) == 447_214
     assert gens.indices[-1] == 447_214
     assert q.minimal_generators_closed(q.make_semigroup(1, 10**11)).indices == (1,)
+
+
+def test_closed_generators_refuse_huge_a_before_allocating():
+    # 44,721,359,550 indices: counted in integer arithmetic, never listed.
+    s = q.make_semigroup(10**21, 1)
+    assert q.embedding_dimension(10**21, 1) == 44_721_359_550
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="limited"):
+            q.minimal_generators_closed(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_oracle_vs_naive_closure():

@@ -161,35 +161,35 @@ def test_invariant_summary():
         q.invariant_summary(q.make_semigroup(1, 1))
 
 
-def test_closed_forms_refuse_oversized_a_before_allocating():
+def test_closed_forms_refuse_oversized_a_before_allocating(monkeypatch):
     s = q.make_semigroup(10**11, 1)
-    table = q.MuTable(10)
+    monkeypatch.setattr(mu_module, "_shared", q.MuTable(10))
     tracemalloc.start()
     try:
         for closed_form in (q.apery_closed, q.frobenius, q.genus):
             with pytest.raises(ValueError, match="limited"):
-                closed_form(s, table)
+                closed_form(s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert table.n_max == 10
+    assert q.shared_table().n_max == 10
 
 
-def test_closed_forms_exact_past_int64():
+def test_closed_forms_exact_past_int64(monkeypatch):
     # The benchmark's sweep grid, the exceptional pairs, and two pairs whose
     # Apery elements pass 2**63, where an int64 computation would wrap.
     pairs = [(a, b) for a in range(2, 401) for b in range(1, 11) if math.gcd(a, b) == 1]
     pairs += sorted(q.EXCEPTIONAL_PAIRS) + [(5, 10**20 + 1), (1001, 2**62 + 1)]
-    table = q.MuTable(1000)
+    monkeypatch.setattr(mu_module, "_shared", q.MuTable(1000))
     for a, b in pairs:
         s = q.make_semigroup(a, b)
-        plain = apery_closed_plain(s, table)
-        assert q.apery_closed(s, table).elements == plain, (a, b)
-        assert q.frobenius(s, table) == max(plain) - a, (a, b)
+        plain = apery_closed_plain(s)
+        assert q.apery_closed(s).elements == plain, (a, b)
+        assert q.frobenius(s) == max(plain) - a, (a, b)
         # Selmer: the class of r holds (Ap[r] - r)/a gaps.
-        assert q.genus(s, table) == (sum(plain) - a * (a - 1) // 2) // a, (a, b)
-    assert max(apery_closed_plain(q.make_semigroup(1001, 2**62 + 1), table)) >= 1 << 63
+        assert q.genus(s) == (sum(plain) - a * (a - 1) // 2) // a, (a, b)
+    assert max(apery_closed_plain(q.make_semigroup(1001, 2**62 + 1))) >= 1 << 63
 
 
 def test_frobenius_genus_speed_at_a_million(monkeypatch):
@@ -203,17 +203,18 @@ def test_frobenius_genus_speed_at_a_million(monkeypatch):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("b", [1, 2])
-def test_closed_vs_oracle_at_a_100001(b):
+def test_closed_vs_oracle_at_a_100001(b, monkeypatch):
+    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
     s = q.make_semigroup(10**5 + 1, b)
-    assert q.apery_closed(s, q.MuTable(10**5)).elements == q.apery_oracle(s).elements
+    assert q.apery_closed(s).elements == q.apery_oracle(s).elements
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("a", [10**6 + 1, 10**7 + 1])
-def test_invariants_inside_bounds_at_scale(a, capsys):
+def test_invariants_inside_bounds_at_scale(a, capsys, monkeypatch):
+    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
     s = q.make_semigroup(a, 1)
-    table = q.MuTable(a - 1)
-    f, g = q.frobenius(s, table), q.genus(s, table)
+    f, g = q.frobenius(s), q.genus(s)
     f_low, f_high = q.frobenius_bounds(a, 1)
     g_low, g_high = q.genus_bounds(a, 1)
     with capsys.disabled():

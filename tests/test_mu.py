@@ -165,12 +165,13 @@ def test_full_table_at_limit():
         assert m <= min(q.gauss_bound(n), q.combined_bound(n)) + 1e-9, n
 
 
-def test_mu_function_extends_given_table():
-    own = q.MuTable()
-    assert q.mu(26, own) == 13
-    assert own.n_max >= 26
+def test_mu_function_extends_given_table(monkeypatch):
+    # mu reads the process-wide table and grows it on demand.
+    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
+    assert q.mu(26) == 13
+    assert q.shared_table().n_max >= 26
     with pytest.raises(ValueError):
-        q.mu(-1, own)
+        q.mu(-1)
 
 
 def test_values_view_read_only(table):
@@ -249,14 +250,18 @@ def test_envelope_sandwich(table):
         assert m <= min(q.gauss_bound(n), q.combined_bound(n)) + 1e-9
 
 
-def test_bound_profiles_shape(table):
-    profiles = q.bound_profiles(10, table)
+def test_bound_profiles_shape(monkeypatch):
+    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
+    profiles = list(q.bound_profiles(10))
     assert [p.n for p in profiles] == list(range(1, 11))
     assert profiles[0] == q.BoundProfile(1, 2, 2.0, q.gauss_bound(1), 5.0)
     assert profiles[9].mu == 5
     assert profiles[9].lower == 5.0
+    # Out-of-range n_max is refused at the call, before any row is made.
     with pytest.raises(ValueError):
-        q.bound_profiles(0, table)
+        q.bound_profiles(0)
+    with pytest.raises(ValueError, match="limited"):
+        q.bound_profiles(q.TABLE_LIMIT + 1)
 
 
 def test_bounds_csv(monkeypatch, capsys):
@@ -296,6 +301,19 @@ def test_cache_layout(tmp_path):
     assert int.from_bytes(blob[25:33], "little") == 2
     # Written beside the target and renamed over it: nothing left behind.
     assert [p.name for p in tmp_path.iterdir()] == ["mu.bin"]
+
+
+def test_save_table_makes_no_copy(tmp_path):
+    table = q.MuTable(10**6)
+    path = tmp_path / "mu.bin"
+    tracemalloc.start()
+    try:
+        q.save_table(table, str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert np.array_equal(q.load_table(str(path)).values, table.values)
 
 
 def test_cache_rejects_corruption(tmp_path):

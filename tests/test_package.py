@@ -1,6 +1,7 @@
 """The package's public names."""
 
 import importlib
+import inspect
 
 import quadsg as q
 
@@ -26,7 +27,6 @@ PUBLIC_NAMES = {
     "ResidueHit",
     "SearchReport",
     "TABLE_LIMIT",
-    "adopt_shared_table",
     "apery_closed",
     "apery_oracle",
     "bound_profiles",
@@ -52,7 +52,6 @@ PUBLIC_NAMES = {
     "invariant_summary",
     "inverse_triangular",
     "largest_index",
-    "lift_contains",
     "load_table",
     "lower_bound",
     "make_semigroup",
@@ -61,9 +60,7 @@ PUBLIC_NAMES = {
     "mu",
     "mu_ab_closed",
     "mu_ab_oracle",
-    "mu_ab_shift",
     "mu_oracle",
-    "project",
     "require_nontrivial",
     "save_table",
     "search_embedding_eq",
@@ -77,6 +74,17 @@ PUBLIC_NAMES = {
 def test_public_names():
     assert len(q.__all__) == len(set(q.__all__))
     assert set(q.__all__) == PUBLIC_NAMES
+
+
+def test_only_save_table_takes_a_table():
+    # Everything else reads the process-wide table behind quadsg.mu.
+    takes_table = {
+        name
+        for name in q.__all__
+        if inspect.isfunction(getattr(q, name))
+        and "table" in inspect.signature(getattr(q, name)).parameters
+    }
+    assert takes_table == {"save_table"}
 
 
 def test_mu_is_the_function_not_the_module():

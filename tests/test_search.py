@@ -1,5 +1,6 @@
 """Exhaustive searches, the gap function g, and the certificate replays."""
 
+import importlib
 import math
 from dataclasses import astuple
 
@@ -11,13 +12,16 @@ from helpers import drop_hits_plain, residue_hits_plain
 
 @pytest.fixture(scope="module")
 def table():
+    """mu to 1400, installed as the process-wide table the searches read."""
     t = q.MuTable(2 * 700)
-    return t
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(importlib.import_module("quadsg.mu"), "_shared", t)
+        yield t
 
 
 def test_drop_search_small(table):
-    assert q.search_mu_drop(28, table=table).hits == ()
-    report = q.search_mu_drop(29, table=table)
+    assert q.search_mu_drop(28).hits == ()
+    report = q.search_mu_drop(29)
     assert report.pairs() == ((29, 26),)
     hit = report.hits[0]
     assert hit.mu_n == 13
@@ -29,7 +33,7 @@ def test_drop_search_small(table):
 
 
 def test_drop_search_full(table):
-    report = q.search_mu_drop(485, table=table)
+    report = q.search_mu_drop(485)
     assert report.pairs() == tuple(sorted(q.EXPECTED_DROP_PAIRS))
     assert all(hit.drop == 2 for hit in report.hits)
 
@@ -39,18 +43,18 @@ def test_drop_witness_invariant(table):
     # coefficient at n is mu(n) - 2 + 2 = mu(n + a) + 2... checked directly.
     for a, n in q.EXPECTED_DROP_PAIRS:
         s = q.make_semigroup(a, 1)
-        assert q.mu_ab_oracle(s, n) == q.mu(n, table) - 1
+        assert q.mu_ab_oracle(s, n) == q.mu(n) - 1
 
 
 def test_eq_search_small(table):
-    report = q.search_embedding_eq(13, table=table)
+    report = q.search_embedding_eq(13)
     assert report.pairs() == ((10, 6), (13, 7))
-    assert q.search_embedding_eq(9, table=table).hits == ()
+    assert q.search_embedding_eq(9).hits == ()
     assert report.search_id == "embedding-eq"
 
 
 def test_eq_search_full(table):
-    report = q.search_embedding_eq(655, table=table)
+    report = q.search_embedding_eq(655)
     assert report.pairs() == tuple(sorted(q.EXPECTED_RESIDUE_PAIRS))
     for hit in report.hits:
         assert hit.binom == hit.n * (hit.n - 1) // 2
@@ -61,12 +65,12 @@ def test_eq_search_full(table):
 @pytest.mark.parametrize("a_max", [4, 29, 300, 700])
 def test_scans_match_plain_loops(table, a_max):
     values = table.values.tolist()
-    drop = q.search_mu_drop(a_max, table=table)
+    drop = q.search_mu_drop(a_max)
     assert [astuple(h) for h in drop.hits] == drop_hits_plain(values, a_max)
     plain = residue_hits_plain(values, a_max)
     # No bare equation hit violates a side constraint, so the scan checks none.
     assert [hit for hit in plain if hit[-1]] == []
-    eq = q.search_embedding_eq(a_max, table=table)
+    eq = q.search_embedding_eq(a_max)
     assert [astuple(h) for h in eq.hits] == [hit[:-1] for hit in plain]
 
 
@@ -138,7 +142,7 @@ def test_g_analysis():
 
 
 def test_exception_certificates(table):
-    certs = q.exception_certificates(table=table)
+    certs = q.exception_certificates()
     assert len(certs) == 8
     assert all(c.ok for c in certs)
     assert {c.kind for c in certs} == {"mu-drop"}

@@ -14,7 +14,6 @@ import argparse
 import csv
 import itertools
 import json
-import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -24,7 +23,6 @@ from . import embedding as embedding_mod
 from . import invariants as invariants_mod
 from .invariants import frobenius, frobenius_oracle, genus, genus_oracle
 from .mu import (
-    TABLE_LIMIT,
     _adopt_shared_table,
     bound_profiles,
     load_table,
@@ -170,16 +168,7 @@ def _cmd_invariants(ns) -> _Record:
     if ns.sweep:
         if ns.a_max is None or ns.b_max is None:
             raise _UsageError("--sweep needs --a-max and --b-max")
-        # Refuse an oversized grid before any work; this also keeps
-        # a_max - 1 within what the mu table holds.
-        if (ns.a_max - 1) * max(ns.b_max, 1) > TABLE_LIMIT:
-            raise ValueError(f"sweep needs (a_max - 1) * b_max <= {TABLE_LIMIT}")
-        summaries = (
-            invariants_mod.invariant_summary(semigroup_mod.make_semigroup(a, b))
-            for a in range(2, ns.a_max + 1)
-            for b in range(1, ns.b_max + 1)
-            if math.gcd(a, b) == 1
-        )
+        summaries = invariants_mod._sweep(ns.a_max, ns.b_max)
         # Rows are rendered as they are made, in every format.  A plain
         # sweep prints the csv table, as it always has.
         if ns.format == "json":

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mu import shared_table
+from .mu import TABLE_LIMIT, _grow, shared_table
 from .semigroup import (
     EXCEPTIONAL_CASES,
     EXCEPTIONAL_PAIRS,
@@ -45,32 +46,42 @@ class AperySet:
     elements: tuple[int, ...]
 
 
-def _lifts(s: QuadraticSemigroup) -> np.ndarray:
-    """mu_{a,b}(n) for n = 0..a-1 as one int64 array.
+def _lifts(a: int) -> np.ndarray:
+    """mu(0..a-1) from the shared table, read-only.
 
-    mu(0..a-1) from the table, less one at the exceptional n of (a, b):
-    the values `mu_ab_closed` gives one n at a time.
+    The table fills, or refuses past TABLE_LIMIT, before anything of size a
+    is allocated.
     """
-    a = s.a
-    # Fill, or refuse past TABLE_LIMIT, before allocating a entries.
-    lifts = shared_table().ensure(a - 1).values[:a].copy()
-    for c in EXCEPTIONAL_CASES:
-        if (c.a, c.b) == (a, s.b):
-            lifts[c.n] -= 1
-    return lifts
+    return shared_table().ensure(a - 1).values[:a]
 
 
-def _lifted(s: QuadraticSemigroup, lifts: np.ndarray) -> np.ndarray:
-    """lifts[n]*a + n*b for n = 0..a-1, exact for every b.
+def _drops(a: int) -> dict[int, int]:
+    """{b: n} over the exceptional pairs (a, b), where mu_{a,b}(n) = mu(n) - 1."""
+    return {c.b: c.n for c in EXCEPTIONAL_CASES if c.a == a}
 
-    int64 while the largest value, at most max(lifts)*a + (a-1)*b, stays
-    below 2**63; Python ints (an object array) past that.
+
+def _lifted(a: int, bs: list[int]) -> np.ndarray:
+    """mu_{a,b}(n)*a + n*b, one row per b in bs and one column per n = 0..a-1.
+
+    mu_{a,b}(n) is mu(n) from the table, less one at the exceptional n of
+    (a, b): the values `mu_ab_closed` gives one n at a time.  Exact for
+    every b: int64 while the largest value, at most max(mu)*a + (a-1)*max(bs),
+    stays below 2**63; Python ints (an object array) past that.
     """
-    a, b = s.a, s.b
+    lifts = _lifts(a)
     n = np.arange(a, dtype=np.int64)
-    if int(lifts.max()) * a + (a - 1) * b >= 1 << 63:
-        lifts, n = lifts.astype(object), n.astype(object)
-    return lifts * a + n * b
+    if int(lifts.max()) * a + (a - 1) * max(bs) >= 1 << 63:
+        lifts, n, cols = lifts.astype(object), n.astype(object), np.array(bs, dtype=object)
+    else:
+        cols = np.array(bs, dtype=np.int64)
+    # Rows along the contiguous axis: the row maxima then cost about half
+    # of what column maxima of the transpose do at a <= 400.
+    values = np.multiply.outer(cols, n)
+    values += lifts * a
+    for b, m in _drops(a).items():
+        if b in bs:
+            values[bs.index(b), m] -= a
+    return values
 
 
 def apery_closed(s: QuadraticSemigroup) -> AperySet:
@@ -84,7 +95,7 @@ def apery_closed(s: QuadraticSemigroup) -> AperySet:
     """
     require_nontrivial(s)
     a = s.a
-    values = _lifted(s, _lifts(s))
+    values = _lifted(a, [s.b])[0]
     elements = np.empty_like(values)
     elements[np.arange(a, dtype=np.int64) * (s.b % a) % a] = values
     return AperySet(modulus=a, elements=tuple(elements.tolist()))
@@ -99,13 +110,21 @@ def apery_oracle(s: QuadraticSemigroup) -> AperySet:
     return AperySet(modulus=s.a, elements=tuple(_apery(s.a, s.b).tolist()))
 
 
-def _frobenius(s: QuadraticSemigroup, lifts: np.ndarray) -> int:
-    return int(_lifted(s, lifts).max()) - s.a
+def _frobenius(a: int, bs: list[int]) -> list[int]:
+    """F of S(a, b) for each b in bs: the row maxima of `_lifted`, less a."""
+    return (_lifted(a, bs).max(axis=1) - a).tolist()
 
 
-def _genus(s: QuadraticSemigroup, lifts: np.ndarray) -> int:
-    # Each lift mu_{a,b}(n) is at most 2n, so the sum stays below 2*a**2 < 2**63.
-    return int(lifts.sum()) + (s.a - 1) * (s.b - 1) // 2
+def _genus(a: int, bs: list[int]) -> list[int]:
+    """g of S(a, b) for each b in bs, from one sum of mu(0..a-1).
+
+    Each b adds (a-1)(b-1)/2, and an exceptional b takes one off for its
+    lowered lift.  Every mu(n) is at most 2n, so the sum stays below
+    2*a**2 < 2**63.
+    """
+    total = int(_lifts(a).sum())
+    drops = _drops(a)
+    return [total - (b in drops) + (a - 1) * (b - 1) // 2 for b in bs]
 
 
 def frobenius(s: QuadraticSemigroup) -> int:
@@ -117,7 +136,7 @@ def frobenius(s: QuadraticSemigroup) -> int:
     """
     if s.trivial:
         return -1
-    return _frobenius(s, _lifts(s))
+    return _frobenius(s.a, [s.b])[0]
 
 
 def frobenius_oracle(s: QuadraticSemigroup) -> int:
@@ -137,7 +156,7 @@ def genus(s: QuadraticSemigroup) -> int:
     """
     if s.trivial:
         return 0
-    return _genus(s, _lifts(s))
+    return _genus(s.a, [s.b])[0]
 
 
 def genus_oracle(s: QuadraticSemigroup) -> int:
@@ -196,20 +215,51 @@ class InvariantSummary:
     bounds_certified: bool
 
 
+def _summaries(a: int, bs: list[int]) -> Iterator[InvariantSummary]:
+    """Summaries of S(a, b) for each b in bs, all coprime to a >= 2.
+
+    F for every b comes from one lift array and g from one sum; the
+    bounds are taken one b at a time.
+    """
+    for b, f, g in zip(bs, _frobenius(a, bs), _genus(a, bs)):
+        f_low, f_high = frobenius_bounds(a, b)
+        g_low, g_high = genus_bounds(a, b)
+        yield InvariantSummary(a, b, f, g, f_low, f_high, g_low, g_high, bounds_certified(a, b))
+
+
 def invariant_summary(s: QuadraticSemigroup) -> InvariantSummary:
-    """Everything at once for one nontrivial semigroup; F and g share one lift array."""
+    """Everything at once for one nontrivial semigroup: the sweep's one-b case."""
     require_nontrivial(s)
-    lifts = _lifts(s)
-    f_low, f_high = frobenius_bounds(s.a, s.b)
-    g_low, g_high = genus_bounds(s.a, s.b)
-    return InvariantSummary(
-        a=s.a,
-        b=s.b,
-        frobenius=_frobenius(s, lifts),
-        genus=_genus(s, lifts),
-        frobenius_low=f_low,
-        frobenius_high=f_high,
-        genus_low=g_low,
-        genus_high=g_high,
-        bounds_certified=bounds_certified(s.a, s.b),
-    )
+    return next(_summaries(s.a, [s.b]))
+
+
+# Most entries in one block of `_sweep`'s lift array: 2**16 int64 values
+# are 512 KiB.  Without a cap, a grid that the size check allows would
+# allocate a * b_max entries at once (800 MB at a = 2, b_max = 5*10**7)
+# before its first row; with it, every a streams.  At a <= 400 and
+# b_max <= 10 each a is still one block.
+_SWEEP_BLOCK = 1 << 16
+
+
+def _sweep(a_max: int, b_max: int) -> Iterator[InvariantSummary]:
+    """Summaries of every coprime pair with 2 <= a <= a_max and 1 <= b <= b_max.
+
+    Rows come a ascending, then b ascending, as they are made: per a, one
+    lift array serves a block of b values (`_SWEEP_BLOCK`).  The table
+    grows with a, in doubling steps that end at a_max - 1.  An oversized
+    grid is refused at the call, before any row; this also keeps
+    a_max - 1 within what the mu table holds.
+    """
+    if (a_max - 1) * max(b_max, 1) > TABLE_LIMIT:
+        raise ValueError(f"sweep needs (a_max - 1) * b_max <= {TABLE_LIMIT}")
+
+    def rows() -> Iterator[InvariantSummary]:
+        for a in range(2, a_max + 1):
+            width = max(1, _SWEEP_BLOCK // a)
+            for lo in range(1, b_max + 1, width):
+                bs = [b for b in range(lo, min(lo + width, b_max + 1)) if math.gcd(a, b) == 1]
+                if bs:
+                    _grow(a - 1, a_max - 1)
+                    yield from _summaries(a, bs)
+
+    return rows()

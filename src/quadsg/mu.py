@@ -164,9 +164,11 @@ class MuTable:
         return int(self._values[n])
 
     def ensure(self, n_max: int) -> "MuTable":
-        """Grow the table to cover 0..n_max; values already present are kept.
+        """Grow the table to cover exactly 0..n_max; values already present are kept.
 
-        Raises ValueError, before allocating, past TABLE_LIMIT.
+        Each growth copies the table, so a caller that grows it n by n
+        should step geometrically, as `mu` does.  Raises ValueError, before
+        allocating, past TABLE_LIMIT.
         """
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
@@ -174,15 +176,11 @@ class MuTable:
             return self
         if n_max > TABLE_LIMIT:
             raise ValueError(f"mu table is limited to n <= {TABLE_LIMIT}, asked for {n_max}")
-        # Doubling keeps repeated one-step extensions linear overall while
-        # a fresh table gets exactly the size asked for.
-        target = max(n_max, min(2 * self._n_max, TABLE_LIMIT))
-        if target + 1 > len(self._values):
-            grown = np.zeros(target + 1, dtype=np.int64)
-            grown[: self._n_max + 1] = self._values[: self._n_max + 1]
-            self._values = grown
-        self._fill(self._n_max + 1, target)
-        self._n_max = target
+        grown = np.zeros(n_max + 1, dtype=np.int64)
+        grown[: self._n_max + 1] = self._values[: self._n_max + 1]
+        self._values = grown
+        self._fill(self._n_max + 1, n_max)
+        self._n_max = n_max
         return self
 
     def _fill(self, lo: int, hi: int) -> None:
@@ -228,12 +226,22 @@ def _adopt_shared_table(table: MuTable) -> None:
         _shared = table
 
 
+def _grow(n: int, cap: int) -> MuTable:
+    """The process-wide table, grown to cover n if it does not yet.
+
+    Each growth at least doubles the table, so growing it n by n stays
+    linear overall, but stops at cap, the caller's last n.
+    """
+    if n > _shared.n_max:
+        _shared.ensure(max(n, min(2 * _shared.n_max, cap)))
+    return _shared
+
+
 def mu(n: int) -> int:
     """mu(n), extending the process-wide table on demand."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _shared.ensure(n)
-    return _shared[n]
+    return _grow(n, TABLE_LIMIT)[n]
 
 
 def _mu_fold(n: int) -> np.ndarray:
@@ -320,16 +328,17 @@ class BoundProfile:
 def bound_profiles(n_max: int) -> Iterator[BoundProfile]:
     """Profiles for n = 1..n_max, made as they are read.
 
-    The table grows with the rows (doubling, as `MuTable.ensure` does), so
-    the first rows come at once even where a full table takes seconds to
-    fill.  An n_max out of range is refused at the call, before any row.
+    The table grows with the rows in doubling steps that end exactly at
+    n_max, so the first rows come at once even where a full table takes
+    seconds to fill, and the table ends no larger than the rows need.  An
+    n_max out of range is refused at the call, before any row.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if n_max > TABLE_LIMIT:
         raise ValueError(f"mu table is limited to n <= {TABLE_LIMIT}, asked for {n_max}")
     return (
-        BoundProfile(n, mu(n), lower_bound(n), gauss_bound(n), combined_bound(n))
+        BoundProfile(n, _grow(n, n_max)[n], lower_bound(n), gauss_bound(n), combined_bound(n))
         for n in range(1, n_max + 1)
     )
 

@@ -197,6 +197,17 @@ def test_sweep_streams_rows():
     ]
 
 
+def test_sweep_streams_wide_b_range():
+    # One a with 5*10**7 values of b passes the size check; the sweep takes
+    # them a capped block at a time, so the first rows still come at once.
+    argv = ["invariants", "--sweep", "--a-max", "3", "--b-max", "50000000", "--format", "csv"]
+    assert first_lines(argv, 3) == [
+        "a,b,frobenius,genus,F_lo,F_hi,g_lo,g_hi\n",
+        "2,1,3,2,3,7.74456265,1.58333333,4.84402771\n",
+        "2,3,5,3,5,9.74456265,2.58333333,5.84402771\n",
+    ]
+
+
 def test_bounds_streams_rows():
     # A table that takes seconds to fill: the first rows still come at once.
     lines = first_lines(["bounds", "--n-max", "100000000"], 3)

@@ -1,6 +1,7 @@
 """Apery sets, Frobenius number, genus, and the analytic bounds."""
 
 import importlib
+import itertools
 import math
 import time
 import tracemalloc
@@ -12,6 +13,16 @@ from helpers import apery_closed_plain, semigroup_members
 
 # The package exports a function named mu; go through importlib for the module.
 mu_module = importlib.import_module("quadsg.mu")
+invariants_module = importlib.import_module("quadsg.invariants")
+
+
+def summaries_pair_by_pair(a_max, b_max):
+    return [
+        q.invariant_summary(q.make_semigroup(a, b))
+        for a in range(2, a_max + 1)
+        for b in range(1, b_max + 1)
+        if math.gcd(a, b) == 1
+    ]
 
 
 def test_apery_examples():
@@ -159,6 +170,49 @@ def test_invariant_summary():
     assert q.invariant_summary(q.make_semigroup(29, 2)).bounds_certified
     with pytest.raises(ValueError):
         q.invariant_summary(q.make_semigroup(1, 1))
+
+
+def test_sweep_matches_pair_by_pair(monkeypatch):
+    # The benchmark's grid: a <= 400 is one block per a.  The table grows
+    # with a and ends at a_max - 1.
+    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
+    assert list(invariants_module._sweep(400, 10)) == summaries_pair_by_pair(400, 10)
+    assert q.shared_table().n_max == 399
+
+
+@pytest.mark.parametrize("block", [None, 40])
+def test_sweep_covers_exceptional_pairs(block, monkeypatch):
+    # All eight exceptional pairs (a <= 79, b = 1); with 40-entry blocks
+    # every a past 3 spans several blocks, and past 20 one b per block.
+    if block is not None:
+        monkeypatch.setattr(invariants_module, "_SWEEP_BLOCK", block)
+    rows = list(invariants_module._sweep(80, 12))
+    assert rows == summaries_pair_by_pair(80, 12)
+    assert {(r.a, r.b) for r in rows if not r.bounds_certified} == q.EXCEPTIONAL_PAIRS
+    for r in rows:
+        s = q.make_semigroup(r.a, r.b)
+        assert (r.frobenius, r.genus) == (q.frobenius_oracle(s), q.genus_oracle(s)), (r.a, r.b)
+    # The drop lands on b = 1 wherever it sits among the b values.
+    by_pair = {(r.a, r.b): r for r in rows}
+    for a, cols in [(29, [3, 1, 2]), (79, [2, 1])]:
+        expected = [by_pair[a, b] for b in cols]
+        assert invariants_module._frobenius(a, cols) == [r.frobenius for r in expected]
+        assert invariants_module._genus(a, cols) == [r.genus for r in expected]
+
+
+def test_sweep_streams_in_bounded_memory(monkeypatch):
+    # The size check allows a = 2 with 5*10**7 values of b; its first rows
+    # come from one capped block, not from a 2 x b_max array.
+    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
+    tracemalloc.start()
+    try:
+        rows = list(itertools.islice(invariants_module._sweep(3, 50_000_000), 1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [(r.a, r.b) for r in rows[:3]] == [(2, 1), (2, 3), (2, 5)]
+    assert len(rows) == 1000
+    assert peak < 8 << 20, peak
 
 
 def test_closed_forms_refuse_oversized_a_before_allocating(monkeypatch):

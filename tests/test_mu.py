@@ -113,8 +113,8 @@ def test_growth_in_random_steps_matches_fold(fold):
     # Each pass grows one table by seeded random ensure steps and ends a
     # fill exactly at every mark, so the next fill starts right after it:
     # C(j,2) - 1, C(j,2) and C(j,2) + 1, and the chunk width -1, 0 and +1.
-    # ensure at least doubles the table, so a mark is hit exactly only
-    # from a table at most half its size.
+    # The random steps stop at a quarter of each mark, so the fill that
+    # ends at the mark spans many chunks.
     rng = random.Random(8)
     for d in (-1, 0, 1):
         marks = [q.triangular(j) + d for j in (10, 100)]
@@ -128,6 +128,17 @@ def test_growth_in_random_steps_matches_fold(fold):
         grown.ensure(GROWTH_LIMIT)
         mismatches = np.flatnonzero(grown.values[: GROWTH_LIMIT + 1] != fold)
         assert mismatches.size == 0, (d, mismatches[:5])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_fill_at_many_chunk_boundaries(chunk, fold, monkeypatch):
+    # A narrow chunk puts a chunk boundary every few n, so the window
+    # bounds are taken afresh at thousands of places, each checked
+    # against the unwindowed fold.
+    monkeypatch.setattr(mu_module, "_CHUNK", chunk)
+    n_max = 4000
+    mismatches = np.flatnonzero(q.MuTable(n_max).values != fold[: n_max + 1])
+    assert mismatches.size == 0, (chunk, mismatches[:5])
 
 
 def test_fill_speed_at_c_2000():
@@ -262,6 +273,14 @@ def test_bound_profiles_shape(monkeypatch):
         q.bound_profiles(0)
     with pytest.raises(ValueError, match="limited"):
         q.bound_profiles(q.TABLE_LIMIT + 1)
+
+
+def test_bound_profiles_grow_table_to_n_max(monkeypatch):
+    # Rows stream with the table growing in doubling steps, and the last
+    # step ends at n_max: doubling past it would end the table at n = 2**20.
+    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
+    assert sum(1 for _ in q.bound_profiles(600_000)) == 600_000
+    assert q.shared_table().n_max == 600_000
 
 
 def test_bounds_csv(monkeypatch, capsys):

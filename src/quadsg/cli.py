@@ -3,9 +3,6 @@
 Exit codes: 0 success, 1 domain error (bad arguments to a well-formed
 command), 2 verification failure (a certify run found a mismatch), 64
 usage error (unknown command or flag).
-
-When QUADSG_MEMO_PATH is set, the shared mu table is loaded from that
-file at startup and written back when a command grew it.
 """
 
 from __future__ import annotations
@@ -22,15 +19,7 @@ from dataclasses import asdict, astuple, dataclass
 from . import embedding as embedding_mod
 from . import invariants as invariants_mod
 from .invariants import frobenius, frobenius_oracle, genus, genus_oracle
-from .mu import (
-    _adopt_shared_table,
-    bound_profiles,
-    load_table,
-    mu,
-    save_table,
-    shared_table,
-    triangular,
-)
+from .mu import bound_profiles, mu, shared_table, triangular
 from . import search as search_mod
 from . import semigroup as semigroup_mod
 
@@ -404,17 +393,6 @@ def run(argv: list[str] | None = None) -> int:
             return 0
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
 
-    memo_path = os.environ.get("QUADSG_MEMO_PATH")
-    preloaded = -1
-    if memo_path and os.path.exists(memo_path):
-        try:
-            cached = load_table(memo_path)
-        except (OSError, ValueError) as exc:
-            print(f"warning: ignoring mu cache at {memo_path}: {exc}", file=sys.stderr)
-        else:
-            _adopt_shared_table(cached)
-            preloaded = cached.n_max
-
     try:
         record = ns.func(ns)
         _render(getattr(ns, "format", "plain"), record)
@@ -424,14 +402,6 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    if memo_path:
-        table = shared_table()
-        if table.n_max > max(preloaded, 0):
-            try:
-                save_table(table, memo_path)
-            except OSError as exc:
-                print(f"warning: could not save mu cache at {memo_path}: {exc}", file=sys.stderr)
     return record.code
 
 

@@ -16,16 +16,13 @@ per part index, over the few part indices that two exact bounds on the
 largest index of an optimal partition leave, an oracle (`mu_oracle`) that
 folds in one part at a time with no window, checked against the table up
 to n = 10**6, the analytic envelope around mu (`lower_bound`,
-`gauss_bound`, `combined_bound`), and a binary on-disk cache for the
-table.  `mu` and everything built on it read one process-wide table.
+`gauss_bound`, `combined_bound`).  `mu` and everything built on it read
+one process-wide table.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import struct
-import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -41,11 +38,9 @@ __all__ = [
     "gauss_bound",
     "inverse_triangular",
     "largest_index",
-    "load_table",
     "lower_bound",
     "mu",
     "mu_oracle",
-    "save_table",
     "shared_table",
     "triangular",
 ]
@@ -54,10 +49,6 @@ ORACLE_LIMIT = 10**6
 
 # Largest n a MuTable grows to: 10**8 entries of int64 is 800 MB.
 TABLE_LIMIT = 10**8
-
-_CACHE_MAGIC = b"QSMU"
-_CACHE_VERSION = 2
-_CACHE_HEADER = 4 + 1 + 8 + 4
 
 # Widest run of consecutive n that MuTable fills together: wide enough that
 # each np.minimum call does more arithmetic than call overhead, small
@@ -203,13 +194,6 @@ class MuTable:
                 np.minimum(part, dp[start - t : end + 1 - t] + i, out=part)
             lo = end + 1
 
-    @classmethod
-    def _from_values(cls, values: np.ndarray) -> "MuTable":
-        table = cls()
-        table._values = np.ascontiguousarray(values, dtype=np.int64)
-        table._n_max = len(values) - 1
-        return table
-
 
 _shared = MuTable()
 
@@ -217,13 +201,6 @@ _shared = MuTable()
 def shared_table() -> MuTable:
     """The process-wide table that `mu`, the closed forms and the searches read."""
     return _shared
-
-
-def _adopt_shared_table(table: MuTable) -> None:
-    """Install `table` as the process-wide table if it covers more."""
-    global _shared
-    if table.n_max > _shared.n_max:
-        _shared = table
 
 
 def _grow(n: int, cap: int) -> MuTable:
@@ -342,63 +319,3 @@ def bound_profiles(n_max: int) -> Iterator[BoundProfile]:
         for n in range(1, n_max + 1)
     )
 
-
-def save_table(table: MuTable, path: str) -> None:
-    """Write the table: magic, version byte, little-endian u64 n_max, u32
-    CRC-32 of the value bytes, then the values as little-endian u64.
-
-    The file is written beside `path` and renamed over it, so a reader
-    never sees a torn file.
-    """
-    # Values are below 2**63, so their i8 bytes are the u64 layout; on a
-    # little-endian host this is the table's own buffer, not a copy.
-    body = table.values.astype("<i8", copy=False)
-    header = _CACHE_MAGIC + bytes([_CACHE_VERSION])
-    header += struct.pack("<QI", table.n_max, zlib.crc32(body))
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(header)
-            fh.write(body)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def load_table(path: str) -> MuTable:
-    """Read a cache file back, validating layout, checksum and spot values.
-
-    Raises ValueError on any mismatch, including a version-1 file (which
-    has no checksum); callers treat the cache as disposable and recompute.
-    The header and the file size are checked before the body is read, so a
-    foreign or oversized file is refused without allocating for it.
-    """
-    with open(path, "rb") as fh:
-        header = fh.read(_CACHE_HEADER)
-        if len(header) < _CACHE_HEADER or header[:4] != _CACHE_MAGIC:
-            raise ValueError("not a mu table cache file")
-        if header[4] != _CACHE_VERSION:
-            raise ValueError(f"unsupported cache version {header[4]}")
-        n_max, crc = struct.unpack_from("<QI", header, 5)
-        if n_max > TABLE_LIMIT:
-            raise ValueError(f"cache declares n_max {n_max} past the table limit {TABLE_LIMIT}")
-        if os.fstat(fh.fileno()).st_size != _CACHE_HEADER + 8 * (n_max + 1):
-            raise ValueError("cache length does not match declared n_max")
-        # Values are below 2**63, so the u64 bytes read as i64 unchanged.
-        values = np.empty(n_max + 1, dtype="<i8")
-        if fh.readinto(values) != values.nbytes:
-            raise ValueError("cache length does not match declared n_max")
-    if zlib.crc32(values) != crc:
-        raise ValueError("cache fails checksum")
-    values = values.astype(np.int64, copy=False)
-    if values[0] != 0:
-        raise ValueError("cache fails spot check: mu(0) != 0")
-    if n_max >= 1 and values[1] != 2:
-        raise ValueError("cache fails spot check: mu(1) != 2")
-    top = largest_index(n_max)
-    idx = np.array([triangular(i) for i in range(2, top + 1)], dtype=np.int64)
-    if idx.size and not np.array_equal(values[idx], np.arange(2, top + 1)):
-        raise ValueError("cache fails spot check at triangular positions")
-    return MuTable._from_values(values)

@@ -30,7 +30,6 @@ mu_module = importlib.import_module("quadsg.mu")
 def fresh_shared_table(monkeypatch):
     # Keep the module-level memo isolated so tests cannot see each other.
     monkeypatch.setattr(mu_module, "_shared", mu_module.MuTable())
-    monkeypatch.delenv("QUADSG_MEMO_PATH", raising=False)
 
 
 def run_cli(capsys, *argv):
@@ -405,41 +404,13 @@ def test_certify_all(capsys):
     assert lines[-1] == "certified 62/62 checks"
 
 
-def test_memo_cache_roundtrip(tmp_path, monkeypatch, capsys):
+def test_cli_writes_no_cache_file(tmp_path, monkeypatch, capsys):
+    # The mu table is filled afresh in each process: no variable makes the
+    # CLI read or write a file of it.
     path = tmp_path / "mu.cache"
     monkeypatch.setenv("QUADSG_MEMO_PATH", str(path))
-
-    code, out, _ = run_cli(capsys, "mu", "--n", "50")
-    assert code == 0 and out == "17\n"
-    assert path.exists()
-    first = path.read_bytes()
-    assert first[:4] == b"QSMU"
-
-    # A second run that does not grow the table leaves the file alone.
-    monkeypatch.setattr(mu_module, "_shared", mu_module.MuTable())
-    code, out, _ = run_cli(capsys, "mu", "--n", "20")
-    assert code == 0 and out == "10\n"  # two parts of size C(5,2)
-    assert path.read_bytes() == first
-
-    # Growing past the cached range rewrites the file.
-    monkeypatch.setattr(mu_module, "_shared", mu_module.MuTable())
-    code, out, _ = run_cli(capsys, "mu", "--n", "200")
-    assert code == 0
-    assert len(path.read_bytes()) > len(first)
-
-
-def test_memo_cache_corrupt(tmp_path, monkeypatch, capsys):
-    path = tmp_path / "mu.cache"
-    path.write_bytes(b"not a cache at all")
-    monkeypatch.setenv("QUADSG_MEMO_PATH", str(path))
-
-    code = cli.run(["mu", "--n", "26"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert captured.out == "13\n"
-    assert "warning: ignoring mu cache" in captured.err
-    # The bad file was replaced with a valid one.
-    assert path.read_bytes()[:4] == b"QSMU"
+    assert run_cli(capsys, "mu", "--n", "50") == (0, "17\n", "")
+    assert not path.exists()
 
 
 # Full stdout of one command per format on small inputs: a str is the text

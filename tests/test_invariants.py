@@ -246,6 +246,27 @@ def test_closed_forms_exact_past_int64(monkeypatch):
     assert max(apery_closed_plain(q.make_semigroup(1001, 2**62 + 1))) >= 1 << 63
 
 
+def edge_of_oracle_guard(a):
+    """The largest b coprime to a that the Apery oracle serves, a^2(2a + b) < 2**62,
+    and the smallest coprime b past it."""
+    last = ((1 << 62) - 1) // (a * a) - 2 * a
+    below = next(b for b in range(last, 0, -1) if math.gcd(a, b) == 1)
+    past = next(b for b in itertools.count(last + 1) if math.gcd(a, b) == 1)
+    return below, past
+
+
+@pytest.mark.parametrize("a", [2, 29, 64, 1000, 1999])
+def test_closed_forms_match_oracle_at_int64_guard(a, monkeypatch):
+    below, past = edge_of_oracle_guard(a)
+    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
+    s = q.make_semigroup(a, below)
+    assert q.apery_closed(s).elements == q.apery_oracle(s).elements
+    assert q.frobenius(s) == q.frobenius_oracle(s)
+    assert q.genus(s) == q.genus_oracle(s)
+    with pytest.raises(ValueError, match="too large"):
+        q.apery_oracle(q.make_semigroup(a, past))
+
+
 def test_frobenius_genus_speed_at_a_million(monkeypatch):
     monkeypatch.setattr(mu_module, "_shared", q.MuTable(10**6))
     s = q.make_semigroup(10**6 + 1, 1)
@@ -275,3 +296,20 @@ def test_invariants_inside_bounds_at_scale(a, capsys, monkeypatch):
         print(f"\na = {a}: F/a^1.5 = {f / a**1.5:.4f}, g/a^1.5 = {g / a**1.5:.4f}")
     assert f_low <= f <= f_high
     assert g_low <= g <= g_high
+
+
+@pytest.mark.slow
+def test_closed_vs_oracle_to_a_1000_b_50(monkeypatch):
+    # Every coprime pair with a <= 1000 and b <= 50 (30,637 of them): the
+    # closed Apery set against the oracle, and the sweep's row against F
+    # and g (Selmer's formula) read off that same oracle array.
+    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
+    rows = invariants_module._sweep(1000, 50)
+    pairs = [(a, b) for a in range(2, 1001) for b in range(1, 51) if math.gcd(a, b) == 1]
+    for (a, b), row in zip(pairs, rows, strict=True):
+        s = q.make_semigroup(a, b)
+        oracle = q.apery_oracle(s).elements
+        assert q.apery_closed(s).elements == oracle, (a, b)
+        assert (row.a, row.b) == (a, b)
+        assert row.frobenius == max(oracle) - a, (a, b)
+        assert row.genus == (sum(oracle) - a * (a - 1) // 2) // a, (a, b)

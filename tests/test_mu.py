@@ -1,11 +1,10 @@
-"""mu values, the growable table, the fold oracle, bounds, and the cache."""
+"""mu values, the growable table, the fold oracle and bounds."""
 
 import importlib
 import math
 import random
 import time
 import tracemalloc
-import zlib
 
 import numpy as np
 import pytest
@@ -286,7 +285,6 @@ def test_bound_profiles_grow_table_to_n_max(monkeypatch):
 def test_bounds_csv(monkeypatch, capsys):
     # The bounds CSV is written by the CLI renderer from bound_profiles.
     monkeypatch.setattr(mu_module, "_shared", mu_module.MuTable())
-    monkeypatch.delenv("QUADSG_MEMO_PATH", raising=False)
     assert cli.run(["bounds", "--n-max", "12", "--format", "csv"]) == 0
     text = capsys.readouterr().out
     lines = text.splitlines()
@@ -296,111 +294,6 @@ def test_bounds_csv(monkeypatch, capsys):
     assert text.endswith("\n")
     row10 = lines[10].split(",")
     assert row10[:3] == ["10", "5", "5"]
-
-
-def test_cache_roundtrip(tmp_path, table):
-    path = tmp_path / "mu.bin"
-    q.save_table(table, str(path))
-    loaded = q.load_table(str(path))
-    assert loaded.n_max == table.n_max
-    assert np.array_equal(loaded.values, table.values)
-
-
-def test_cache_layout(tmp_path):
-    small = q.MuTable(5)
-    path = tmp_path / "mu.bin"
-    q.save_table(small, str(path))
-    blob = path.read_bytes()
-    assert blob[:4] == b"QSMU"
-    assert blob[4] == 2
-    assert int.from_bytes(blob[5:13], "little") == 5
-    assert int.from_bytes(blob[13:17], "little") == zlib.crc32(blob[17:])
-    assert len(blob) == 17 + 8 * 6
-    assert int.from_bytes(blob[17:25], "little") == 0
-    assert int.from_bytes(blob[25:33], "little") == 2
-    # Written beside the target and renamed over it: nothing left behind.
-    assert [p.name for p in tmp_path.iterdir()] == ["mu.bin"]
-
-
-def test_save_table_makes_no_copy(tmp_path):
-    table = q.MuTable(10**6)
-    path = tmp_path / "mu.bin"
-    tracemalloc.start()
-    try:
-        q.save_table(table, str(path))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    assert np.array_equal(q.load_table(str(path)).values, table.values)
-
-
-def test_cache_rejects_corruption(tmp_path):
-    small = q.MuTable(40)
-    path = tmp_path / "mu.bin"
-    q.save_table(small, str(path))
-    good = path.read_bytes()
-
-    path.write_bytes(b"XXXX" + good[4:])
-    with pytest.raises(ValueError):
-        q.load_table(str(path))
-
-    path.write_bytes(good[:4] + bytes([9]) + good[5:])
-    with pytest.raises(ValueError):
-        q.load_table(str(path))
-
-    path.write_bytes(good[:-8])
-    with pytest.raises(ValueError):
-        q.load_table(str(path))
-
-    # Tamper with the value at a triangular position.
-    tampered = bytearray(good)
-    pos = 17 + 8 * q.triangular(7)
-    tampered[pos : pos + 8] = (99).to_bytes(8, "little")
-    path.write_bytes(bytes(tampered))
-    with pytest.raises(ValueError):
-        q.load_table(str(path))
-
-
-def test_cache_rejects_interior_corruption(tmp_path):
-    table = q.MuTable(10_000)
-    path = tmp_path / "mu.bin"
-    q.save_table(table, str(path))
-    blob = bytearray(path.read_bytes())
-    # The entry for n = 9999 is second from the end; 164 ^ 0b111 = 163.
-    pos = len(blob) - 16
-    assert blob[pos] == table[9999] == 164
-    blob[pos] ^= 0b111
-    path.write_bytes(bytes(blob))
-    with pytest.raises(ValueError):
-        q.load_table(str(path))
-
-
-@pytest.mark.parametrize(
-    "magic, version, n_max, size, reason",
-    [
-        (b"XXXX", 2, 10**7, 1 << 28, "not a mu table"),
-        (b"QSMU", 9, 10**7, 1 << 28, "unsupported cache version 9"),
-        (b"QSMU", 2, 10**6, 1 << 28, "length does not match"),
-        # Sized to match n_max, so only the limit can refuse it.
-        (b"QSMU", 2, q.TABLE_LIMIT + 1, 17 + 8 * (q.TABLE_LIMIT + 2), "table limit"),
-    ],
-    ids=["magic", "version", "size", "past-limit"],
-)
-def test_cache_rejects_bad_header_before_reading_body(tmp_path, magic, version, n_max, size, reason):
-    # A sparse file: the header and the file size alone must condemn it.
-    path = tmp_path / "mu.bin"
-    with open(path, "wb") as fh:
-        fh.write(magic + bytes([version]) + n_max.to_bytes(8, "little") + bytes(4))
-        fh.truncate(size)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=reason):
-            q.load_table(str(path))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
 
 
 def test_ensure_refuses_past_limit_before_allocating():
@@ -419,21 +312,8 @@ def test_ensure_refuses_past_limit_before_allocating():
 
 def test_cli_mu_past_limit_is_domain_error(monkeypatch, capsys):
     monkeypatch.setattr(mu_module, "_shared", mu_module.MuTable())
-    monkeypatch.delenv("QUADSG_MEMO_PATH", raising=False)
     assert cli.run(["mu", "--n", "10000000000"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
 
-
-def test_cli_rebuilds_version_1_cache(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(mu_module, "_shared", mu_module.MuTable())
-    path = tmp_path / "mu.cache"
-    values = q.MuTable(40).values.astype("<u8").tobytes()
-    path.write_bytes(b"QSMU" + bytes([1]) + (40).to_bytes(8, "little") + values)
-    monkeypatch.setenv("QUADSG_MEMO_PATH", str(path))
-    assert cli.run(["mu", "--n", "26"]) == 0
-    out, err = capsys.readouterr()
-    assert out == "13\n"
-    assert "warning: ignoring mu cache" in err
-    assert q.load_table(str(path)).n_max >= 26

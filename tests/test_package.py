@@ -52,7 +52,6 @@ PUBLIC_NAMES = {
     "invariant_summary",
     "inverse_triangular",
     "largest_index",
-    "load_table",
     "lower_bound",
     "make_semigroup",
     "minimal_generators_closed",
@@ -62,7 +61,6 @@ PUBLIC_NAMES = {
     "mu_ab_oracle",
     "mu_oracle",
     "require_nontrivial",
-    "save_table",
     "search_embedding_eq",
     "search_mu_drop",
     "shared_table",
@@ -76,15 +74,15 @@ def test_public_names():
     assert set(q.__all__) == PUBLIC_NAMES
 
 
-def test_only_save_table_takes_a_table():
-    # Everything else reads the process-wide table behind quadsg.mu.
+def test_no_function_takes_a_table():
+    # Every function reads the process-wide table behind quadsg.mu.
     takes_table = {
         name
         for name in q.__all__
         if inspect.isfunction(getattr(q, name))
         and "table" in inspect.signature(getattr(q, name)).parameters
     }
-    assert takes_table == {"save_table"}
+    assert takes_table == set()
 
 
 def test_mu_is_the_function_not_the_module():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ class AperySet:
 
 
 def _lifts(a: int) -> np.ndarray:
-    """mu(0..a-1) from the shared table, read-only.
+    """mu(0..a-1) from the shared table: a read-only uint16 view.
 
     The table fills, or refuses past TABLE_LIMIT, before anything of size a
     is allocated.
@@ -60,28 +61,31 @@ def _drops(a: int) -> dict[int, int]:
     return {c.b: c.n for c in EXCEPTIONAL_CASES if c.a == a}
 
 
-def _lifted(a: int, bs: list[int]) -> np.ndarray:
-    """mu_{a,b}(n)*a + n*b, one row per b in bs and one column per n = 0..a-1.
+def _lifted(a: int, bs: list[int], width: int) -> Iterator[np.ndarray]:
+    """mu_{a,b}(n)*a + n*b in column blocks of n = 0..a-1, one row per b in bs.
 
-    mu_{a,b}(n) is mu(n) from the table, less one at the exceptional n of
-    (a, b): the values `mu_ab_closed` gives one n at a time.  Exact for
-    every b: int64 while the largest value, at most max(mu)*a + (a-1)*max(bs),
-    stays below 2**63; Python ints (an object array) past that.
+    Each block holds `width` columns (the last one fewer) and widens only
+    its own slice of the uint16 table.  mu_{a,b}(n) is mu(n) from the
+    table, less one at the exceptional n of (a, b): the values
+    `mu_ab_closed` gives one n at a time.  Exact for every b: int64 while
+    the largest value, at most max(mu)*a + (a-1)*max(bs), stays below
+    2**63; Python ints (object arrays) past that.
     """
     lifts = _lifts(a)
-    n = np.arange(a, dtype=np.int64)
-    if int(lifts.max()) * a + (a - 1) * max(bs) >= 1 << 63:
-        lifts, n, cols = lifts.astype(object), n.astype(object), np.array(bs, dtype=object)
-    else:
-        cols = np.array(bs, dtype=np.int64)
-    # Rows along the contiguous axis: the row maxima then cost about half
-    # of what column maxima of the transpose do at a <= 400.
-    values = np.multiply.outer(cols, n)
-    values += lifts * a
-    for b, m in _drops(a).items():
-        if b in bs:
-            values[bs.index(b), m] -= a
-    return values
+    big = int(lifts.max()) * a + (a - 1) * max(bs) >= 1 << 63
+    dtype = object if big else np.int64
+    cols = np.array(bs, dtype=dtype)
+    drops = [(bs.index(b), m) for b, m in _drops(a).items() if b in bs]
+    for lo in range(0, a, width):
+        hi = min(lo + width, a)
+        # Rows along the contiguous axis: the row maxima then cost about
+        # half of what column maxima of the transpose do at a <= 400.
+        values = np.multiply.outer(cols, np.arange(lo, hi, dtype=dtype))
+        values += np.multiply(lifts[lo:hi], a, dtype=dtype)
+        for row, m in drops:
+            if lo <= m < hi:
+                values[row, m - lo] -= a
+        yield values
 
 
 def apery_closed(s: QuadraticSemigroup) -> AperySet:
@@ -95,7 +99,7 @@ def apery_closed(s: QuadraticSemigroup) -> AperySet:
     """
     require_nontrivial(s)
     a = s.a
-    values = _lifted(a, [s.b])[0]
+    values = next(_lifted(a, [s.b], a))[0]
     elements = np.empty_like(values)
     elements[np.arange(a, dtype=np.int64) * (s.b % a) % a] = values
     return AperySet(modulus=a, elements=tuple(elements.tolist()))
@@ -111,18 +115,24 @@ def apery_oracle(s: QuadraticSemigroup) -> AperySet:
 
 
 def _frobenius(a: int, bs: list[int]) -> list[int]:
-    """F of S(a, b) for each b in bs: the row maxima of `_lifted`, less a."""
-    return (_lifted(a, bs).max(axis=1) - a).tolist()
+    """F of S(a, b) for each b in bs: the row maxima of `_lifted`, less a.
+
+    The maxima run over blocks of at most `_SWEEP_BLOCK` entries, so the
+    temporaries stay small however large a is; at a <= 400 each call of
+    the sweep is one block.
+    """
+    blocks = _lifted(a, bs, max(1, _SWEEP_BLOCK // len(bs)))
+    return (functools.reduce(np.maximum, (block.max(axis=1) for block in blocks)) - a).tolist()
 
 
 def _genus(a: int, bs: list[int]) -> list[int]:
     """g of S(a, b) for each b in bs, from one sum of mu(0..a-1).
 
     Each b adds (a-1)(b-1)/2, and an exceptional b takes one off for its
-    lowered lift.  Every mu(n) is at most 2n, so the sum stays below
-    2*a**2 < 2**63.
+    lowered lift.  The sum accumulates in int64 straight off the uint16
+    table; every mu(n) is at most 2n, so it stays below 2*a**2 < 2**63.
     """
-    total = int(_lifts(a).sum())
+    total = int(_lifts(a).sum(dtype=np.int64))
     drops = _drops(a)
     return [total - (b in drops) + (a - 1) * (b - 1) // 2 for b in bs]
 
@@ -233,11 +243,13 @@ def invariant_summary(s: QuadraticSemigroup) -> InvariantSummary:
     return next(_summaries(s.a, [s.b]))
 
 
-# Most entries in one block of `_sweep`'s lift array: 2**16 int64 values
-# are 512 KiB.  Without a cap, a grid that the size check allows would
+# Most entries in one block of lifted values: 2**16 int64 values are
+# 512 KiB.  It caps `_sweep`'s block of b values per a and `_frobenius`'s
+# block of n.  Without a cap, a grid that the size check allows would
 # allocate a * b_max entries at once (800 MB at a = 2, b_max = 5*10**7)
-# before its first row; with it, every a streams.  At a <= 400 and
-# b_max <= 10 each a is still one block.
+# before its first row, and F at a = 10**8 - 1 would widen the whole lift
+# array (several GB); with it, both stream.  At a <= 400 and b_max <= 10
+# each a is still one block.
 _SWEEP_BLOCK = 1 << 16
 
 

@@ -47,7 +47,7 @@ __all__ = [
 
 ORACLE_LIMIT = 10**6
 
-# Largest n a MuTable grows to: 10**8 entries of int64 is 800 MB.
+# Largest n a MuTable grows to: 10**8 entries of uint16 is 200 MB.
 TABLE_LIMIT = 10**8
 
 # Widest run of consecutive n that MuTable fills together: wide enough that
@@ -125,13 +125,22 @@ class MuTable:
     the chunk, and a chunk of one entry is the same step.  U comes from the
     table, never from the analytic bounds, which keeps those independently
     testable; the second bound uses the floor f only through integer
-    triangular numbers.
+    triangular numbers.  `_chunks` yields each chunk with its k_min.
+
+    Entries are uint16, and no sum the fill forms can wrap.  Each is
+    mu(m) + i with m < n <= TABLE_LIMIT and a part index
+    i <= largest_index(TABLE_LIMIT) = 14,142.  By Gauss every m is a sum
+    of three triangular numbers C(i,2), and since inverse_triangular is
+    concave their indices add up to at most gauss_bound(m); parts C(1,2)
+    = 0 are dropped, which only lowers the score.  So
+    mu(m) <= gauss_bound(TABLE_LIMIT) < 24,497, and every sum is at most
+    24,497 + 14,142 = 38,639 < 65,535.
     """
 
     def __init__(self, n_max: int = 0):
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
-        self._values = np.zeros(1, dtype=np.int64)
+        self._values = np.zeros(1, dtype=np.uint16)
         self._n_max = 0
         if n_max > 0:
             self.ensure(n_max)
@@ -142,7 +151,13 @@ class MuTable:
 
     @property
     def values(self) -> np.ndarray:
-        """Read-only int64 view of mu(0..n_max)."""
+        """Read-only uint16 view of mu(0..n_max).
+
+        Widen before arithmetic, with astype(np.int64) or a dtype=np.int64
+        argument: numpy keeps uint16 when a uint16 array meets a Python int
+        or another uint16 array, so a difference or a product wraps
+        silently.
+        """
         view = self._values[: self._n_max + 1].view()
         view.flags.writeable = False
         return view
@@ -167,7 +182,7 @@ class MuTable:
             return self
         if n_max > TABLE_LIMIT:
             raise ValueError(f"mu table is limited to n <= {TABLE_LIMIT}, asked for {n_max}")
-        grown = np.zeros(n_max + 1, dtype=np.int64)
+        grown = np.zeros(n_max + 1, dtype=np.uint16)
         grown[: self._n_max + 1] = self._values[: self._n_max + 1]
         self._values = grown
         self._fill(self._n_max + 1, n_max)
@@ -176,23 +191,33 @@ class MuTable:
 
     def _fill(self, lo: int, hi: int) -> None:
         dp = self._values
-        while lo <= hi:
-            end = min(lo + _CHUNK - 1, hi)
-            j = largest_index(end)
-            ub = j + (int(dp[:j].max()) if j <= lo else 2 * (j - 1))
-            k_min = max(2, 1 + -(-(2 * lo) // ub))
-            if 2 * k_min >= ub:
-                while triangular(k_min) + triangular(ub - k_min) < lo:
-                    k_min += 1
+        for lo, end, k_min in _chunks(dp, lo, hi):
             t = triangular(k_min)
-            end = min(end, lo + t - 1)
             np.add(dp[lo - t : end + 1 - t], k_min, out=dp[lo : end + 1])
             for i in range(k_min + 1, largest_index(end) + 1):
                 t = triangular(i)
                 start = max(lo, t)
                 part = dp[start : end + 1]
                 np.minimum(part, dp[start - t : end + 1 - t] + i, out=part)
-            lo = end + 1
+
+
+def _chunks(dp: np.ndarray, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+    """The chunks (lo, end, k_min) that fill dp[lo..hi], in order.
+
+    Each chunk's window is taken from dp[:lo] only (see `MuTable`), so the
+    next chunk is computed once the caller has filled this one.
+    """
+    while lo <= hi:
+        end = min(lo + _CHUNK - 1, hi)
+        j = largest_index(end)
+        ub = j + (int(dp[:j].max()) if j <= lo else 2 * (j - 1))
+        k_min = max(2, 1 + -(-(2 * lo) // ub))
+        if 2 * k_min >= ub:
+            while triangular(k_min) + triangular(ub - k_min) < lo:
+                k_min += 1
+        end = min(end, lo + triangular(k_min) - 1)
+        yield lo, end, k_min
+        lo = end + 1
 
 
 _shared = MuTable()

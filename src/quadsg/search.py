@@ -102,7 +102,7 @@ def search_mu_drop(a_max: int) -> SearchReport:
     values = shared_table().ensure(2 * a_max).values
     hits = []
     for a in range(4, a_max + 1):
-        drop = values[3:a] - values[3 + a : 2 * a]
+        drop = np.subtract(values[3:a], values[3 + a : 2 * a], dtype=np.int64)
         for n in (np.flatnonzero((drop >= 2) & (drop <= 4)) + 3).tolist():
             hits.append(DropHit(a, n, int(values[n]), int(values[n + a])))
     return SearchReport("mu-drop", a_max, time.perf_counter() - start, tuple(hits))

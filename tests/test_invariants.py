@@ -16,6 +16,16 @@ mu_module = importlib.import_module("quadsg.mu")
 invariants_module = importlib.import_module("quadsg.invariants")
 
 
+# F and g of S(a, 1), read off an int64 mu table without F's blocks: at
+# b = 1, F + a is max(mu)*a plus the last n < a where mu attains its max,
+# and g is the sum of mu(0..a-1).
+AT_SCALE = {
+    10**6 + 1: (1_482_000_435, 978_309_399),
+    10**7 + 1: (45_860_001_727, 30_413_207_600),
+    10**8 - 1: (1_433_399_976_564, 953_011_630_009),
+}
+
+
 def summaries_pair_by_pair(a_max, b_max):
     return [
         q.invariant_summary(q.make_semigroup(a, b))
@@ -276,6 +286,21 @@ def test_frobenius_genus_speed_at_a_million(monkeypatch):
     assert time.perf_counter() - start < 0.5
 
 
+def test_frobenius_and_genus_read_the_table_in_blocks(monkeypatch):
+    # F widens one fixed-size block of the uint16 table at a time and g sums
+    # it in place; a lift array widened whole would take about 228 MiB here.
+    monkeypatch.setattr(mu_module, "_shared", q.MuTable(10**7))
+    s = q.make_semigroup(10**7 + 1, 1)
+    tracemalloc.start()
+    try:
+        f, g = q.frobenius(s), q.genus(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (f, g) == AT_SCALE[10**7 + 1]
+    assert peak < 8 << 20, peak
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("b", [1, 2])
 def test_closed_vs_oracle_at_a_100001(b, monkeypatch):
@@ -285,17 +310,27 @@ def test_closed_vs_oracle_at_a_100001(b, monkeypatch):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("a", [10**6 + 1, 10**7 + 1])
+@pytest.mark.parametrize("a", sorted(AT_SCALE))
 def test_invariants_inside_bounds_at_scale(a, capsys, monkeypatch):
+    # The table fills inside the trace at 2 bytes per entry, and F and g add
+    # only their fixed-size blocks; at a = 10**8 - 1 a lift array widened
+    # whole would take several GB.
     monkeypatch.setattr(mu_module, "_shared", q.MuTable())
     s = q.make_semigroup(a, 1)
-    f, g = q.frobenius(s), q.genus(s)
+    tracemalloc.start()
+    try:
+        f, g = q.frobenius(s), q.genus(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     f_low, f_high = q.frobenius_bounds(a, 1)
     g_low, g_high = q.genus_bounds(a, 1)
     with capsys.disabled():
         print(f"\na = {a}: F/a^1.5 = {f / a**1.5:.4f}, g/a^1.5 = {g / a**1.5:.4f}")
+    assert (f, g) == AT_SCALE[a]
     assert f_low <= f <= f_high
     assert g_low <= g <= g_high
+    assert peak < 2 * a + (8 << 20), peak
 
 
 @pytest.mark.slow

@@ -140,6 +140,42 @@ def test_fill_at_many_chunk_boundaries(chunk, fold, monkeypatch):
     assert mismatches.size == 0, (chunk, mismatches[:5])
 
 
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_fill_window_keeps_an_optimal_partition(chunk, fold, monkeypatch):
+    # Every n of every chunk has an optimal partition, read off the
+    # unwindowed fold, whose largest index is at least the chunk's k_min,
+    # so no window cuts off every optimum.  The chunks are walked again on
+    # the filled table: `_chunks` reads only entries below each chunk,
+    # which are final by then.
+    if chunk is not None:
+        monkeypatch.setattr(mu_module, "_CHUNK", chunk)
+    n_max = 2 * 10**5
+    k_min = np.zeros(n_max + 1, dtype=np.int64)
+    for lo, end, k in mu_module._chunks(q.MuTable(n_max).values, 1, n_max):
+        k_min[lo : end + 1] = k
+    ref = fold[: n_max + 1]
+    top = np.zeros(n_max + 1, dtype=np.int64)  # largest index of an optimal partition
+    for i in range(2, q.largest_index(n_max) + 1):
+        t = q.triangular(i)
+        top[t:][ref[: n_max + 1 - t] + i == ref[t:]] = i
+    short = np.flatnonzero(top < k_min)
+    assert short.size == 0, (chunk, short[:5])
+
+
+def test_table_is_uint16_within_its_bound():
+    # The MuTable docstring's bound on every sum the fill forms.
+    assert math.ceil(q.gauss_bound(q.TABLE_LIMIT)) + q.largest_index(q.TABLE_LIMIT) < 2**16
+    tracemalloc.start()
+    try:
+        table = q.MuTable(q.triangular(2000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.values.dtype == np.uint16
+    # 2 bytes per entry is 4 MB; int64 entries alone would be 16 MB.
+    assert peak < 6 << 20, peak
+
+
 def test_fill_speed_at_c_2000():
     # certify fills the table to C(2000,2) in a fresh process.  The fastest
     # of three fresh fills is timed, so one scheduling stall does not count.

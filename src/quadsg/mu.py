@@ -11,13 +11,13 @@ C(2,2) = 1.  Values satisfy
 Allowing i = 1 would add the useless option mu(n) + 1 and is skipped.
 
 The module provides a growable bottom-up table (`MuTable`), filled by
-one loop over fixed-width chunks of consecutive n with one slice minimum
-per part index, over the few part indices that two exact bounds on the
-largest index of an optimal partition leave, an oracle (`mu_oracle`) that
-folds in one part at a time with no window, checked against the table up
-to n = 10**6, the analytic envelope around mu (`lower_bound`,
-`gauss_bound`, `combined_bound`).  `mu` and everything built on it read
-one process-wide table.
+one loop over chunks of consecutive n, at most a fixed width and at most a
+quarter past their start, with one slice minimum per part index, over the
+few part indices that two exact bounds on the largest index of an optimal
+partition leave, an oracle (`mu_oracle`) that folds in one part at a time
+with no window, checked against the table up to n = 10**6, the analytic
+envelope around mu (`lower_bound`, `gauss_bound`, `combined_bound`).  `mu`
+and everything built on it read one process-wide table.
 """
 
 from __future__ import annotations
@@ -98,11 +98,16 @@ class MuTable:
     k, so n <= mu(n)(k-1)/2 and the largest index of an optimal partition
     is at least 1 + 2n/U for any upper bound U >= mu(n).
 
-    With j = largest_index(end), U = j + max mu(0..j-1) bounds mu on the
-    whole chunk: taking the largest fitting part C(i,2) <= n leaves
-    n - C(i,2) < i <= j.  Where 0..j-1 is not filled yet, mu(m) <= 2m
-    stands in.  So k_min = 1 + ceil(2*lo/U), taken at the chunk's low end,
-    is at most the largest index of every optimal partition in the chunk.
+    Each chunk starts from a tentative end at most `_CHUNK` wide and at most
+    a quarter past lo, lo + min(_CHUNK, lo // 4 + 1) - 1: near the start of
+    the table a full-width end would give a loose U, a small k_min and,
+    after the cut below, chunks of one entry.  With j = largest_index of
+    the tentative end, U = j + max mu(0..j-1) bounds mu from lo to there:
+    taking the largest fitting part C(i,2) <= n leaves n - C(i,2) < i <= j.
+    Where 0..j-1 is not filled yet, mu(m) <= 2m stands in.  So
+    k_min = 1 + ceil(2*lo/U), taken at the chunk's low end, is at most the
+    largest index of every optimal partition up to the tentative end, and
+    so in the chunk, which the cut only shortens.
 
     A second bound raises k_min further.  A partition of n >= lo whose
     largest index is k scores k + mu(r) at best, r = n - C(k,2).  The floor
@@ -116,8 +121,13 @@ class MuTable:
     k_min the ruled-out indices are a prefix, and k_min steps past them.
     The steps stop by k = U at the latest, where the left side is
     C(U,2) > end because U >= j + 2 (mu(1) = 2, and j >= 2), so U - k never
-    goes negative.  At C(2000,2) and 10**7 this leaves 11 and 5 part
-    indices per chunk, where the first bound alone leaves 93 and 118.
+    goes negative.  `_second_bound` jumps most of the way: the left side is
+    k^2 - Uk + C(U,2), so no index below the larger real root of
+    k^2 - Uk + C(U,2) = lo passes, and the steps start from its integer
+    floor, which never overshoots.  Near the top of the table at C(2000,2)
+    and 10**7 this leaves 10 and 5 part indices per chunk, where the first
+    bound alone leaves 93 and 119; the whole fill makes 2,696 passes over
+    163 chunks and 6,010 over 651.
 
     So mu(n) is the least mu(n - C(i,2)) + i over k_min <= i with
     C(i,2) <= n.  The chunk is cut to end - lo < C(k_min,2), so every such
@@ -125,7 +135,10 @@ class MuTable:
     the chunk, and a chunk of one entry is the same step.  U comes from the
     table, never from the analytic bounds, which keeps those independently
     testable; the second bound uses the floor f only through integer
-    triangular numbers.  `_chunks` yields each chunk with its k_min.
+    triangular numbers and isqrt.  `_chunks` yields each chunk with its
+    k_min.  The fill steps C(i,2) up by i - 1 per part index, stops past
+    the chunk's end, and forms every sum but the first part index's in one
+    chunk-wide buffer, made once per fill.
 
     Entries are uint16, and no sum the fill forms can wrap.  Each is
     mu(m) + i with m < n <= TABLE_LIMIT and a part index
@@ -191,14 +204,17 @@ class MuTable:
 
     def _fill(self, lo: int, hi: int) -> None:
         dp = self._values
+        buf = np.empty(min(_CHUNK, hi - lo + 1), dtype=np.uint16)
         for lo, end, k_min in _chunks(dp, lo, hi):
             t = triangular(k_min)
             np.add(dp[lo - t : end + 1 - t], k_min, out=dp[lo : end + 1])
-            for i in range(k_min + 1, largest_index(end) + 1):
-                t = triangular(i)
+            i, t = k_min + 1, t + k_min
+            while t <= end:
                 start = max(lo, t)
                 part = dp[start : end + 1]
-                np.minimum(part, dp[start - t : end + 1 - t] + i, out=part)
+                src = np.add(dp[start - t : end + 1 - t], i, out=buf[: end + 1 - start])
+                np.minimum(part, src, out=part)
+                i, t = i + 1, t + i
 
 
 def _chunks(dp: np.ndarray, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
@@ -208,16 +224,30 @@ def _chunks(dp: np.ndarray, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
     next chunk is computed once the caller has filled this one.
     """
     while lo <= hi:
-        end = min(lo + _CHUNK - 1, hi)
+        end = min(lo + min(_CHUNK, lo // 4 + 1) - 1, hi)
         j = largest_index(end)
         ub = j + (int(dp[:j].max()) if j <= lo else 2 * (j - 1))
         k_min = max(2, 1 + -(-(2 * lo) // ub))
         if 2 * k_min >= ub:
-            while triangular(k_min) + triangular(ub - k_min) < lo:
-                k_min += 1
+            k_min = _second_bound(lo, ub, k_min)
         end = min(end, lo + triangular(k_min) - 1)
         yield lo, end, k_min
         lo = end + 1
+
+
+def _second_bound(lo: int, ub: int, k: int) -> int:
+    """Least i >= k with C(i,2) + C(ub-i,2) >= lo, for 2k >= ub and C(ub,2) >= lo.
+
+    The left side is i^2 - ub*i + C(ub,2), nondecreasing for i >= ub/2, and
+    below lo exactly between the real roots of i^2 - ub*i + C(ub,2) = lo.
+    So no answer lies below the larger root (ub + sqrt(4*lo + 2*ub - ub^2))/2
+    or, with no real root, below k.  The steps start from the floor of the
+    root, at most one short of the answer, rather than from k.
+    """
+    k = max(k, (ub + math.isqrt(max(0, 4 * lo + 2 * ub - ub * ub))) // 2)
+    while triangular(k) + triangular(ub - k) < lo:
+        k += 1
+    return k
 
 
 _shared = MuTable()

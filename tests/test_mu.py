@@ -162,6 +162,55 @@ def test_fill_window_keeps_an_optimal_partition(chunk, fold, monkeypatch):
     assert short.size == 0, (chunk, short[:5])
 
 
+def _stepped_bound(lo, ub, k):
+    # The second bound as first written: step k up from the first bound.
+    while q.triangular(k) + q.triangular(ub - k) < lo:
+        k += 1
+    return k
+
+
+def test_second_bound_matches_stepping_loop():
+    # Every (lo, U) with lo < 3000 and U < 200 that the fill can pose
+    # (C(U,2) >= lo), from the least k with 2k >= U, which leaves the jump
+    # all the work, and from one past the stepped answer, which the jump
+    # must not lower.  From any other k >= U/2 both give max(k, answer),
+    # because the left side is nondecreasing there.  The answer only grows
+    # with lo, so the stepping loop carries its k from one lo to the next.
+    posed = []
+    for ub in range(2, 200):
+        half = max(2, (ub + 1) // 2)
+        want = half
+        for lo in range(min(3000, q.triangular(ub) + 1)):
+            want = _stepped_bound(lo, ub, want)
+            posed.append((lo, ub, half, want))
+            if want < ub:
+                posed.append((lo, ub, want + 1, want + 1))
+    assert len(posed) > 8 * 10**5, len(posed)
+    wrong = [p for p in posed if mu_module._second_bound(*p[:3]) != p[3]]
+    assert not wrong, wrong[:5]
+    # A seeded sample up to lo = 10**8, with U and k_min as `_chunks` forms
+    # them: U at least largest_index(lo) + 2, a few hundred above it.
+    rng = random.Random(14)
+    for _ in range(3000):
+        lo = rng.randint(1, 10**8)
+        j = q.largest_index(lo)
+        ub = rng.randint(j + 2, j + 3 * math.isqrt(2 * j) + 50)
+        k = max(2, 1 + -(-(2 * lo) // ub))
+        if 2 * k >= ub:
+            assert mu_module._second_bound(lo, ub, k) == _stepped_bound(lo, ub, k), (lo, ub, k)
+
+
+def test_fill_work_counts_at_c_2000():
+    # certify's fill: the tentative chunk end at most a quarter past lo
+    # keeps the head of the table from splitting into one-entry chunks.
+    # Before it, the fill walked 389 chunks and 7,200 part-index passes.
+    n_max = q.triangular(2000)
+    chunks = list(mu_module._chunks(q.MuTable(n_max).values, 1, n_max))
+    passes = sum(q.largest_index(end) - k + 1 for _, end, k in chunks)
+    assert len(chunks) <= 170, len(chunks)
+    assert passes <= 2800, passes
+
+
 def test_table_is_uint16_within_its_bound():
     # The MuTable docstring's bound on every sum the fill forms.
     assert math.ceil(q.gauss_bound(q.TABLE_LIMIT)) + q.largest_index(q.TABLE_LIMIT) < 2**16

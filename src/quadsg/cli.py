@@ -11,6 +11,7 @@ import argparse
 import csv
 import itertools
 import json
+import operator
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -55,7 +56,8 @@ class _Record:
     the csv table, and `lines` the plain output, by default the csv rows
     joined by spaces.  Large parts are generators, so only the format asked
     for is built.  A format the record has nothing for prints its plain
-    lines.
+    lines, so a command that renders its csv rows with one line template
+    (`bounds`, `invariants`) gives them as `lines` and no header.
     """
 
     doc: object = None
@@ -112,8 +114,11 @@ def _cmd_mu(ns) -> _Record:
 
 def _cmd_bounds(ns) -> _Record:
     profiles = bound_profiles(ns.n_max)
-    rows = ([p.n, p.mu, _fmt(p.lower), _fmt(p.gauss), _fmt(p.combined)] for p in profiles)
-    return _Record(profiles, ["n", "mu", "lower", "gauss", "combined"], rows)
+    row = "%d,%d,%.9g,%.9g,%.9g" if ns.format == "csv" else "%d %d %.9g %.9g %.9g"
+    lines = (row % (p.n, p.mu, p.lower, p.gauss, p.combined) for p in profiles)
+    if ns.format == "csv":
+        lines = itertools.chain(["n,mu,lower,gauss,combined"], lines)
+    return _Record(profiles, lines=lines)
 
 
 def _cmd_semigroup(ns) -> _Record:
@@ -139,20 +144,11 @@ def _cmd_frobenius_or_genus(ns) -> _Record:
     return _Record({"a": s.a, "b": s.b, ns.command: value}, lines=[value])
 
 
-_SWEEP_HEADER = ["a", "b", "frobenius", "genus", "F_lo", "F_hi", "g_lo", "g_hi"]
-
-
-def _summary_row(summary) -> list:
-    return [
-        summary.a,
-        summary.b,
-        summary.frobenius,
-        summary.genus,
-        _fmt(summary.frobenius_low),
-        _fmt(summary.frobenius_high),
-        _fmt(summary.genus_low),
-        _fmt(summary.genus_high),
-    ]
+_SWEEP_HEADER = "a,b,frobenius,genus,F_lo,F_hi,g_lo,g_hi"
+_SWEEP_ROW = "%d,%d,%d,%d,%.9g,%.9g,%.9g,%.9g"
+_sweep_fields = operator.attrgetter(
+    "a", "b", "frobenius", "genus", "frobenius_low", "frobenius_high", "genus_low", "genus_high"
+)
 
 
 def _cmd_invariants(ns) -> _Record:
@@ -164,12 +160,13 @@ def _cmd_invariants(ns) -> _Record:
         # sweep prints the csv table, as it always has.
         if ns.format == "json":
             return _Record(summaries)
-        rows = map(_summary_row, summaries)
-        lines = (",".join(map(str, row)) for row in itertools.chain([_SWEEP_HEADER], rows))
-        return _Record(header=_SWEEP_HEADER, rows=rows, lines=lines)
+        rows = (_SWEEP_ROW % _sweep_fields(summary) for summary in summaries)
+        return _Record(lines=itertools.chain([_SWEEP_HEADER], rows))
     if ns.a is None or ns.b is None:
         raise _UsageError("need --a and --b (or --sweep with --a-max/--b-max)")
     summary = invariants_mod.invariant_summary(semigroup_mod.make_semigroup(ns.a, ns.b))
+    if ns.format == "csv":
+        return _Record(summary, lines=[_SWEEP_HEADER, _SWEEP_ROW % _sweep_fields(summary)])
     lines = [
         f"frobenius {summary.frobenius}",
         f"genus {summary.genus}",
@@ -177,7 +174,7 @@ def _cmd_invariants(ns) -> _Record:
         f"genus_bounds {_fmt(summary.genus_low)} {_fmt(summary.genus_high)}",
         f"bounds_certified {str(summary.bounds_certified).lower()}",
     ]
-    return _Record(summary, _SWEEP_HEADER, [_summary_row(summary)], lines)
+    return _Record(summary, lines=lines)
 
 
 def _cmd_embedding(ns) -> _Record:

@@ -30,6 +30,10 @@ _EXTRA_MINIMAL_INDEX: dict[tuple[int, int], int] = {
 
 _INDEX_LIMIT = 10**7
 
+# Most entries in one block of the minimal-generator oracle's scan: 2**16
+# int64 sums are 512 KiB, so memory stays flat however large a is.
+_REACH_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class MinimalGeneratorSet:
@@ -80,18 +84,30 @@ def minimal_generators_oracle(s: QuadraticSemigroup) -> MinimalGeneratorSet:
     w that no other nonzero Apery element w' reaches, i.e. w - w' is never
     in S (Rosales & Garcia-Sanchez, Numerical Semigroups, ch. 1).  Each is
     some y_n, read back by walking the generators in order.
+
+    Ap[r] is reached exactly when Ap[r] = Ap[r'] + Ap[(r - r') mod a] for
+    some r' not in {0, r}: if Ap[r] - Ap[r'] is in S, it is the Apery
+    element of its class, since Ap[r] - a is not in S.  Row r' of a
+    circulant view of the Apery set written twice holds Ap[(r - r') mod a]
+    for every r without a copy, and the rows are scanned in blocks of at
+    most `_REACH_BLOCK` entries.
     """
     if s.trivial:
         # The lone minimal generator 1 is y_1, or y_2 when a = 0.
         return MinimalGeneratorSet(semigroup=s, indices=(1,) if s.a == 1 else (2,))
     a, b = s.a, s.b
     ap = _apery(a, b)
-    # reached[r]: Ap[r] - w' is in S for some other nonzero Apery element w'.
+    # The zero Ap[0] at doubled[a] lands on the diagonal r' = r, where it
+    # would match every Ap[r] with itself; -1 there matches none.
+    doubled = np.concatenate((ap, ap))
+    doubled[a] = -1
+    circulant = np.lib.stride_tricks.sliding_window_view(doubled, a)[::-1]
     reached = np.zeros(a, dtype=bool)
     reached[0] = True
-    for w_prime in ap[1:]:
-        diff = ap - w_prime
-        reached |= (diff > 0) & (diff >= ap[diff % a])
+    rows = max(1, _REACH_BLOCK // a)
+    for lo in range(1, a, rows):
+        hi = min(lo + rows, a)
+        reached |= (ap[lo:hi, None] + circulant[lo:hi] == ap).any(axis=0)
     indices = [1]
     n, y = 1, a
     for w in np.sort(ap[~reached]).tolist():

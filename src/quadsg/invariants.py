@@ -180,6 +180,24 @@ def genus_oracle(s: QuadraticSemigroup) -> int:
     return int((ap - np.arange(s.a)).sum()) // s.a
 
 
+def _bounds(a: int, bs: list[int]) -> Iterator[tuple[float, float, float, float]]:
+    """(F low, F high, g low, g high) of S(a, b) for each b in bs, a >= 2.
+
+    The terms in a alone are taken once; each b then adds its own terms in
+    the order the single-pair expressions always used, so every float is
+    the same as theirs.
+    """
+    f_low = a / 2.0 * (1.0 + math.sqrt(8.0 * a - 7.0))
+    f_high = a / 2.0 * (3.0 + math.sqrt(24.0 * a - 15.0))
+    g_low = ((8.0 * a - 7.0) ** 1.5 + 12.0 * a - 13.0) / 24.0
+    g_high = (
+        math.sqrt(3.0) * (8.0 * a + 3.0) ** 1.5 + 36.0 * a - 36.0 - 11.0 * math.sqrt(33.0)
+    ) / 24.0
+    for b in bs:
+        shift = (a - 1) * (b - 1) / 2.0
+        yield (f_low + a * b - a - b, f_high + a * b - a - b, g_low + shift, g_high + shift)
+
+
 def frobenius_bounds(a: int, b: int) -> tuple[float, float]:
     """Closed sandwich for the Frobenius number of S(a,b).
 
@@ -188,21 +206,14 @@ def frobenius_bounds(a: int, b: int) -> tuple[float, float]:
     """
     if a < 2 or b < 1:
         raise ValueError("bounds need a >= 2 and b >= 1")
-    low = a / 2.0 * (1.0 + math.sqrt(8.0 * a - 7.0)) + a * b - a - b
-    high = a / 2.0 * (3.0 + math.sqrt(24.0 * a - 15.0)) + a * b - a - b
-    return (low, high)
+    return next(_bounds(a, [b]))[:2]
 
 
 def genus_bounds(a: int, b: int) -> tuple[float, float]:
     """Closed sandwich for the genus of S(a,b); same certification caveat."""
     if a < 2 or b < 1:
         raise ValueError("bounds need a >= 2 and b >= 1")
-    shift = (a - 1) * (b - 1) / 2.0
-    low = ((8.0 * a - 7.0) ** 1.5 + 12.0 * a - 13.0) / 24.0 + shift
-    high = (
-        math.sqrt(3.0) * (8.0 * a + 3.0) ** 1.5 + 36.0 * a - 36.0 - 11.0 * math.sqrt(33.0)
-    ) / 24.0 + shift
-    return (low, high)
+    return next(_bounds(a, [b]))[2:]
 
 
 def bounds_certified(a: int, b: int) -> bool:
@@ -228,13 +239,11 @@ class InvariantSummary:
 def _summaries(a: int, bs: list[int]) -> Iterator[InvariantSummary]:
     """Summaries of S(a, b) for each b in bs, all coprime to a >= 2.
 
-    F for every b comes from one lift array and g from one sum; the
-    bounds are taken one b at a time.
+    F for every b comes from one lift array, g from one sum, and the
+    bounds from one pass of `_bounds`.
     """
-    for b, f, g in zip(bs, _frobenius(a, bs), _genus(a, bs)):
-        f_low, f_high = frobenius_bounds(a, b)
-        g_low, g_high = genus_bounds(a, b)
-        yield InvariantSummary(a, b, f, g, f_low, f_high, g_low, g_high, bounds_certified(a, b))
+    for b, f, g, bounds in zip(bs, _frobenius(a, bs), _genus(a, bs), _bounds(a, bs)):
+        yield InvariantSummary(a, b, f, g, *bounds, bounds_certified(a, b))
 
 
 def invariant_summary(s: QuadraticSemigroup) -> InvariantSummary:

@@ -142,29 +142,39 @@ def _apery(a: int, b: int) -> np.ndarray:
     Starts from the span of y_1 = a (only class 0 reached) and folds in
     y_2, y_3, ... (Boecker & Liptak, Algorithmica 48, 2007).  Adding y
     moves along the cycles k -> k + y mod a, one per class mod
-    gcd(y, a); from a cycle's least entry, entry j becomes
-    min over i <= j of Ap[i] + (j - i)*y.  Generators grow with n, so once
-    one exceeds every entry no later one can lower any: the stop is exact.
+    gcd(y, a), each of length L = a / gcd(y, a); entry j becomes
+    min over t in 0..L-1 of Ap[j - t*y] + t*y (t = L returns to j at a
+    higher cost).  One running minimum of Ap - walk over the cycle written
+    twice, plus the walk, gives this at positions L..2L-1: position j + L
+    sees every predecessor at forward distance 0..L-1, and the farther
+    copies only repeat one of them at L*y more.  A y with y >= Ap[y mod a]
+    is skipped: y = Ap[y mod a] + k*a already lies in the span folded so
+    far, so it lowers nothing.  Generators grow with n, so once one
+    exceeds every entry no later one can lower any: the stop is exact.
     Uses only the generators; never mu or a closed form.
     """
-    # After y_2 every entry is at most (a-1)*y_2 and only y <= max(Ap) are
-    # folded, so every walk stays below a*a*y_2.  Under 2**62 no int64 wraps
-    # and no walk reaches the `unreached` marker 2**62 - 1.
+    # After y_2 (coprime to a) every entry is at most (a-1)*y_2, and only
+    # y <= max(Ap) are folded, so a walk of length 2L <= 2a reaches at most
+    # (2L-1)*y < 2*a*a*y_2, which the guard keeps below 2**63: no int64
+    # wraps.  Every folded value is at most the entry it replaces, so none
+    # passes the `unreached` marker 2**62 - 1.
     if a * a * (2 * a + b) >= 1 << 62:
         raise ValueError(f"S({a},{b}) is too large for the Apery-set oracle")
     unreached = (1 << 62) - 1
     ap = np.full(a, unreached, dtype=np.int64)
     ap[0] = 0
-    n, y = 2, 2 * a + b
-    while y <= ap.max():
-        d = math.gcd(y, a)
-        length = a // d
-        steps = np.arange(length, dtype=np.int64)
-        cycles = (np.arange(d)[:, None] + steps * (y % a)) % a
-        start = ap[cycles].argmin(axis=1)
-        cycles = np.take_along_axis(cycles, (start[:, None] + steps) % length, axis=1)
-        walk = steps * y
-        ap[cycles] = np.minimum.accumulate(ap[cycles] - walk, axis=1) + walk
+    n, y, top = 2, 2 * a + b, unreached
+    while y <= top:
+        if y < ap[y % a]:
+            d = math.gcd(y, a)
+            length = a // d
+            cycles = (np.arange(d)[:, None] + np.arange(length) * (y % a)) % a
+            walk = np.arange(2 * length, dtype=np.int64) * y
+            entries = ap[cycles]
+            twice = np.concatenate((entries, entries), axis=1)
+            folded = (np.minimum.accumulate(twice - walk, axis=1) + walk)[:, length:]
+            ap[cycles] = folded
+            top = folded.max()
         y += a + n * b
         n += 1
     ap.flags.writeable = False

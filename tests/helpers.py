@@ -6,6 +6,8 @@ bug in the package's optimized paths cannot hide here too.
 
 from __future__ import annotations
 
+import math
+
 from quadsg import mu_ab_closed
 
 
@@ -104,6 +106,20 @@ def apery_closed_plain(s) -> tuple[int, ...]:
     for n in range(a):
         elements[(n * b) % a] = mu_ab_closed(s, n) * a + n * b
     return tuple(elements)
+
+
+def invariant_bounds_plain(a: int, b: int) -> tuple[float, float, float, float]:
+    """(F low, F high, g low, g high) of S(a,b): the scalar expressions of
+    `frobenius_bounds` and `genus_bounds` as first written, one pair at a
+    time, in the same order of evaluation."""
+    f_low = a / 2.0 * (1.0 + math.sqrt(8.0 * a - 7.0)) + a * b - a - b
+    f_high = a / 2.0 * (3.0 + math.sqrt(24.0 * a - 15.0)) + a * b - a - b
+    shift = (a - 1) * (b - 1) / 2.0
+    g_low = ((8.0 * a - 7.0) ** 1.5 + 12.0 * a - 13.0) / 24.0 + shift
+    g_high = (
+        math.sqrt(3.0) * (8.0 * a + 3.0) ** 1.5 + 36.0 * a - 36.0 - 11.0 * math.sqrt(33.0)
+    ) / 24.0 + shift
+    return (f_low, f_high, g_low, g_high)
 
 
 def drop_hits_plain(values, a_max: int) -> list[tuple[int, int, int, int]]:

@@ -19,11 +19,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import quadsg as q
+from helpers import invariant_bounds_plain
 from quadsg import cli
 
 # The package exports a function named mu, which shadows the submodule on
 # the package object; go through importlib for the module itself.
 mu_module = importlib.import_module("quadsg.mu")
+invariants_module = importlib.import_module("quadsg.invariants")
 
 
 @pytest.fixture(autouse=True)
@@ -273,6 +275,52 @@ def test_invariants_sweep(capsys):
         a, b, frob, genus = int(row[0]), int(row[1]), int(row[2]), int(row[3])
         assert frob == q.frobenius(q.make_semigroup(a, b))
         assert genus == q.genus(q.make_semigroup(a, b))
+
+
+def csv_writer_text(header, rows):
+    # How the csv tables were written before their rows had line templates.
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+SWEEP_HEADER = ["a", "b", "frobenius", "genus", "F_lo", "F_hi", "g_lo", "g_hi"]
+
+
+def sweep_row(a, b):
+    s = q.make_semigroup(a, b)
+    bounds = [format(x, ".9g") for x in invariant_bounds_plain(a, b)]
+    return [a, b, q.frobenius(s), q.genus(s), *bounds]
+
+
+@pytest.mark.parametrize("a_max,b_max,block", [(400, 10, None), (80, 12, 40)])
+def test_sweep_csv_matches_csv_writer(a_max, b_max, block, capsys, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(invariants_module, "_SWEEP_BLOCK", block)
+    pairs = [(a, b) for a in range(2, a_max + 1) for b in range(1, b_max + 1) if math.gcd(a, b) == 1]
+    expected = csv_writer_text(SWEEP_HEADER, [sweep_row(a, b) for a, b in pairs])
+    argv = ["invariants", "--sweep", "--a-max", str(a_max), "--b-max", str(b_max)]
+    assert run_cli(capsys, *argv) == (0, expected, "")
+    assert run_cli(capsys, *argv, "--format", "plain") == (0, expected, "")
+
+
+def test_single_pair_csv_matches_csv_writer(capsys):
+    for a, b in [(29, 1), (29, 2), (10**6 + 1, 7)]:
+        expected = csv_writer_text(SWEEP_HEADER, [sweep_row(a, b)])
+        assert run_cli(capsys, "invariants", "--a", str(a), "--b", str(b)) == (0, expected, "")
+
+
+def test_bounds_rows_match_csv_writer(capsys):
+    rows = [
+        [p.n, p.mu, *(format(x, ".9g") for x in (p.lower, p.gauss, p.combined))]
+        for p in q.bound_profiles(5000)
+    ]
+    expected = csv_writer_text(["n", "mu", "lower", "gauss", "combined"], rows)
+    assert run_cli(capsys, "bounds", "--n-max", "5000") == (0, expected, "")
+    plain = "".join(" ".join(map(str, row)) + "\n" for row in rows)
+    assert run_cli(capsys, "bounds", "--n-max", "5000", "--format", "plain") == (0, plain, "")
 
 
 def test_invariants_sweep_needs_limits(capsys):

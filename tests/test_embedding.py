@@ -1,13 +1,18 @@
 """Minimal generator decisions, the oracle, and the embedding dimension."""
 
+import importlib
 import math
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import quadsg as q
 from helpers import minimal_generators_naive
+
+embedding_module = importlib.import_module("quadsg.embedding")
+semigroup_module = importlib.import_module("quadsg.semigroup")
 
 
 def closed_indices(a: int, b: int) -> tuple[int, ...]:
@@ -118,6 +123,37 @@ def test_oracle_vs_naive_closure():
         s = q.make_semigroup(a, b)
         expected = minimal_generators_naive(a, b, 700)
         assert list(q.minimal_generators_oracle(s).indices) == expected, (a, b)
+
+
+def _oracle_per_w_prime(a, b):
+    # The minimal-generator oracle as first written: one pass over the Apery
+    # set per nonzero element w', marking the elements w with w - w' in S.
+    ap = semigroup_module._apery(a, b)
+    reached = np.zeros(a, dtype=bool)
+    reached[0] = True
+    for w_prime in ap[1:]:
+        diff = ap - w_prime
+        reached |= (diff > 0) & (diff >= ap[diff % a])
+    indices = [1]
+    n, y = 1, a
+    for w in np.sort(ap[~reached]).tolist():
+        while y < w:
+            y += a + n * b
+            n += 1
+        indices.append(n)
+    return tuple(indices)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7])
+def test_oracle_matches_per_w_prime_reference(rows, monkeypatch):
+    # One block per a by default; with 1 or 7 rows per block the scan
+    # crosses a block edge at every a past 2 or past 8.
+    pairs = [(a, b) for a in range(2, 151) for b in range(1, 7) if math.gcd(a, b) == 1]
+    for a, b in pairs + sorted(q.EXCEPTIONAL_PAIRS):
+        if rows is not None:
+            monkeypatch.setattr(embedding_module, "_REACH_BLOCK", rows * a)
+        got = q.minimal_generators_oracle(q.make_semigroup(a, b)).indices
+        assert got == _oracle_per_w_prime(a, b), (a, b, rows)
 
 
 def test_oracle_speed_at_a_1000():

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 import quadsg as q
-from helpers import apery_closed_plain, semigroup_members
+from helpers import apery_closed_plain, invariant_bounds_plain, semigroup_members
 
 # The package exports a function named mu; go through importlib for the module.
 mu_module = importlib.import_module("quadsg.mu")
@@ -188,6 +188,21 @@ def test_sweep_matches_pair_by_pair(monkeypatch):
     monkeypatch.setattr(mu_module, "_shared", q.MuTable())
     assert list(invariants_module._sweep(400, 10)) == summaries_pair_by_pair(400, 10)
     assert q.shared_table().n_max == 399
+
+
+def test_bounds_floats_equal_the_scalar_expressions(monkeypatch):
+    # The sweep takes the terms in a alone once per a; every float must
+    # still be the one the pair-by-pair expressions give, not merely close.
+    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
+    for r in invariants_module._sweep(400, 10):
+        got = (r.frobenius_low, r.frobenius_high, r.genus_low, r.genus_high)
+        assert got == invariant_bounds_plain(r.a, r.b), (r.a, r.b)
+    a = 10**6 + 1
+    bs = [1, 2, 3, 7, 10, 999_999]
+    for b, got in zip(bs, invariants_module._bounds(a, bs), strict=True):
+        want = invariant_bounds_plain(a, b)
+        assert got == want, b
+        assert q.frobenius_bounds(a, b) + q.genus_bounds(a, b) == want, b
 
 
 @pytest.mark.parametrize("block", [None, 40])

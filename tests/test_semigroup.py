@@ -1,12 +1,17 @@
 """Semigroup construction, membership, the lifted monoid, and least lifts."""
 
+import importlib
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
 import quadsg as q
 from helpers import least_lift_scan, lift_members, semigroup_members
+
+semigroup_module = importlib.import_module("quadsg.semigroup")
 
 
 def test_make_semigroup_validation():
@@ -97,6 +102,50 @@ def test_oracle_refuses_pairs_past_int64():
         q.contains(s, 10**20)
     with pytest.raises(ValueError):
         q.mu_ab_oracle(s, 1)
+
+
+def _round_robin_apery(a, b):
+    # The Apery oracle as first written: every y <= max(Ap) is folded, each
+    # cycle rotated to start at its least entry, then one running minimum.
+    unreached = (1 << 62) - 1
+    ap = np.full(a, unreached, dtype=np.int64)
+    ap[0] = 0
+    n, y = 2, 2 * a + b
+    while y <= ap.max():
+        d = math.gcd(y, a)
+        length = a // d
+        steps = np.arange(length, dtype=np.int64)
+        cycles = (np.arange(d)[:, None] + steps * (y % a)) % a
+        start = ap[cycles].argmin(axis=1)
+        cycles = np.take_along_axis(cycles, (start[:, None] + steps) % length, axis=1)
+        walk = steps * y
+        ap[cycles] = np.minimum.accumulate(ap[cycles] - walk, axis=1) + walk
+        y += a + n * b
+        n += 1
+    return ap
+
+
+def _largest_b_under_guard(a):
+    last = ((1 << 62) - 1) // (a * a) - 2 * a
+    return next(b for b in range(last, 0, -1) if math.gcd(a, b) == 1)
+
+
+def test_apery_matches_round_robin_reference():
+    rng = random.Random(15)
+    pairs = []
+    while len(pairs) < 40:
+        a, b = rng.randrange(2, 3000), rng.randrange(1, 60)
+        if math.gcd(a, b) == 1:
+            pairs.append((a, b))
+    # With 3 | a and a > 3, y_3 = 3a + 3b shares the factor 3 with a and
+    # lies outside the span of a and y_2 (that would need j*y_2 = y_3 - i*a
+    # with j = 3, so i = -3), so it is folded along three cycles of a/3.
+    pairs += [(6, 1), (99, 1), (300, 7), (1200, 1), (2997, 59)]
+    pairs += sorted(q.EXCEPTIONAL_PAIRS)
+    pairs += [(a, _largest_b_under_guard(a)) for a in (3, 100, 1999)]
+    for a, b in pairs:
+        got = semigroup_module._apery(a, b)
+        assert np.array_equal(got, _round_robin_apery(a, b)), (a, b)
 
 
 # The lifted pair monoid holds (m, n) exactly when mu(n) <= m, and m*a + n*b

@@ -52,7 +52,8 @@ class _Record:
     """What one command prints, in each format it offers.
 
     `doc` is the json document (dataclasses in it go through `asdict`; an
-    iterator prints as an array, one item at a time), `header` and `rows`
+    iterator prints as an array, one item at a time, and a str item in it
+    is json text already rendered at the array's indent), `header` and `rows`
     the csv table, and `lines` the plain output, by default the csv rows
     joined by spaces.  Large parts are generators, so only the format asked
     for is built.  A format the record has nothing for prints its plain
@@ -92,7 +93,9 @@ def _dump_array(items: Iterator, out) -> None:
     """Write items as `json.dump` writes their list at indent 2, as they come."""
     sep = "[\n  "
     for item in items:
-        out.write(sep + json.dumps(item, indent=2, default=asdict).replace("\n", "\n  "))
+        if not isinstance(item, str):
+            item = json.dumps(item, indent=2, default=asdict).replace("\n", "\n  ")
+        out.write(sep + item)
         sep = ",\n  "
     out.write("[]" if sep == "[\n  " else "\n]")
 
@@ -112,13 +115,22 @@ def _cmd_mu(ns) -> _Record:
     return _Record({"n": ns.n, "mu": value}, ["n", "mu"], [[ns.n, value]], [value])
 
 
+# One `bounds` row per format.  The json one is what `_dump_array` would
+# write for its BoundProfile: json prints a float as its repr, and every
+# field here is a Python number.
+_BOUNDS_ROW = {
+    "csv": "%d,%d,%.9g,%.9g,%.9g",
+    "plain": "%d %d %.9g %.9g %.9g",
+    "json": '{\n    "n": %d,\n    "mu": %d,\n    "lower": %r,\n    "gauss": %r,\n    "combined": %r\n  }',
+}
+
+
 def _cmd_bounds(ns) -> _Record:
-    profiles = bound_profiles(ns.n_max)
-    row = "%d,%d,%.9g,%.9g,%.9g" if ns.format == "csv" else "%d %d %.9g %.9g %.9g"
-    lines = (row % (p.n, p.mu, p.lower, p.gauss, p.combined) for p in profiles)
+    row = _BOUNDS_ROW[ns.format]
+    lines = (row % (p.n, p.mu, p.lower, p.gauss, p.combined) for p in bound_profiles(ns.n_max))
     if ns.format == "csv":
         lines = itertools.chain(["n,mu,lower,gauss,combined"], lines)
-    return _Record(profiles, lines=lines)
+    return _Record(lines, lines=lines)
 
 
 def _cmd_semigroup(ns) -> _Record:
@@ -155,12 +167,13 @@ def _cmd_invariants(ns) -> _Record:
     if ns.sweep:
         if ns.a_max is None or ns.b_max is None:
             raise _UsageError("--sweep needs --a-max and --b-max")
-        summaries = invariants_mod._sweep(ns.a_max, ns.b_max)
-        # Rows are rendered as they are made, in every format.  A plain
-        # sweep prints the csv table, as it always has.
+        # Rows are rendered as they are made, in every format, a block of
+        # columns at a time.  A plain sweep prints the csv table, as it
+        # always has.
         if ns.format == "json":
-            return _Record(summaries)
-        rows = (_SWEEP_ROW % _sweep_fields(summary) for summary in summaries)
+            return _Record(invariants_mod._sweep(ns.a_max, ns.b_max))
+        blocks = invariants_mod._sweep_columns(ns.a_max, ns.b_max)
+        rows = ("\n".join(_SWEEP_ROW % row for row in zip(*block)) for block in blocks)
         return _Record(lines=itertools.chain([_SWEEP_HEADER], rows))
     if ns.a is None or ns.b is None:
         raise _UsageError("need --a and --b (or --sweep with --a-max/--b-max)")

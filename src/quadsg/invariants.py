@@ -118,8 +118,8 @@ def _frobenius(a: int, bs: list[int]) -> list[int]:
     """F of S(a, b) for each b in bs: the row maxima of `_lifted`, less a.
 
     The maxima run over blocks of at most `_SWEEP_BLOCK` entries, so the
-    temporaries stay small however large a is; at a <= 400 each call of
-    the sweep is one block.
+    temporaries stay small however large a is.  The single-pair path, and
+    the reference the sweep's scans are tested against.
     """
     blocks = _lifted(a, bs, max(1, _SWEEP_BLOCK // len(bs)))
     return (functools.reduce(np.maximum, (block.max(axis=1) for block in blocks)) - a).tolist()
@@ -180,6 +180,28 @@ def genus_oracle(s: QuadraticSemigroup) -> int:
     return int((ap - np.arange(s.a)).sum()) // s.a
 
 
+def _a_terms(a: int) -> tuple[float, float, float, float]:
+    """The terms of the four bounds in a alone, in Python floats."""
+    return (
+        a / 2.0 * (1.0 + math.sqrt(8.0 * a - 7.0)),
+        a / 2.0 * (3.0 + math.sqrt(24.0 * a - 15.0)),
+        ((8.0 * a - 7.0) ** 1.5 + 12.0 * a - 13.0) / 24.0,
+        (math.sqrt(3.0) * (8.0 * a + 3.0) ** 1.5 + 36.0 * a - 36.0 - 11.0 * math.sqrt(33.0)) / 24.0,
+    )
+
+
+def _with_b(terms, a, b) -> tuple:
+    """(F low, F high, g low, g high): `_a_terms` plus the terms in b.
+
+    The same expression serves Python numbers and int64/float64 arrays.
+    Both round each step the same way, because every integer here converts
+    to a float exactly.
+    """
+    f_low, f_high, g_low, g_high = terms
+    shift = (a - 1) * (b - 1) / 2.0
+    return (f_low + a * b - a - b, f_high + a * b - a - b, g_low + shift, g_high + shift)
+
+
 def _bounds(a: int, bs: list[int]) -> Iterator[tuple[float, float, float, float]]:
     """(F low, F high, g low, g high) of S(a, b) for each b in bs, a >= 2.
 
@@ -187,15 +209,8 @@ def _bounds(a: int, bs: list[int]) -> Iterator[tuple[float, float, float, float]
     the order the single-pair expressions always used, so every float is
     the same as theirs.
     """
-    f_low = a / 2.0 * (1.0 + math.sqrt(8.0 * a - 7.0))
-    f_high = a / 2.0 * (3.0 + math.sqrt(24.0 * a - 15.0))
-    g_low = ((8.0 * a - 7.0) ** 1.5 + 12.0 * a - 13.0) / 24.0
-    g_high = (
-        math.sqrt(3.0) * (8.0 * a + 3.0) ** 1.5 + 36.0 * a - 36.0 - 11.0 * math.sqrt(33.0)
-    ) / 24.0
-    for b in bs:
-        shift = (a - 1) * (b - 1) / 2.0
-        yield (f_low + a * b - a - b, f_high + a * b - a - b, g_low + shift, g_high + shift)
+    terms = _a_terms(a)
+    return (_with_b(terms, a, b) for b in bs)
 
 
 def frobenius_bounds(a: int, b: int) -> tuple[float, float]:
@@ -236,51 +251,137 @@ class InvariantSummary:
     bounds_certified: bool
 
 
-def _summaries(a: int, bs: list[int]) -> Iterator[InvariantSummary]:
-    """Summaries of S(a, b) for each b in bs, all coprime to a >= 2.
-
-    F for every b comes from one lift array, g from one sum, and the
-    bounds from one pass of `_bounds`.
-    """
-    for b, f, g, bounds in zip(bs, _frobenius(a, bs), _genus(a, bs), _bounds(a, bs)):
-        yield InvariantSummary(a, b, f, g, *bounds, bounds_certified(a, b))
-
-
 def invariant_summary(s: QuadraticSemigroup) -> InvariantSummary:
-    """Everything at once for one nontrivial semigroup: the sweep's one-b case."""
+    """Everything at once for one nontrivial semigroup."""
     require_nontrivial(s)
-    return next(_summaries(s.a, [s.b]))
+    a, b = s.a, s.b
+    f, g = _frobenius(a, [b])[0], _genus(a, [b])[0]
+    return InvariantSummary(a, b, f, g, *next(_bounds(a, [b])), bounds_certified(a, b))
 
 
 # Most entries in one block of lifted values: 2**16 int64 values are
-# 512 KiB.  It caps `_sweep`'s block of b values per a and `_frobenius`'s
-# block of n.  Without a cap, a grid that the size check allows would
-# allocate a * b_max entries at once (800 MB at a = 2, b_max = 5*10**7)
-# before its first row, and F at a = 10**8 - 1 would widen the whole lift
-# array (several GB); with it, both stream.  At a <= 400 and b_max <= 10
-# each a is still one block.
+# 512 KiB.  It caps `_frobenius`'s block of n, and an eighth of it caps a
+# block of the sweep's grid, whose eight columns, once Python lists, then
+# hold at most 2**16 entries.  Without a cap, a grid that the size check
+# allows would allocate a * b_max entries at once (800 MB at a = 2,
+# b_max = 5*10**7) before its first row, and F at a = 10**8 - 1 would
+# widen the whole lift array (several GB); with it, both stream.
 _SWEEP_BLOCK = 1 << 16
+
+
+def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """(a, b, F, g) of every coprime pair 2 <= a <= a_max, 1 <= b <= b_max.
+
+    Rows come a ascending, then b ascending, in int64 arrays of at most
+    `_SWEEP_BLOCK // 8` pairs.  F and g for every a come from scans of
+    the mu table, not from one lift array per a.
+
+    Let M(a) = max mu(0..a-1), and let last_m(a) be the largest n < a with
+    mu(n) = m.  F(a, b) + a is the largest lift mu(n)*a + n*b over n < a,
+    and within one level m = mu(n) the last n wins.  So, away from the
+    exceptional pairs,
+
+        F(a, b) = max over d < min(b, M(a)+1) of
+                  (M(a)-d)*a + last_{M(a)-d}(a)*b - a,
+
+    skipping every level M-d that no n < a takes (mu never takes the
+    value 1, for one).  A level M-d with d >= b cannot win: its term is at
+    most (M-b)*a + (a-1)*b < M*a, and the d = 0 term is at least M*a.  So
+    the scan may take every d below min(b_max, M+1) for every b: it also
+    reads a missing level as last = -1, whose term (M-d)*a - b is below
+    M*a as well.  The genus is g(a, b) = sum mu(0..a-1) + (a-1)(b-1)/2,
+    as in `_genus`, read off one running sum.
+
+    The eight exceptional pairs, all at b = 1, keep their drop: their F
+    and g come from the per-a `_frobenius` and `_genus`.  The drop moves F
+    at a = 29, 47 and 79.
+
+    a runs in blocks that the table's growth also bounds (`_grow`), so the
+    first rows come at once.  M, the last n of every level and the running
+    sum carry from block to block.  Within a block, last_m(a) is one
+    binary search per d into the block's mu values sorted by (mu, n); the
+    carried last n answers the levels that the block has not reached by
+    a.  Everything fits in int64 under `_sweep_columns`' size check:
+    M*a <= 2*a**2 since mu(n) <= 2n, and (a-1)*b <= 10**8.
+    """
+    if b_max < 1:
+        return
+    cap = max(1, _SWEEP_BLOCK // 8)
+    width = max(1, cap // b_max)
+    last = np.full(1 << 16, -1, dtype=np.int64)  # one slot per uint16 level
+    top = total = 0
+    a0 = 2
+    while a0 <= a_max:
+        values = _grow(a0 - 1, a_max - 1).values
+        a1 = min(a0 + width, a_max + 1, len(values) + 1)
+        lo, size = a0 - 1, a1 - a0  # block of n = a - 1
+        mus = values[lo : a1 - 1].astype(np.int64)
+        tops = np.maximum(np.maximum.accumulate(mus), top)
+        sums = np.cumsum(mus) + total
+        at = np.arange(size)
+        keys = np.sort(mus * size + at)  # (mu(n), n - lo), ordered
+        # One column per d: the level M - d, and its last n below a.
+        level = tops[:, None] - np.arange(min(b_max, int(tops[-1]) + 1))
+        pos = np.searchsorted(keys, level * size + at[:, None], side="right") - 1
+        key = keys[pos]
+        here = (pos >= 0) & (key // size == level)
+        carried = np.where(level >= 0, last[np.maximum(level, 0)], -1)
+        lasts = np.where(here, key % size + lo, carried)
+        ends = np.flatnonzero(np.diff(keys // size, append=-1))
+        last[keys[ends] // size] = keys[ends] % size + lo
+        top, total = int(tops[-1]), int(sums[-1])
+
+        a = np.arange(a0, a1)[:, None]
+        heads = level * a
+        step = max(1, cap // size)
+        for b0 in range(1, b_max + 1, step):
+            b = np.arange(b0, min(b0 + step, b_max + 1))
+            f = heads[:, :1] + lasts[:, :1] * b
+            for d in range(1, heads.shape[1]):
+                np.maximum(f, heads[:, d : d + 1] + lasts[:, d : d + 1] * b, out=f)
+            f -= a
+            g = sums[:, None] + (a - 1) * (b - 1) // 2
+            for ea, eb in EXCEPTIONAL_PAIRS:
+                if a0 <= ea < a1 and b0 <= eb <= b[-1]:
+                    f[ea - a0, eb - b0] = _frobenius(ea, [eb])[0]
+                    g[ea - a0, eb - b0] = _genus(ea, [eb])[0]
+            keep = np.gcd(a, b) == 1
+            if keep.any():
+                grid = np.broadcast_arrays(a, b)
+                yield grid[0][keep], grid[1][keep], f[keep], g[keep]
+        a0 = a1
+
+
+def _sweep_columns(a_max: int, b_max: int) -> Iterator[list[list]]:
+    """The sweep's rows as columns a, b, F, g, F low, F high, g low, g high.
+
+    One list of Python lists per block of `_scan`.  The bounds take the
+    terms in a alone once per a, as `_bounds` does, and add the terms in b
+    over the whole block in the same order, so every float equals the
+    single-pair one.  An oversized grid is refused at the call, before any
+    row; this also keeps a_max - 1 within what the mu table holds.
+    """
+    if (a_max - 1) * max(b_max, 1) > TABLE_LIMIT:
+        raise ValueError(f"sweep needs (a_max - 1) * b_max <= {TABLE_LIMIT}")
+
+    def blocks() -> Iterator[list[list]]:
+        for a, b, f, g in _scan(a_max, b_max):
+            first = int(a[0])
+            terms = np.array([_a_terms(x) for x in range(first, int(a[-1]) + 1)])
+            bounds = _with_b(terms[a - first].T, a, b)
+            yield [column.tolist() for column in (a, b, f, g, *bounds)]
+
+    return blocks()
 
 
 def _sweep(a_max: int, b_max: int) -> Iterator[InvariantSummary]:
     """Summaries of every coprime pair with 2 <= a <= a_max and 1 <= b <= b_max.
 
-    Rows come a ascending, then b ascending, as they are made: per a, one
-    lift array serves a block of b values (`_SWEEP_BLOCK`).  The table
-    grows with a, in doubling steps that end at a_max - 1.  An oversized
-    grid is refused at the call, before any row; this also keeps
-    a_max - 1 within what the mu table holds.
+    Rows come a ascending, then b ascending, as `_scan` makes them; an
+    oversized grid is refused at the call (`_sweep_columns`).
     """
-    if (a_max - 1) * max(b_max, 1) > TABLE_LIMIT:
-        raise ValueError(f"sweep needs (a_max - 1) * b_max <= {TABLE_LIMIT}")
-
-    def rows() -> Iterator[InvariantSummary]:
-        for a in range(2, a_max + 1):
-            width = max(1, _SWEEP_BLOCK // a)
-            for lo in range(1, b_max + 1, width):
-                bs = [b for b in range(lo, min(lo + width, b_max + 1)) if math.gcd(a, b) == 1]
-                if bs:
-                    _grow(a - 1, a_max - 1)
-                    yield from _summaries(a, bs)
-
-    return rows()
+    return (
+        InvariantSummary(*row, bounds_certified(row[0], row[1]))
+        for block in _sweep_columns(a_max, b_max)
+        for row in zip(*block)
+    )

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -165,17 +167,22 @@ def test_sweep_past_limit_is_domain_error(capsys):
         assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
+def cli_process(argv):
+    """A CLI subprocess on this source tree, its stdout piped as text."""
+    src_dir = str(Path(q.__file__).resolve().parents[1])
+    path = os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.Popen(
+        [sys.executable, "-m", "quadsg.cli", *argv], stdout=subprocess.PIPE, text=True, env=env
+    )
+
+
 def first_lines(argv, count):
     """The first `count` stdout lines of a CLI subprocess, then kill it.
 
     A watchdog kills the process if they do not come within 10 s.
     """
-    src_dir = str(Path(q.__file__).resolve().parents[1])
-    path = os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "quadsg.cli", *argv], stdout=subprocess.PIPE, text=True, env=env
-    )
+    proc = cli_process(argv)
     watchdog = threading.Timer(10, proc.kill)
     watchdog.start()
     try:
@@ -217,6 +224,47 @@ def test_bounds_streams_rows():
         "1,2,2,4.37228132,5\n",
         "2,4,2.56155281,5.27491722,6.43206265\n",
     ]
+
+
+@pytest.mark.slow
+def test_sweep_of_a_million_by_ten():
+    # The size check allows (10**6, 10): about 6*10**6 rows.  The scans make
+    # the first row come at once and the whole grid well inside a minute.
+    argv = ["invariants", "--sweep", "--a-max", "1000000", "--b-max", "10"]
+    sample = {2, 3, 29, 47, 79, 1000, 65_537, 999_983, 10**6}
+    sample |= set(random.Random(16).sample(range(4, 10**6), 20))
+    start = time.perf_counter()
+    proc = cli_process(argv)
+    watchdog = threading.Timer(120, proc.kill)
+    watchdog.start()
+    try:
+        assert proc.stdout.readline() == SWEEP_HEADER_LINE
+        first = proc.stdout.readline()
+        first_row_s = time.perf_counter() - start
+        count, sampled = 1, [first]
+        for line in proc.stdout:
+            count += 1
+            if int(line[: line.index(",")]) in sample:
+                sampled.append(line)
+        code = proc.wait()
+    finally:
+        watchdog.cancel()
+        proc.kill()
+        proc.stdout.close()
+    elapsed = time.perf_counter() - start
+    print(f"\n(10**6, 10): first row after {first_row_s:.2f} s, {count} rows in {elapsed:.1f} s")
+    assert code == 0
+    assert first_row_s < 5
+    assert elapsed < 60
+    a = np.arange(2, 10**6 + 1)
+    assert count == sum(int((np.gcd(a, b) == 1).sum()) for b in range(1, 11))
+    expected = [
+        cli._SWEEP_ROW % cli._sweep_fields(q.invariant_summary(q.make_semigroup(a, b))) + "\n"
+        for a in sorted(sample | {2})
+        for b in range(1, 11)
+        if math.gcd(a, b) == 1
+    ]
+    assert sampled == expected
 
 
 def test_sweep_json_streams_objects():
@@ -287,6 +335,7 @@ def csv_writer_text(header, rows):
 
 
 SWEEP_HEADER = ["a", "b", "frobenius", "genus", "F_lo", "F_hi", "g_lo", "g_hi"]
+SWEEP_HEADER_LINE = ",".join(SWEEP_HEADER) + "\n"
 
 
 def sweep_row(a, b):
@@ -321,6 +370,15 @@ def test_bounds_rows_match_csv_writer(capsys):
     assert run_cli(capsys, "bounds", "--n-max", "5000") == (0, expected, "")
     plain = "".join(" ".join(map(str, row)) + "\n" for row in rows)
     assert run_cli(capsys, "bounds", "--n-max", "5000", "--format", "plain") == (0, plain, "")
+
+
+def test_bounds_json_matches_json_dump(capsys):
+    # The json rows come from one template; byte for byte what json.dump
+    # writes for the whole list of profiles.
+    expected = io.StringIO()
+    json.dump(list(q.bound_profiles(5000)), expected, indent=2, default=asdict)
+    argv = ["bounds", "--n-max", "5000", "--format", "json"]
+    assert run_cli(capsys, *argv) == (0, expected.getvalue() + "\n", "")
 
 
 def test_invariants_sweep_needs_limits(capsys):

@@ -6,6 +6,7 @@ import math
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import quadsg as q
@@ -225,6 +226,46 @@ def test_sweep_covers_exceptional_pairs(block, monkeypatch):
         assert invariants_module._genus(a, cols) == [r.genus for r in expected]
 
 
+def scanned(a_max, b_max):
+    """{(a, b): (F, g)} off the sweep's scans, in the order they come."""
+    rows = {}
+    for block in invariants_module._scan(a_max, b_max):
+        for a, b, f, g in zip(*(column.tolist() for column in block)):
+            rows[a, b] = (f, g)
+    return rows
+
+
+def per_a_reference():
+    """{(a, b): (F, g)} from one lift array per a (`_frobenius`, `_genus`):
+    every a < 3001 at b = 1, and every coprime a < 1500 at b = 2, 3, 5, 7
+    and 10."""
+    rows = {}
+    for a_max, bs in [(3000, [1]), (1499, [2, 3, 5, 7, 10])]:
+        for a in range(2, a_max + 1):
+            cols = [b for b in bs if math.gcd(a, b) == 1]
+            if cols:  # none at a = 210 and its multiples
+                fs, gs = invariants_module._frobenius(a, cols), invariants_module._genus(a, cols)
+                rows.update(zip(((a, b) for b in cols), zip(fs, gs)))
+    return rows
+
+
+@pytest.mark.parametrize("block", [None, 64])
+def test_scan_matches_per_a_reference(block, monkeypatch):
+    # With a 64-entry cap a block holds at most 8 pairs, so M, the last n
+    # of each level and the sum carry across hundreds of block edges.
+    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
+    expected = per_a_reference()
+    if block is not None:
+        monkeypatch.setattr(invariants_module, "_SWEEP_BLOCK", block)
+    ones = scanned(3000, 1)
+    assert list(ones) == [(a, 1) for a in range(2, 3001)]
+    assert ones == {key: value for key, value in expected.items() if key[1] == 1}
+    rows = scanned(1499, 10)
+    assert {key: rows[key] for key in expected if key[1] > 1} == {
+        key: value for key, value in expected.items() if key[1] > 1
+    }
+
+
 def test_sweep_streams_in_bounded_memory(monkeypatch):
     # The size check allows a = 2 with 5*10**7 values of b; its first rows
     # come from one capped block, not from a 2 x b_max array.
@@ -363,3 +404,45 @@ def test_closed_vs_oracle_to_a_1000_b_50(monkeypatch):
         assert (row.a, row.b) == (a, b)
         assert row.frobenius == max(oracle) - a, (a, b)
         assert row.genus == (sum(oracle) - a * (a - 1) // 2) // a, (a, b)
+
+
+@pytest.mark.slow
+def test_decade_profile_to_a_hundred_million(capsys, monkeypatch):
+    # F/a^1.5 and g/a^1.5 at b = 1 for every a < 10**8, from the sweep's
+    # block scan, reported per decade: the least and largest ratio over the
+    # decade and the ratio at its last a.  Beside the table, only the
+    # scan's blocks are held.
+    a_max = 10**8 - 1
+    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
+    edges = 10 ** np.arange(10)
+    decades, pinned = {}, {}
+    tracemalloc.start()
+    try:
+        q.shared_table().ensure(a_max - 1)
+        for a, _, f, g in invariants_module._scan(a_max, 1):
+            first, ratios = int(a[0]), np.stack([f, g]) / a**1.5
+            for k in range(len(str(first)) - 1, len(str(int(a[-1])))):
+                part = ratios[:, max(0, 10**k - first) : 10 ** (k + 1) - first]
+                low, high, end = part.min(axis=1), part.max(axis=1), part[:, -1]
+                if k in decades:
+                    low = np.minimum(low, decades[k][0])
+                    high = np.maximum(high, decades[k][1])
+                decades[k] = (low, high, end)
+            for x in AT_SCALE:
+                if first <= x <= a[-1]:
+                    pinned[x] = (int(f[x - first]), int(g[x - first]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pinned == AT_SCALE
+    assert peak < 2 * a_max + (8 << 20), peak
+    limits = np.array([math.sqrt(2.0), 2.0 * math.sqrt(2.0) / 3.0])
+    ends = np.array([decades[k][2] for k in range(3, 8)])
+    fit = np.polyfit(np.log(edges[4:9] - 1.0), np.log(ends - limits), 1)[0]
+    with capsys.disabled():
+        print("\ndecade       F/a^1.5 least, largest, at end   g/a^1.5 least, largest, at end")
+        for k, (low, high, end) in sorted(decades.items()):
+            print(f"[1e{k}, 1e{k + 1})  {low[0]:.5f} {high[0]:.5f} {end[0]:.5f}"
+                  f"   {low[1]:.5f} {high[1]:.5f} {end[1]:.5f}")
+        print(f"fitted exponent of the distance at a = 10^k - 1, k = 4..8:"
+              f" F/a^1.5 - sqrt(2): {fit[0]:.3f}, g/a^1.5 - 2 sqrt(2)/3: {fit[1]:.3f}")

@@ -308,7 +308,7 @@ def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:
         return
     cap = max(1, _SWEEP_BLOCK // 8)
     width = max(1, cap // b_max)
-    last = np.full(1 << 16, -1, dtype=np.int64)  # one slot per uint16 level
+    last = np.full(min(1 << 16, 2 * a_max), -1, dtype=np.int64)  # one slot per level
     top = total = 0
     a0 = 2
     while a0 <= a_max:

@@ -184,8 +184,8 @@ def test_invariant_summary():
 
 
 def test_sweep_matches_pair_by_pair(monkeypatch):
-    # The benchmark's grid: a <= 400 is one block per a.  The table grows
-    # with a and ends at a_max - 1.
+    # The benchmark's grid.  The table grows with the scan's blocks of a
+    # and ends at a_max - 1.
     monkeypatch.setattr(mu_module, "_shared", q.MuTable())
     assert list(invariants_module._sweep(400, 10)) == summaries_pair_by_pair(400, 10)
     assert q.shared_table().n_max == 399
@@ -209,7 +209,7 @@ def test_bounds_floats_equal_the_scalar_expressions(monkeypatch):
 @pytest.mark.parametrize("block", [None, 40])
 def test_sweep_covers_exceptional_pairs(block, monkeypatch):
     # All eight exceptional pairs (a <= 79, b = 1); with 40-entry blocks
-    # every a past 3 spans several blocks, and past 20 one b per block.
+    # the scan takes 5 pairs at a time, so every a spans three blocks of b.
     if block is not None:
         monkeypatch.setattr(invariants_module, "_SWEEP_BLOCK", block)
     rows = list(invariants_module._sweep(80, 12))

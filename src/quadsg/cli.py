@@ -11,7 +11,6 @@ import argparse
 import csv
 import itertools
 import json
-import operator
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -22,7 +21,7 @@ import numpy as np
 from . import embedding as embedding_mod
 from . import invariants as invariants_mod
 from .invariants import frobenius, frobenius_oracle, genus, genus_oracle
-from .mu import bound_profiles, mu, shared_table, triangular
+from .mu import _bounds_columns, mu, shared_table, triangular
 from . import search as search_mod
 from . import semigroup as semigroup_mod
 
@@ -52,13 +51,13 @@ class _Record:
     """What one command prints, in each format it offers.
 
     `doc` is the json document (dataclasses in it go through `asdict`; an
-    iterator prints as an array, one item at a time, and a str item in it
-    is json text already rendered at the array's indent), `header` and `rows`
-    the csv table, and `lines` the plain output, by default the csv rows
-    joined by spaces.  Large parts are generators, so only the format asked
-    for is built.  A format the record has nothing for prints its plain
-    lines, so a command that renders its csv rows with one line template
-    (`bounds`, `invariants`) gives them as `lines` and no header.
+    iterator of str prints as an array, one item at a time, each item json
+    text already rendered at the array's indent), `header` and `rows` the
+    csv table, and `lines` the plain output, by default the csv rows joined
+    by spaces.  Large parts are generators, so only the format asked for is
+    built.  A format the record has nothing for prints its plain lines, so
+    a table rendered from row templates (`_stream`) gives its csv as
+    `lines` and no header.
     """
 
     doc: object = None
@@ -89,12 +88,10 @@ def _render(fmt: str, record: _Record) -> None:
             out.write(f"{line}\n")
 
 
-def _dump_array(items: Iterator, out) -> None:
-    """Write items as `json.dump` writes their list at indent 2, as they come."""
+def _dump_array(items: Iterator[str], out) -> None:
+    """Frame json texts rendered at indent 2 as `json.dump` frames a list, as they come."""
     sep = "[\n  "
     for item in items:
-        if not isinstance(item, str):
-            item = json.dumps(item, indent=2, default=asdict).replace("\n", "\n  ")
         out.write(sep + item)
         sep = ",\n  "
     out.write("[]" if sep == "[\n  " else "\n]")
@@ -115,9 +112,22 @@ def _cmd_mu(ns) -> _Record:
     return _Record({"n": ns.n, "mu": value}, ["n", "mu"], [[ns.n, value]], [value])
 
 
-# One `bounds` row per format.  The json one is what `_dump_array` would
-# write for its BoundProfile: json prints a float as its repr, and every
-# field here is a Python number.
+def _stream(fmt: str, header: str, templates: dict, blocks: Iterator[list[list]]) -> _Record:
+    """A table printed one string per block of columns, from one row template per format.
+
+    csv leads with the header, and a format with no template prints the csv
+    table.  A json template is what `json.dump` writes for the row's object
+    at the array's indent: every cell is a Python number, whose repr json
+    prints, or a json literal.
+    """
+    fmt = fmt if fmt in templates else "csv"
+    row, sep = templates[fmt], ",\n  " if fmt == "json" else "\n"
+    lines = (sep.join(row % cells for cells in zip(*block)) for block in blocks)
+    if fmt == "csv":
+        lines = itertools.chain([header], lines)
+    return _Record(lines, lines=lines)
+
+
 _BOUNDS_ROW = {
     "csv": "%d,%d,%.9g,%.9g,%.9g",
     "plain": "%d %d %.9g %.9g %.9g",
@@ -126,11 +136,7 @@ _BOUNDS_ROW = {
 
 
 def _cmd_bounds(ns) -> _Record:
-    row = _BOUNDS_ROW[ns.format]
-    lines = (row % (p.n, p.mu, p.lower, p.gauss, p.combined) for p in bound_profiles(ns.n_max))
-    if ns.format == "csv":
-        lines = itertools.chain(["n,mu,lower,gauss,combined"], lines)
-    return _Record(lines, lines=lines)
+    return _stream(ns.format, "n,mu,lower,gauss,combined", _BOUNDS_ROW, _bounds_columns(ns.n_max))
 
 
 def _cmd_semigroup(ns) -> _Record:
@@ -157,29 +163,30 @@ def _cmd_frobenius_or_genus(ns) -> _Record:
 
 
 _SWEEP_HEADER = "a,b,frobenius,genus,F_lo,F_hi,g_lo,g_hi"
-_SWEEP_ROW = "%d,%d,%d,%d,%.9g,%.9g,%.9g,%.9g"
-_sweep_fields = operator.attrgetter(
-    "a", "b", "frobenius", "genus", "frobenius_low", "frobenius_high", "genus_low", "genus_high"
-)
+_SWEEP_ROW = {
+    "csv": "%d,%d,%d,%d,%.9g,%.9g,%.9g,%.9g",
+    "json": '{\n    "a": %d,\n    "b": %d,\n    "frobenius": %d,\n    "genus": %d,\n'
+    '    "frobenius_low": %r,\n    "frobenius_high": %r,\n    "genus_low": %r,\n'
+    '    "genus_high": %r,\n    "bounds_certified": %s\n  }',
+}
 
 
 def _cmd_invariants(ns) -> _Record:
     if ns.sweep:
         if ns.a_max is None or ns.b_max is None:
             raise _UsageError("--sweep needs --a-max and --b-max")
-        # Rows are rendered as they are made, in every format, a block of
-        # columns at a time.  A plain sweep prints the csv table, as it
-        # always has.
-        if ns.format == "json":
-            return _Record(invariants_mod._sweep(ns.a_max, ns.b_max))
+        # A plain sweep prints the csv table, as it always has; only json
+        # prints bounds_certified.
         blocks = invariants_mod._sweep_columns(ns.a_max, ns.b_max)
-        rows = ("\n".join(_SWEEP_ROW % row for row in zip(*block)) for block in blocks)
-        return _Record(lines=itertools.chain([_SWEEP_HEADER], rows))
+        if ns.format == "json":
+            certified = invariants_mod.bounds_certified
+            blocks = ([*c, [str(certified(a, b)).lower() for a, b in zip(*c[:2])]] for c in blocks)
+        return _stream(ns.format, _SWEEP_HEADER, _SWEEP_ROW, blocks)
     if ns.a is None or ns.b is None:
         raise _UsageError("need --a and --b (or --sweep with --a-max/--b-max)")
     summary = invariants_mod.invariant_summary(semigroup_mod.make_semigroup(ns.a, ns.b))
     if ns.format == "csv":
-        return _Record(summary, lines=[_SWEEP_HEADER, _SWEEP_ROW % _sweep_fields(summary)])
+        return _Record(summary, lines=[_SWEEP_HEADER, _SWEEP_ROW["csv"] % astuple(summary)[:8]])
     lines = [
         f"frobenius {summary.frobenius}",
         f"genus {summary.genus}",

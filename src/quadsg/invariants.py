@@ -262,10 +262,11 @@ def invariant_summary(s: QuadraticSemigroup) -> InvariantSummary:
 # Most entries in one block of lifted values: 2**16 int64 values are
 # 512 KiB.  It caps `_frobenius`'s block of n, and an eighth of it caps a
 # block of the sweep's grid, whose eight columns, once Python lists, then
-# hold at most 2**16 entries.  Without a cap, a grid that the size check
-# allows would allocate a * b_max entries at once (800 MB at a = 2,
-# b_max = 5*10**7) before its first row, and F at a = 10**8 - 1 would
-# widen the whole lift array (several GB); with it, both stream.
+# hold at most 2**16 entries; the CLI prints each block as one string, in
+# every format.  Without a cap, a grid that the size check allows would
+# allocate a * b_max entries at once (800 MB at a = 2, b_max = 5*10**7)
+# before its first row, and F at a = 10**8 - 1 would widen the whole lift
+# array (several GB); with it, both stream.
 _SWEEP_BLOCK = 1 << 16
 
 
@@ -304,7 +305,7 @@ def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     a.  Everything fits in int64 under `_sweep_columns`' size check:
     M*a <= 2*a**2 since mu(n) <= 2n, and (a-1)*b <= 10**8.
     """
-    if b_max < 1:
+    if a_max < 2 or b_max < 1:
         return
     cap = max(1, _SWEEP_BLOCK // 8)
     width = max(1, cap // b_max)
@@ -373,15 +374,3 @@ def _sweep_columns(a_max: int, b_max: int) -> Iterator[list[list]]:
 
     return blocks()
 
-
-def _sweep(a_max: int, b_max: int) -> Iterator[InvariantSummary]:
-    """Summaries of every coprime pair with 2 <= a <= a_max and 1 <= b <= b_max.
-
-    Rows come a ascending, then b ascending, as `_scan` makes them; an
-    oversized grid is refused at the call (`_sweep_columns`).
-    """
-    return (
-        InvariantSummary(*row, bounds_certified(row[0], row[1]))
-        for block in _sweep_columns(a_max, b_max)
-        for row in zip(*block)
-    )

@@ -24,16 +24,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ORACLE_LIMIT",
     "TABLE_LIMIT",
-    "BoundProfile",
     "MuTable",
-    "bound_profiles",
     "combined_bound",
     "gauss_bound",
     "inverse_triangular",
@@ -346,31 +343,38 @@ def combined_bound(n: int) -> float:
     return fn + 3.0 * inverse_triangular((fn - 2.0) / 3.0)
 
 
-@dataclass(frozen=True)
-class BoundProfile:
-    """mu(n) together with its analytic envelope at one argument."""
+def _envelope(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lower, gauss, combined) over an int64 array of n >= 1.
 
-    n: int
-    mu: int
-    lower: float
-    gauss: float
-    combined: float
+    The scalar bounds' expressions step for step on float64 arrays: every
+    integer converts to a float exactly, and np.sqrt rounds as math.sqrt
+    does, so every float equals the scalar bound's.
+    """
+    lower = (1.0 + np.sqrt(8.0 * n + 1.0)) / 2.0
+    gauss = 3.0 * ((1.0 + np.sqrt(8.0 * (n / 3.0) + 1.0)) / 2.0)
+    return lower, gauss, lower + 3.0 * ((1.0 + np.sqrt(8.0 * ((lower - 2.0) / 3.0) + 1.0)) / 2.0)
 
 
-def bound_profiles(n_max: int) -> Iterator[BoundProfile]:
-    """Profiles for n = 1..n_max, made as they are read.
+def _bounds_columns(n_max: int) -> Iterator[list[list]]:
+    """The bound profiles of n = 1..n_max as columns n, mu, lower, gauss, combined.
 
-    The table grows with the rows in doubling steps that end exactly at
-    n_max, so the first rows come at once even where a full table takes
-    seconds to fill, and the table ends no larger than the rows need.  An
-    n_max out of range is refused at the call, before any row.
+    One list of Python lists per block of at most `_CHUNK` rows.  The table
+    grows with the blocks in doubling steps that end exactly at n_max, so
+    the first rows come at once however long the full fill takes.  An n_max
+    out of range is refused at the call, before any row.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if n_max > TABLE_LIMIT:
         raise ValueError(f"mu table is limited to n <= {TABLE_LIMIT}, asked for {n_max}")
-    return (
-        BoundProfile(n, _grow(n, n_max)[n], lower_bound(n), gauss_bound(n), combined_bound(n))
-        for n in range(1, n_max + 1)
-    )
 
+    def blocks() -> Iterator[list[list]]:
+        lo = 1
+        while lo <= n_max:
+            values = _grow(lo, n_max).values
+            hi = min(lo + _CHUNK, len(values), n_max + 1)
+            n = np.arange(lo, hi)
+            yield [column.tolist() for column in (n, values[lo:hi], *_envelope(n))]
+            lo = hi
+
+    return blocks()

@@ -12,7 +12,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -259,7 +259,7 @@ def test_sweep_of_a_million_by_ten():
     a = np.arange(2, 10**6 + 1)
     assert count == sum(int((np.gcd(a, b) == 1).sum()) for b in range(1, 11))
     expected = [
-        cli._SWEEP_ROW % cli._sweep_fields(q.invariant_summary(q.make_semigroup(a, b))) + "\n"
+        cli._SWEEP_ROW["csv"] % astuple(q.invariant_summary(q.make_semigroup(a, b)))[:8] + "\n"
         for a in sorted(sample | {2})
         for b in range(1, 11)
         if math.gcd(a, b) == 1
@@ -278,8 +278,8 @@ def test_sweep_json_streams_objects():
     assert expected[count - 1] == "  },\n"
 
 
-@pytest.mark.parametrize("a_max", [30, 1])
-def test_sweep_json_matches_list_form(capsys, a_max):
+@pytest.mark.parametrize("a_max", [30, 1, -3])
+def test_sweep_json_matches_list_form(capsys, monkeypatch, a_max):
     # Byte for byte what json.dump writes for the whole list, [] included.
     summaries = [
         q.invariant_summary(q.make_semigroup(a, b))
@@ -290,10 +290,11 @@ def test_sweep_json_matches_list_form(capsys, a_max):
     expected = io.StringIO()
     json.dump(summaries, expected, indent=2, default=asdict)
     argv = ["invariants", "--sweep", "--a-max", str(a_max), "--b-max", "3", "--format", "json"]
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert out == expected.getvalue() + "\n"
-    assert (out == "[]\n") == (a_max == 1)
+    assert run_cli(capsys, *argv) == (0, expected.getvalue() + "\n", "")
+    assert (expected.getvalue() == "[]") == (a_max < 2)
+    # Again with blocks of 5 pairs, so the array's commas cross block edges.
+    monkeypatch.setattr(invariants_module, "_SWEEP_BLOCK", 40)
+    assert run_cli(capsys, *argv) == (0, expected.getvalue() + "\n", "")
 
 
 def test_invariants_single(capsys):
@@ -344,7 +345,7 @@ def sweep_row(a, b):
     return [a, b, q.frobenius(s), q.genus(s), *bounds]
 
 
-@pytest.mark.parametrize("a_max,b_max,block", [(400, 10, None), (80, 12, 40)])
+@pytest.mark.parametrize("a_max,b_max,block", [(400, 10, None), (80, 12, 40), (-3, 2, None)])
 def test_sweep_csv_matches_csv_writer(a_max, b_max, block, capsys, monkeypatch):
     if block is not None:
         monkeypatch.setattr(invariants_module, "_SWEEP_BLOCK", block)
@@ -361,10 +362,20 @@ def test_single_pair_csv_matches_csv_writer(capsys):
         assert run_cli(capsys, "invariants", "--a", str(a), "--b", str(b)) == (0, expected, "")
 
 
+def bound_profile(n):
+    return {
+        "n": n,
+        "mu": q.mu(n),
+        "lower": q.lower_bound(n),
+        "gauss": q.gauss_bound(n),
+        "combined": q.combined_bound(n),
+    }
+
+
 def test_bounds_rows_match_csv_writer(capsys):
     rows = [
-        [p.n, p.mu, *(format(x, ".9g") for x in (p.lower, p.gauss, p.combined))]
-        for p in q.bound_profiles(5000)
+        [p["n"], p["mu"], *(format(p[key], ".9g") for key in ("lower", "gauss", "combined"))]
+        for p in map(bound_profile, range(1, 5001))
     ]
     expected = csv_writer_text(["n", "mu", "lower", "gauss", "combined"], rows)
     assert run_cli(capsys, "bounds", "--n-max", "5000") == (0, expected, "")
@@ -374,9 +385,9 @@ def test_bounds_rows_match_csv_writer(capsys):
 
 def test_bounds_json_matches_json_dump(capsys):
     # The json rows come from one template; byte for byte what json.dump
-    # writes for the whole list of profiles.
+    # writes for the whole list of profiles, from the scalar bounds.
     expected = io.StringIO()
-    json.dump(list(q.bound_profiles(5000)), expected, indent=2, default=asdict)
+    json.dump([bound_profile(n) for n in range(1, 5001)], expected, indent=2)
     argv = ["bounds", "--n-max", "5000", "--format", "json"]
     assert run_cli(capsys, *argv) == (0, expected.getvalue() + "\n", "")
 
@@ -689,3 +700,5 @@ def test_any_argv_exits_cleanly(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code in (0, 1, cli.FAILURE_EXIT, cli.USAGE_EXIT), argv
     assert "Traceback" not in out + err, argv
+    # A refused command prints nothing of a table it never made.
+    assert code not in (1, cli.USAGE_EXIT) or out == "", argv

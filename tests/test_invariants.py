@@ -5,6 +5,7 @@ import itertools
 import math
 import time
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -28,12 +29,18 @@ AT_SCALE = {
 
 
 def summaries_pair_by_pair(a_max, b_max):
+    """The sweep's rows (a, b, F, g, F low, F high, g low, g high), one pair at a time."""
     return [
-        q.invariant_summary(q.make_semigroup(a, b))
+        astuple(q.invariant_summary(q.make_semigroup(a, b)))[:8]
         for a in range(2, a_max + 1)
         for b in range(1, b_max + 1)
         if math.gcd(a, b) == 1
     ]
+
+
+def sweep_rows(a_max, b_max):
+    """The sweep's rows off its column blocks, as they come."""
+    return (row for block in invariants_module._sweep_columns(a_max, b_max) for row in zip(*block))
 
 
 def test_apery_examples():
@@ -187,7 +194,7 @@ def test_sweep_matches_pair_by_pair(monkeypatch):
     # The benchmark's grid.  The table grows with the scan's blocks of a
     # and ends at a_max - 1.
     monkeypatch.setattr(mu_module, "_shared", q.MuTable())
-    assert list(invariants_module._sweep(400, 10)) == summaries_pair_by_pair(400, 10)
+    assert list(sweep_rows(400, 10)) == summaries_pair_by_pair(400, 10)
     assert q.shared_table().n_max == 399
 
 
@@ -195,9 +202,8 @@ def test_bounds_floats_equal_the_scalar_expressions(monkeypatch):
     # The sweep takes the terms in a alone once per a; every float must
     # still be the one the pair-by-pair expressions give, not merely close.
     monkeypatch.setattr(mu_module, "_shared", q.MuTable())
-    for r in invariants_module._sweep(400, 10):
-        got = (r.frobenius_low, r.frobenius_high, r.genus_low, r.genus_high)
-        assert got == invariant_bounds_plain(r.a, r.b), (r.a, r.b)
+    for a, b, *_, f_low, f_high, g_low, g_high in sweep_rows(400, 10):
+        assert (f_low, f_high, g_low, g_high) == invariant_bounds_plain(a, b), (a, b)
     a = 10**6 + 1
     bs = [1, 2, 3, 7, 10, 999_999]
     for b, got in zip(bs, invariants_module._bounds(a, bs), strict=True):
@@ -212,18 +218,18 @@ def test_sweep_covers_exceptional_pairs(block, monkeypatch):
     # the scan takes 5 pairs at a time, so every a spans three blocks of b.
     if block is not None:
         monkeypatch.setattr(invariants_module, "_SWEEP_BLOCK", block)
-    rows = list(invariants_module._sweep(80, 12))
+    rows = list(sweep_rows(80, 12))
     assert rows == summaries_pair_by_pair(80, 12)
-    assert {(r.a, r.b) for r in rows if not r.bounds_certified} == q.EXCEPTIONAL_PAIRS
-    for r in rows:
-        s = q.make_semigroup(r.a, r.b)
-        assert (r.frobenius, r.genus) == (q.frobenius_oracle(s), q.genus_oracle(s)), (r.a, r.b)
+    assert q.EXCEPTIONAL_PAIRS <= {(a, b) for a, b, *_ in rows}
+    for a, b, f, g, *_ in rows:
+        s = q.make_semigroup(a, b)
+        assert (f, g) == (q.frobenius_oracle(s), q.genus_oracle(s)), (a, b)
     # The drop lands on b = 1 wherever it sits among the b values.
-    by_pair = {(r.a, r.b): r for r in rows}
+    by_pair = {(a, b): (f, g) for a, b, f, g, *_ in rows}
     for a, cols in [(29, [3, 1, 2]), (79, [2, 1])]:
         expected = [by_pair[a, b] for b in cols]
-        assert invariants_module._frobenius(a, cols) == [r.frobenius for r in expected]
-        assert invariants_module._genus(a, cols) == [r.genus for r in expected]
+        assert invariants_module._frobenius(a, cols) == [f for f, _ in expected]
+        assert invariants_module._genus(a, cols) == [g for _, g in expected]
 
 
 def scanned(a_max, b_max):
@@ -272,11 +278,11 @@ def test_sweep_streams_in_bounded_memory(monkeypatch):
     monkeypatch.setattr(mu_module, "_shared", q.MuTable())
     tracemalloc.start()
     try:
-        rows = list(itertools.islice(invariants_module._sweep(3, 50_000_000), 1000))
+        rows = list(itertools.islice(sweep_rows(3, 50_000_000), 1000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [(r.a, r.b) for r in rows[:3]] == [(2, 1), (2, 3), (2, 5)]
+    assert [row[:2] for row in rows[:3]] == [(2, 1), (2, 3), (2, 5)]
     assert len(rows) == 1000
     assert peak < 8 << 20, peak
 
@@ -395,15 +401,15 @@ def test_closed_vs_oracle_to_a_1000_b_50(monkeypatch):
     # closed Apery set against the oracle, and the sweep's row against F
     # and g (Selmer's formula) read off that same oracle array.
     monkeypatch.setattr(mu_module, "_shared", q.MuTable())
-    rows = invariants_module._sweep(1000, 50)
+    rows = sweep_rows(1000, 50)
     pairs = [(a, b) for a in range(2, 1001) for b in range(1, 51) if math.gcd(a, b) == 1]
     for (a, b), row in zip(pairs, rows, strict=True):
         s = q.make_semigroup(a, b)
         oracle = q.apery_oracle(s).elements
         assert q.apery_closed(s).elements == oracle, (a, b)
-        assert (row.a, row.b) == (a, b)
-        assert row.frobenius == max(oracle) - a, (a, b)
-        assert row.genus == (sum(oracle) - a * (a - 1) // 2) // a, (a, b)
+        assert row[:2] == (a, b)
+        assert row[2] == max(oracle) - a, (a, b)
+        assert row[3] == (sum(oracle) - a * (a - 1) // 2) // a, (a, b)
 
 
 @pytest.mark.slow

@@ -254,10 +254,17 @@ def test_full_table_at_limit():
     values = q.MuTable(q.TABLE_LIMIT).values
     i = np.arange(2, q.largest_index(q.TABLE_LIMIT) + 1, dtype=np.int64)
     assert np.array_equal(values[i * (i - 1) // 2], i)
-    for n in range(1, q.TABLE_LIMIT + 1, 1009):
-        m = int(values[n])
-        assert math.ceil(q.lower_bound(n) - 1e-9) <= m, n
-        assert m <= min(q.gauss_bound(n), q.combined_bound(n)) + 1e-9, n
+    # The envelope at every n, a block of 2**20 at a time.
+    slack = math.inf
+    for lo in range(1, q.TABLE_LIMIT + 1, 1 << 20):
+        n = np.arange(lo, min(lo + (1 << 20), q.TABLE_LIMIT + 1))
+        lower, gauss, combined = mu_module._envelope(n)
+        m = values[lo : lo + len(n)]
+        assert (np.ceil(lower - 1e-9) <= m).all(), lo
+        ceiling = np.minimum(gauss, combined) + 1e-9
+        assert (m <= ceiling).all(), lo
+        slack = min(slack, float((ceiling - m).min()))
+    print(f"\nsmallest ceiling slack up to {q.TABLE_LIMIT}: {slack:.3f}")
 
 
 def test_mu_function_extends_given_table(monkeypatch):
@@ -345,30 +352,48 @@ def test_envelope_sandwich(table):
         assert m <= min(q.gauss_bound(n), q.combined_bound(n)) + 1e-9
 
 
+def bound_rows(n_max):
+    """The `bounds` rows (n, mu, lower, gauss, combined) off the column blocks."""
+    return [row for block in mu_module._bounds_columns(n_max) for row in zip(*block)]
+
+
+def test_envelope_equals_the_scalar_bounds():
+    # Not merely close: `bounds` prints the array floats where the scalar
+    # functions are the public API.
+    rng = random.Random(17)
+    ns = [*range(1, 10**4 + 1), *(rng.randrange(1, 10**8) for _ in range(10**4)), 10**8]
+    lower, gauss, combined = (column.tolist() for column in mu_module._envelope(np.array(ns)))
+    assert lower == [q.lower_bound(n) for n in ns]
+    assert gauss == [q.gauss_bound(n) for n in ns]
+    assert combined == [q.combined_bound(n) for n in ns]
+
+
 def test_bound_profiles_shape(monkeypatch):
     monkeypatch.setattr(mu_module, "_shared", q.MuTable())
-    profiles = list(q.bound_profiles(10))
-    assert [p.n for p in profiles] == list(range(1, 11))
-    assert profiles[0] == q.BoundProfile(1, 2, 2.0, q.gauss_bound(1), 5.0)
-    assert profiles[9].mu == 5
-    assert profiles[9].lower == 5.0
+    rows = bound_rows(10)
+    assert [row[0] for row in rows] == list(range(1, 11))
+    assert rows[0] == (1, 2, 2.0, q.gauss_bound(1), 5.0)
+    assert rows[9][1] == 5
+    assert rows[9][2] == 5.0
     # Out-of-range n_max is refused at the call, before any row is made.
     with pytest.raises(ValueError):
-        q.bound_profiles(0)
+        mu_module._bounds_columns(0)
     with pytest.raises(ValueError, match="limited"):
-        q.bound_profiles(q.TABLE_LIMIT + 1)
+        mu_module._bounds_columns(q.TABLE_LIMIT + 1)
 
 
 def test_bound_profiles_grow_table_to_n_max(monkeypatch):
     # Rows stream with the table growing in doubling steps, and the last
     # step ends at n_max: doubling past it would end the table at n = 2**20.
     monkeypatch.setattr(mu_module, "_shared", q.MuTable())
-    assert sum(1 for _ in q.bound_profiles(600_000)) == 600_000
+    assert len(bound_rows(600_000)) == 600_000
     assert q.shared_table().n_max == 600_000
+    # A table already past n_max still ends the rows at n_max.
+    assert len(bound_rows(10)) == 10
 
 
 def test_bounds_csv(monkeypatch, capsys):
-    # The bounds CSV is written by the CLI renderer from bound_profiles.
+    # The bounds CSV is written by the CLI renderer from `_bounds_columns`.
     monkeypatch.setattr(mu_module, "_shared", mu_module.MuTable())
     assert cli.run(["bounds", "--n-max", "12", "--format", "csv"]) == 0
     text = capsys.readouterr().out

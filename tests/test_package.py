@@ -7,7 +7,6 @@ import quadsg as q
 
 PUBLIC_NAMES = {
     "AperySet",
-    "BoundProfile",
     "Certificate",
     "DropHit",
     "EMBED_DECOMPOSITIONS",
@@ -29,7 +28,6 @@ PUBLIC_NAMES = {
     "TABLE_LIMIT",
     "apery_closed",
     "apery_oracle",
-    "bound_profiles",
     "bounds_certified",
     "combined_bound",
     "contains",

@@ -8,8 +8,9 @@ import numpy as np
 
 from .mu import largest_index
 from .semigroup import (
-    EXCEPTIONAL_CASES,
     EXCEPTIONAL_PAIRS,
+    _EXCEPTIONAL,
+    _TUPLE_LIMIT,
     QuadraticSemigroup,
     _apery,
     generator,
@@ -23,12 +24,6 @@ __all__ = [
     "minimal_generators_oracle",
     "verify_decomposition",
 ]
-
-_EXTRA_MINIMAL_INDEX: dict[tuple[int, int], int] = {
-    (c.a, c.b): c.witness_index for c in EXCEPTIONAL_CASES
-}
-
-_INDEX_LIMIT = 10**7
 
 # Most entries in one block of the minimal-generator oracle's scan: 2**16
 # int64 sums are 512 KiB, so memory stays flat however large a is.
@@ -60,7 +55,7 @@ def minimal_generators_closed(s: QuadraticSemigroup) -> MinimalGeneratorSet:
     the indices are 1..largest_index(a - 1) followed by that extra index.
     A trivial S has the lone generator y_1, or y_2 when a = 0.
 
-    Raises ValueError, before allocating, past _INDEX_LIMIT = 10**7
+    Raises ValueError, before allocating, past _TUPLE_LIMIT = 10**7
     indices (a past about 5*10**13): a tuple of that many Python ints
     takes about 360 MB, and their elements as much again.
     `embedding_dimension` still counts them.
@@ -68,12 +63,12 @@ def minimal_generators_closed(s: QuadraticSemigroup) -> MinimalGeneratorSet:
     if s.trivial:
         return MinimalGeneratorSet(semigroup=s, indices=(1,) if s.a == 1 else (2,))
     count = largest_index(s.a - 1)
-    if count > _INDEX_LIMIT:
-        raise ValueError(f"index list is limited to {_INDEX_LIMIT} indices, S({s.a},{s.b}) has {count}")
+    if count > _TUPLE_LIMIT:
+        raise ValueError(f"index list is limited to {_TUPLE_LIMIT} indices, S({s.a},{s.b}) has {count}")
     indices = tuple(range(1, count + 1))
-    extra = _EXTRA_MINIMAL_INDEX.get((s.a, s.b))
-    if extra is not None:
-        indices += (extra,)
+    case = _EXCEPTIONAL.get((s.a, s.b))
+    if case is not None:
+        indices += (case.witness_index,)
     return MinimalGeneratorSet(semigroup=s, indices=indices)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -11,8 +10,9 @@ import numpy as np
 
 from .mu import TABLE_LIMIT, _grow, shared_table
 from .semigroup import (
-    EXCEPTIONAL_CASES,
     EXCEPTIONAL_PAIRS,
+    _EXCEPTIONAL,
+    _TUPLE_LIMIT,
     QuadraticSemigroup,
     _apery,
     require_nontrivial,
@@ -56,35 +56,26 @@ def _lifts(a: int) -> np.ndarray:
     return shared_table().ensure(a - 1).values[:a]
 
 
-def _drops(a: int) -> dict[int, int]:
-    """{b: n} over the exceptional pairs (a, b), where mu_{a,b}(n) = mu(n) - 1."""
-    return {c.b: c.n for c in EXCEPTIONAL_CASES if c.a == a}
+def _lifted(a: int, b: int, width: int) -> Iterator[np.ndarray]:
+    """mu_{a,b}(n)*a + n*b over n = 0..a-1, in 1-D blocks of `width` n.
 
-
-def _lifted(a: int, bs: list[int], width: int) -> Iterator[np.ndarray]:
-    """mu_{a,b}(n)*a + n*b in column blocks of n = 0..a-1, one row per b in bs.
-
-    Each block holds `width` columns (the last one fewer) and widens only
-    its own slice of the uint16 table.  mu_{a,b}(n) is mu(n) from the
-    table, less one at the exceptional n of (a, b): the values
-    `mu_ab_closed` gives one n at a time.  Exact for every b: int64 while
-    the largest value, at most max(mu)*a + (a-1)*max(bs), stays below
-    2**63; Python ints (object arrays) past that.
+    The last block may be shorter, and each block widens only its own
+    slice of the uint16 table.  mu_{a,b}(n) is mu(n) from the table, less
+    one at the exceptional n of (a, b): the values `mu_ab_closed` gives
+    one n at a time.  Exact for every b: int64 while the largest value,
+    at most max(mu)*a + (a-1)*b, stays below 2**63; Python ints (object
+    arrays) past that.
     """
     lifts = _lifts(a)
-    big = int(lifts.max()) * a + (a - 1) * max(bs) >= 1 << 63
+    big = int(lifts.max()) * a + (a - 1) * b >= 1 << 63
     dtype = object if big else np.int64
-    cols = np.array(bs, dtype=dtype)
-    drops = [(bs.index(b), m) for b, m in _drops(a).items() if b in bs]
+    case = _EXCEPTIONAL.get((a, b))
     for lo in range(0, a, width):
         hi = min(lo + width, a)
-        # Rows along the contiguous axis: the row maxima then cost about
-        # half of what column maxima of the transpose do at a <= 400.
-        values = np.multiply.outer(cols, np.arange(lo, hi, dtype=dtype))
+        values = np.arange(lo, hi, dtype=dtype) * b
         values += np.multiply(lifts[lo:hi], a, dtype=dtype)
-        for row, m in drops:
-            if lo <= m < hi:
-                values[row, m - lo] -= a
+        if case is not None and lo <= case.n < hi:
+            values[case.n - lo] -= a
         yield values
 
 
@@ -96,10 +87,16 @@ def apery_closed(s: QuadraticSemigroup) -> AperySet:
     All a lifts come from the mu table in one array, and one scatter puts
     each element at its class (n*(b mod a)) mod a.  Tests check it against
     the scalar definition, `mu_ab_closed` called once per n.
+
+    Raises ValueError, before the table grows, past a = _TUPLE_LIMIT =
+    10**7: its arrays, list and tuple take about 1.2 GB there.  `frobenius`
+    and `genus` still serve every a the table holds.
     """
     require_nontrivial(s)
     a = s.a
-    values = next(_lifted(a, [s.b], a))[0]
+    if a > _TUPLE_LIMIT:
+        raise ValueError(f"Apery set is limited to {_TUPLE_LIMIT} elements, S({a},{s.b}) has {a}")
+    values = next(_lifted(a, s.b, a))
     elements = np.empty_like(values)
     elements[np.arange(a, dtype=np.int64) * (s.b % a) % a] = values
     return AperySet(modulus=a, elements=tuple(elements.tolist()))
@@ -114,27 +111,25 @@ def apery_oracle(s: QuadraticSemigroup) -> AperySet:
     return AperySet(modulus=s.a, elements=tuple(_apery(s.a, s.b).tolist()))
 
 
-def _frobenius(a: int, bs: list[int]) -> list[int]:
-    """F of S(a, b) for each b in bs: the row maxima of `_lifted`, less a.
+def _frobenius(a: int, b: int) -> int:
+    """F of S(a, b): the largest value of `_lifted`, less a.
 
-    The maxima run over blocks of at most `_SWEEP_BLOCK` entries, so the
+    The maximum runs over blocks of `_SWEEP_BLOCK` entries, so the
     temporaries stay small however large a is.  The single-pair path, and
     the reference the sweep's scans are tested against.
     """
-    blocks = _lifted(a, bs, max(1, _SWEEP_BLOCK // len(bs)))
-    return (functools.reduce(np.maximum, (block.max(axis=1) for block in blocks)) - a).tolist()
+    return int(max(block.max() for block in _lifted(a, b, _SWEEP_BLOCK))) - a
 
 
-def _genus(a: int, bs: list[int]) -> list[int]:
-    """g of S(a, b) for each b in bs, from one sum of mu(0..a-1).
+def _genus(a: int, b: int) -> int:
+    """g of S(a, b), from one sum of mu(0..a-1).
 
-    Each b adds (a-1)(b-1)/2, and an exceptional b takes one off for its
+    b adds (a-1)(b-1)/2, and an exceptional (a, b) takes one off for its
     lowered lift.  The sum accumulates in int64 straight off the uint16
     table; every mu(n) is at most 2n, so it stays below 2*a**2 < 2**63.
     """
     total = int(_lifts(a).sum(dtype=np.int64))
-    drops = _drops(a)
-    return [total - (b in drops) + (a - 1) * (b - 1) // 2 for b in bs]
+    return total - ((a, b) in _EXCEPTIONAL) + (a - 1) * (b - 1) // 2
 
 
 def frobenius(s: QuadraticSemigroup) -> int:
@@ -146,7 +141,7 @@ def frobenius(s: QuadraticSemigroup) -> int:
     """
     if s.trivial:
         return -1
-    return _frobenius(s.a, [s.b])[0]
+    return _frobenius(s.a, s.b)
 
 
 def frobenius_oracle(s: QuadraticSemigroup) -> int:
@@ -166,7 +161,7 @@ def genus(s: QuadraticSemigroup) -> int:
     """
     if s.trivial:
         return 0
-    return _genus(s.a, [s.b])[0]
+    return _genus(s.a, s.b)
 
 
 def genus_oracle(s: QuadraticSemigroup) -> int:
@@ -202,17 +197,6 @@ def _with_b(terms, a, b) -> tuple:
     return (f_low + a * b - a - b, f_high + a * b - a - b, g_low + shift, g_high + shift)
 
 
-def _bounds(a: int, bs: list[int]) -> Iterator[tuple[float, float, float, float]]:
-    """(F low, F high, g low, g high) of S(a, b) for each b in bs, a >= 2.
-
-    The terms in a alone are taken once; each b then adds its own terms in
-    the order the single-pair expressions always used, so every float is
-    the same as theirs.
-    """
-    terms = _a_terms(a)
-    return (_with_b(terms, a, b) for b in bs)
-
-
 def frobenius_bounds(a: int, b: int) -> tuple[float, float]:
     """Closed sandwich for the Frobenius number of S(a,b).
 
@@ -221,14 +205,14 @@ def frobenius_bounds(a: int, b: int) -> tuple[float, float]:
     """
     if a < 2 or b < 1:
         raise ValueError("bounds need a >= 2 and b >= 1")
-    return next(_bounds(a, [b]))[:2]
+    return _with_b(_a_terms(a), a, b)[:2]
 
 
 def genus_bounds(a: int, b: int) -> tuple[float, float]:
     """Closed sandwich for the genus of S(a,b); same certification caveat."""
     if a < 2 or b < 1:
         raise ValueError("bounds need a >= 2 and b >= 1")
-    return next(_bounds(a, [b]))[2:]
+    return _with_b(_a_terms(a), a, b)[2:]
 
 
 def bounds_certified(a: int, b: int) -> bool:
@@ -255,12 +239,12 @@ def invariant_summary(s: QuadraticSemigroup) -> InvariantSummary:
     """Everything at once for one nontrivial semigroup."""
     require_nontrivial(s)
     a, b = s.a, s.b
-    f, g = _frobenius(a, [b])[0], _genus(a, [b])[0]
-    return InvariantSummary(a, b, f, g, *next(_bounds(a, [b])), bounds_certified(a, b))
+    bounds = _with_b(_a_terms(a), a, b)
+    return InvariantSummary(a, b, _frobenius(a, b), _genus(a, b), *bounds, bounds_certified(a, b))
 
 
 # Most entries in one block of lifted values: 2**16 int64 values are
-# 512 KiB.  It caps `_frobenius`'s block of n, and an eighth of it caps a
+# 512 KiB.  It is `_frobenius`'s block of n, and an eighth of it caps a
 # block of the sweep's grid, whose eight columns, once Python lists, then
 # hold at most 2**16 entries; the CLI prints each block as one string, in
 # every format.  Without a cap, a grid that the size check allows would
@@ -294,7 +278,7 @@ def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     as in `_genus`, read off one running sum.
 
     The eight exceptional pairs, all at b = 1, keep their drop: their F
-    and g come from the per-a `_frobenius` and `_genus`.  The drop moves F
+    and g come from the single-pair `_frobenius` and `_genus`.  The drop moves F
     at a = 29, 47 and 79.
 
     a runs in blocks that the table's growth also bounds (`_grow`), so the
@@ -344,8 +328,8 @@ def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:
             g = sums[:, None] + (a - 1) * (b - 1) // 2
             for ea, eb in EXCEPTIONAL_PAIRS:
                 if a0 <= ea < a1 and b0 <= eb <= b[-1]:
-                    f[ea - a0, eb - b0] = _frobenius(ea, [eb])[0]
-                    g[ea - a0, eb - b0] = _genus(ea, [eb])[0]
+                    f[ea - a0, eb - b0] = _frobenius(ea, eb)
+                    g[ea - a0, eb - b0] = _genus(ea, eb)
             keep = np.gcd(a, b) == 1
             if keep.any():
                 grid = np.broadcast_arrays(a, b)
@@ -357,9 +341,8 @@ def _sweep_columns(a_max: int, b_max: int) -> Iterator[list[list]]:
     """The sweep's rows as columns a, b, F, g, F low, F high, g low, g high.
 
     One list of Python lists per block of `_scan`.  The bounds take the
-    terms in a alone once per a, as `_bounds` does, and add the terms in b
-    over the whole block in the same order, so every float equals the
-    single-pair one.  An oversized grid is refused at the call, before any
+    terms in a alone once per a and add the terms in b over the whole
+    block through `_with_b`, so every float equals the single-pair one.  An oversized grid is refused at the call, before any
     row; this also keeps a_max - 1 within what the mu table holds.
     """
     if (a_max - 1) * max(b_max, 1) > TABLE_LIMIT:

@@ -72,10 +72,6 @@ class ExceptionalCase:
     def b(self) -> int:
         return 1
 
-    @property
-    def mu_ab_n(self) -> int:
-        return self.mu_n - 1
-
 
 EXCEPTIONAL_CASES: tuple[ExceptionalCase, ...] = (
     ExceptionalCase(29, 26, 13, 11),
@@ -88,13 +84,14 @@ EXCEPTIONAL_CASES: tuple[ExceptionalCase, ...] = (
     ExceptionalCase(79, 74, 20, 18),
 )
 
-EXCEPTIONAL_PAIRS: frozenset[tuple[int, int]] = frozenset(
-    (c.a, c.b) for c in EXCEPTIONAL_CASES
-)
+# The one lookup of the table above, by pair.
+_EXCEPTIONAL: dict[tuple[int, int], ExceptionalCase] = {(c.a, c.b): c for c in EXCEPTIONAL_CASES}
 
-_EXCEPTIONAL_DROPS: frozenset[tuple[int, int, int]] = frozenset(
-    (c.a, c.b, c.n) for c in EXCEPTIONAL_CASES
-)
+EXCEPTIONAL_PAIRS: frozenset[tuple[int, int]] = frozenset(_EXCEPTIONAL)
+
+# Most Python ints a closed form returns in one tuple: 10**7 of them take
+# about 360 MB, and the list they are built from as much again.
+_TUPLE_LIMIT = 10**7
 
 
 def make_semigroup(a: int, b: int) -> QuadraticSemigroup:
@@ -214,7 +211,5 @@ def mu_ab_closed(s: QuadraticSemigroup, n: int) -> int:
     require_nontrivial(s)
     if not 0 <= n < s.a:
         raise ValueError("closed form domain is 0 <= n < a")
-    value = mu(n)
-    if (s.a, s.b, n) in _EXCEPTIONAL_DROPS:
-        return value - 1
-    return value
+    case = _EXCEPTIONAL.get((s.a, s.b))
+    return mu(n) - (case is not None and case.n == n)

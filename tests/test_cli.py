@@ -155,6 +155,10 @@ def test_closed_forms_past_limit_are_domain_errors(capsys):
         assert code == 1, command
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: "), err
+    # The Apery set stops at 10**7 elements, well inside the table.
+    code, out, err = run_cli(capsys, "apery", "--a", str(10**7 + 1), "--b", "1")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
 def test_sweep_past_limit_is_domain_error(capsys):

@@ -205,17 +205,16 @@ def test_bounds_floats_equal_the_scalar_expressions(monkeypatch):
     for a, b, *_, f_low, f_high, g_low, g_high in sweep_rows(400, 10):
         assert (f_low, f_high, g_low, g_high) == invariant_bounds_plain(a, b), (a, b)
     a = 10**6 + 1
-    bs = [1, 2, 3, 7, 10, 999_999]
-    for b, got in zip(bs, invariants_module._bounds(a, bs), strict=True):
-        want = invariant_bounds_plain(a, b)
-        assert got == want, b
-        assert q.frobenius_bounds(a, b) + q.genus_bounds(a, b) == want, b
+    for b in [1, 2, 3, 7, 10, 999_999]:
+        assert q.frobenius_bounds(a, b) + q.genus_bounds(a, b) == invariant_bounds_plain(a, b), b
 
 
 @pytest.mark.parametrize("block", [None, 40])
 def test_sweep_covers_exceptional_pairs(block, monkeypatch):
     # All eight exceptional pairs (a <= 79, b = 1); with 40-entry blocks
-    # the scan takes 5 pairs at a time, so every a spans three blocks of b.
+    # the scan takes 5 pairs at a time, so every a spans three blocks of b,
+    # and the drops of a = 47 and 79 (n = 44 and 74) sit in the second
+    # block of `_lifted`.
     if block is not None:
         monkeypatch.setattr(invariants_module, "_SWEEP_BLOCK", block)
     rows = list(sweep_rows(80, 12))
@@ -224,12 +223,12 @@ def test_sweep_covers_exceptional_pairs(block, monkeypatch):
     for a, b, f, g, *_ in rows:
         s = q.make_semigroup(a, b)
         assert (f, g) == (q.frobenius_oracle(s), q.genus_oracle(s)), (a, b)
-    # The drop lands on b = 1 wherever it sits among the b values.
-    by_pair = {(a, b): (f, g) for a, b, f, g, *_ in rows}
-    for a, cols in [(29, [3, 1, 2]), (79, [2, 1])]:
-        expected = [by_pair[a, b] for b in cols]
-        assert invariants_module._frobenius(a, cols) == [f for f, _ in expected]
-        assert invariants_module._genus(a, cols) == [g for _, g in expected]
+    # The single-pair path drops the lift at b = 1 only.
+    exceptional_a = {a for a, _ in q.EXCEPTIONAL_PAIRS}
+    for a, b, f, g, *_ in rows:
+        if a in exceptional_a:
+            single = invariants_module._frobenius(a, b), invariants_module._genus(a, b)
+            assert single == (f, g), (a, b)
 
 
 def scanned(a_max, b_max):
@@ -242,16 +241,15 @@ def scanned(a_max, b_max):
 
 
 def per_a_reference():
-    """{(a, b): (F, g)} from one lift array per a (`_frobenius`, `_genus`):
+    """{(a, b): (F, g)} from the single-pair `_frobenius` and `_genus`:
     every a < 3001 at b = 1, and every coprime a < 1500 at b = 2, 3, 5, 7
     and 10."""
     rows = {}
     for a_max, bs in [(3000, [1]), (1499, [2, 3, 5, 7, 10])]:
         for a in range(2, a_max + 1):
-            cols = [b for b in bs if math.gcd(a, b) == 1]
-            if cols:  # none at a = 210 and its multiples
-                fs, gs = invariants_module._frobenius(a, cols), invariants_module._genus(a, cols)
-                rows.update(zip(((a, b) for b in cols), zip(fs, gs)))
+            for b in bs:
+                if math.gcd(a, b) == 1:
+                    rows[a, b] = invariants_module._frobenius(a, b), invariants_module._genus(a, b)
     return rows
 
 
@@ -295,6 +293,10 @@ def test_closed_forms_refuse_oversized_a_before_allocating(monkeypatch):
         for closed_form in (q.apery_closed, q.frobenius, q.genus):
             with pytest.raises(ValueError, match="limited"):
                 closed_form(s)
+        # The table holds a = 10**7 + 1, but its Apery set is over the
+        # 10**7 elements a closed form returns in one tuple.
+        with pytest.raises(ValueError, match="limited to 10000000 elements"):
+            q.apery_closed(q.make_semigroup(10**7 + 1, 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

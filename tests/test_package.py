@@ -1,7 +1,9 @@
-"""The package's public names."""
+"""The package's public names, and the imports of its modules."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import quadsg as q
 
@@ -88,3 +90,23 @@ def test_mu_is_the_function_not_the_module():
     assert callable(q.mu)
     assert q.mu(26) == 13
     assert importlib.import_module("quadsg.mu").mu is q.mu
+
+
+def test_every_imported_name_is_used():
+    # No linter runs on the package, so this stands in for an unused-import
+    # check: each module must use every name it imports, star imports aside.
+    unused = {}
+    for path in sorted(Path(q.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if alias.name != "*"
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert unused == {}

@@ -652,6 +652,72 @@ GOLDEN = {
             {"a": 50, "n": 41, "mu_n": 16, "mu_n_plus_a": 14, "drop": 2},
         ],
     },
+    # Every check certify replays, in order, then its footer.
+    ("certify", "--all"): (
+        "PASS mu anchors and exact triangular values to index 2000\n"
+        "PASS exceptional drop a=29 n=26: mu(26) = 13; 12*29 + 26 = y_11; 374 in S(29,1); 345 not in S(29,1); least lift of 26 is 12\n"
+        "PASS exceptional drop a=45 n=33: mu(33) = 15; 14*45 + 33 = y_13; 663 in S(45,1); 618 not in S(45,1); least lift of 33 is 14\n"
+        "PASS exceptional drop a=47 n=44: mu(44) = 16; 15*47 + 44 = y_14; 749 in S(47,1); 702 not in S(47,1); least lift of 44 is 15\n"
+        "PASS exceptional drop a=50 n=41: mu(41) = 16; 15*50 + 41 = y_14; 791 in S(50,1); 741 not in S(50,1); least lift of 41 is 15\n"
+        "PASS exceptional drop a=55 n=50: mu(50) = 17; 16*55 + 50 = y_15; 930 in S(55,1); 875 not in S(55,1); least lift of 50 is 16\n"
+        "PASS exceptional drop a=67 n=53: mu(53) = 18; 17*67 + 53 = y_16; 1192 in S(67,1); 1125 not in S(67,1); least lift of 53 is 17\n"
+        "PASS exceptional drop a=73 n=63: mu(63) = 19; 18*73 + 63 = y_17; 1377 in S(73,1); 1304 not in S(73,1); least lift of 63 is 18\n"
+        "PASS exceptional drop a=79 n=74: mu(74) = 20; 19*79 + 74 = y_18; 1575 in S(79,1); 1496 not in S(79,1); least lift of 74 is 19\n"
+        "PASS residue-table a=10 n=6: y_6 = 2*y_2 + y_3\n"
+        "PASS residue-table a=13 n=7: y_7 = 2*y_2 + y_4\n"
+        "PASS residue-table a=19 n=9: y_9 = 2*y_2 + y_6\n"
+        "PASS residue-table a=22 n=9: y_9 = y_2 + y_3 + y_5\n"
+        "PASS residue-table a=26 n=10: y_10 = y_2 + y_3 + y_6\n"
+        "PASS residue-table a=34 n=12: y_12 = y_2 + y_3 + y_8\n"
+        "PASS residue-table a=40 n=12: y_12 = y_2 + y_5 + y_6\n"
+        "PASS residue-table a=43 n=13: y_13 = y_2 + y_4 + y_8\n"
+        "PASS residue-table a=53 n=15: y_15 = y_2 + y_4 + y_10\n"
+        "PASS residue-table a=58 n=14: y_14 = 2*y_2 + y_3 + y_8\n"
+        "PASS residue-table a=61 n=15: y_15 = y_2 + y_6 + y_8\n"
+        "PASS residue-table a=64 n=15: y_15 = 2*y_2 + y_3 + y_9\n"
+        "PASS residue-table a=66 n=16: y_16 = y_3 + y_4 + y_10\n"
+        "PASS residue-table a=70 n=16: y_16 = 2*y_2 + y_3 + y_10\n"
+        "PASS residue-table a=78 n=18: y_18 = y_3 + y_4 + y_12\n"
+        "PASS residue-table a=82 n=18: y_18 = 2*y_2 + y_3 + y_12\n"
+        "PASS residue-table a=83 n=17: y_17 = 2*y_2 + y_4 + y_10\n"
+        "PASS residue-table a=90 n=18: y_18 = 2*y_2 + y_4 + y_11\n"
+        "PASS residue-table a=97 n=19: y_19 = 2*y_2 + y_4 + y_12\n"
+        "PASS residue-table a=104 n=20: y_20 = 2*y_2 + y_4 + y_13\n"
+        "PASS residue-table a=106 n=21: y_21 = y_3 + y_5 + y_14\n"
+        "PASS residue-table a=107 n=21: y_21 = 2*y_4 + y_14\n"
+        "PASS residue-table a=118 n=22: y_22 = 2*y_2 + y_4 + y_15\n"
+        "PASS residue-table a=142 n=24: y_24 = y_2 + y_8 + y_15\n"
+        "PASS residue-table a=181 n=27: y_27 = 2*y_2 + y_6 + y_18\n"
+        "PASS residue-table a=184 n=27: y_27 = y_2 + y_3 + y_5 + y_18\n"
+        "PASS residue-table a=190 n=28: y_28 = 2*y_2 + y_6 + y_19\n"
+        "PASS residue-table a=193 n=28: y_28 = y_2 + y_3 + y_5 + y_19\n"
+        "PASS residue-table a=226 n=30: y_30 = y_2 + y_3 + y_6 + y_20\n"
+        "PASS residue-table a=236 n=31: y_31 = y_2 + y_3 + y_6 + y_21\n"
+        "PASS extra-minimal a=29 n=11: y_11 unreachable from other generators of S(29,1)\n"
+        "PASS extra-table a=29 n=19: y_19 = y_1 + y_2 + y_8 + y_11\n"
+        "PASS extra-minimal a=45 n=13: y_13 unreachable from other generators of S(45,1)\n"
+        "PASS extra-table a=45 n=33: y_33 = 6*y_1 + 2*y_2 + y_5 + 2*y_13\n"
+        "PASS extra-minimal a=47 n=14: y_14 unreachable from other generators of S(47,1)\n"
+        "PASS extra-table a=47 n=34: y_34 = 11*y_1 + y_3 + 2*y_14\n"
+        "PASS extra-minimal a=50 n=14: y_14 unreachable from other generators of S(50,1)\n"
+        "PASS extra-table a=50 n=39: y_39 = y_1 + y_2 + y_3 + y_5 + y_10 + 2*y_14\n"
+        "PASS extra-minimal a=55 n=15: y_15 unreachable from other generators of S(55,1)\n"
+        "PASS extra-table a=55 n=26: y_26 = 15*y_1 + y_15\n"
+        "PASS extra-table a=55 n=30: y_30 = 5*y_1 + y_5 + y_10 + y_15\n"
+        "PASS extra-table a=55 n=41: y_41 = y_5 + 3*y_15\n"
+        "PASS extra-minimal a=67 n=16: y_16 unreachable from other generators of S(67,1)\n"
+        "PASS extra-table a=67 n=52: y_52 = 10*y_1 + y_8 + 3*y_16\n"
+        "PASS extra-minimal a=73 n=17: y_17 unreachable from other generators of S(73,1)\n"
+        "PASS extra-table a=73 n=57: y_57 = 9*y_1 + 2*y_2 + y_3 + y_6 + 3*y_17\n"
+        "PASS extra-minimal a=79 n=18: y_18 unreachable from other generators of S(79,1)\n"
+        "PASS extra-table a=79 n=62: y_62 = y_6 + 4*y_18\n"
+        "PASS drop search to 485 finds exactly the eight known pairs\n"
+        "PASS residue search to 655 finds exactly the thirty known pairs\n"
+        "PASS bound-gap peak near 52.15 with value near 4.59\n"
+        "PASS bound-gap roots solve to 1e-9 inside (485, 486) and (655, 656)\n"
+        "PASS bound-gap values at the recorded crossings are within 0.01\n"
+        "certified 62/62 checks\n"
+    ),
 }
 
 

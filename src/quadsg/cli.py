@@ -21,7 +21,7 @@ import numpy as np
 from . import embedding as embedding_mod
 from . import invariants as invariants_mod
 from .invariants import frobenius, frobenius_oracle, genus, genus_oracle
-from .mu import _bounds_columns, mu, shared_table, triangular
+from .mu import _bounds_columns, _grow, mu, triangular
 from . import search as search_mod
 from . import semigroup as semigroup_mod
 
@@ -198,10 +198,6 @@ def _cmd_invariants(ns) -> _Record:
 
 
 def _cmd_embedding(ns) -> _Record:
-    if ns.certify:
-        return _verdicts(_certificate_checks(search_mod.decomposition_certificates()))
-    if ns.a is None or ns.b is None:
-        raise _UsageError("need --a and --b (or --certify)")
     dimension = embedding_mod.embedding_dimension(ns.a, ns.b)
     s = semigroup_mod.make_semigroup(ns.a, ns.b)
     if ns.oracle:
@@ -247,8 +243,7 @@ def _cmd_g_analysis(ns) -> _Record:
 
 
 def _cmd_certify(ns) -> _Record:
-    table = shared_table()
-    table.ensure(triangular(2000))
+    table = _grow(triangular(2000), triangular(2000))
     anchors = table[0] == 0 and table[1] == 2 and table[2] == 4
     i = np.arange(2, 2001)
     exact = np.array_equal(table.values[i * (i - 1) // 2], i)
@@ -367,10 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser("embedding", help="minimal generators and their count")
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
+    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--b", type=int, required=True)
     p.add_argument("--oracle", action="store_true", help="recompute from the round-robin Apery set")
-    p.add_argument("--certify", action="store_true", help="replay the decomposition tables")
     _add_format(p, "plain", choices=("plain", "json"))
     p.set_defaults(func=_cmd_embedding)
 

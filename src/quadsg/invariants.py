@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mu import TABLE_LIMIT, _grow, shared_table
+from .mu import TABLE_LIMIT, _grow
 from .semigroup import (
     EXCEPTIONAL_PAIRS,
     _EXCEPTIONAL,
@@ -50,10 +50,11 @@ class AperySet:
 def _lifts(a: int) -> np.ndarray:
     """mu(0..a-1) from the shared table: a read-only uint16 view.
 
-    The table fills, or refuses past TABLE_LIMIT, before anything of size a
-    is allocated.
+    The table grows in doubling steps (`_grow`), so calls at ascending a
+    copy it a logarithmic number of times.  It fills, or refuses past
+    TABLE_LIMIT, before anything of size a is allocated.
     """
-    return shared_table().ensure(a - 1).values[:a]
+    return _grow(a - 1, TABLE_LIMIT).values[:a]
 
 
 def _lifted(a: int, b: int, width: int) -> Iterator[np.ndarray]:

@@ -183,8 +183,9 @@ class MuTable:
         """Grow the table to cover exactly 0..n_max; values already present are kept.
 
         Each growth copies the table, so a caller that grows it n by n
-        should step geometrically, as `mu` does.  Raises ValueError, before
-        allocating, past TABLE_LIMIT.
+        should step geometrically.  Inside the library every growth of the
+        process-wide table goes through `_grow`, which does.  Raises
+        ValueError, before allocating, past TABLE_LIMIT.
         """
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import minimal_generators_oracle, verify_decomposition
-from .mu import inverse_triangular, mu, shared_table, triangular
+from .mu import _grow, inverse_triangular, mu, triangular
 from .semigroup import (
     EXCEPTIONAL_CASES,
     contains,
@@ -87,7 +87,7 @@ class SearchReport:
         return tuple((h.a, h.n) for h in self.hits)
 
 
-_SEARCH_CAP = 5000
+_SEARCH_CAP = 10**5
 
 
 def search_mu_drop(a_max: int) -> SearchReport:
@@ -99,7 +99,7 @@ def search_mu_drop(a_max: int) -> SearchReport:
     if not 4 <= a_max <= _SEARCH_CAP:
         raise ValueError(f"a_max must be in 4..{_SEARCH_CAP}")
     start = time.perf_counter()
-    values = shared_table().ensure(2 * a_max).values
+    values = _grow(2 * a_max, 2 * a_max).values
     hits = []
     for a in range(4, a_max + 1):
         drop = np.subtract(values[3:a], values[3 + a : 2 * a], dtype=np.int64)
@@ -120,7 +120,7 @@ def search_embedding_eq(a_max: int) -> SearchReport:
     if not 2 <= a_max <= _SEARCH_CAP:
         raise ValueError(f"a_max must be in 2..{_SEARCH_CAP}")
     start = time.perf_counter()
-    values = shared_table().ensure(a_max).values
+    values = _grow(a_max, a_max).values
     indices = np.arange(1, a_max + 1)
     binoms = indices * (indices - 1) // 2
     hits = []
@@ -261,26 +261,19 @@ EMBED_DECOMPOSITIONS: dict[tuple[int, int], dict[int, int]] = {
 }
 
 # For the eight exceptional pairs: every index n <= a where C(n,2) falls
-# in the critical residue class.  None marks the one generator that stays
-# minimal; all others decompose as shown.
-EXTRA_INDEX_ROWS: tuple[tuple[int, int, dict[int, int] | None], ...] = (
-    (29, 11, None),
+# in the critical residue class, with a decomposition of y_n over smaller
+# generators.  The one such index left out is each case's witness_index
+# (EXCEPTIONAL_CASES), whose generator stays minimal.
+EXTRA_INDEX_ROWS: tuple[tuple[int, int, dict[int, int]], ...] = (
     (29, 19, {1: 1, 2: 1, 8: 1, 11: 1}),
-    (45, 13, None),
     (45, 33, {1: 6, 2: 2, 5: 1, 13: 2}),
-    (47, 14, None),
     (47, 34, {1: 11, 3: 1, 14: 2}),
-    (50, 14, None),
     (50, 39, {1: 1, 2: 1, 3: 1, 5: 1, 10: 1, 14: 2}),
-    (55, 15, None),
     (55, 26, {1: 15, 15: 1}),
     (55, 30, {1: 5, 5: 1, 10: 1, 15: 1}),
     (55, 41, {5: 1, 15: 3}),
-    (67, 16, None),
     (67, 52, {1: 10, 8: 1, 16: 3}),
-    (73, 17, None),
     (73, 57, {1: 9, 2: 2, 3: 1, 6: 1, 17: 3}),
-    (79, 18, None),
     (79, 62, {6: 1, 18: 4}),
 )
 
@@ -343,42 +336,24 @@ def exception_certificates() -> list[Certificate]:
 
 
 def decomposition_certificates() -> list[Certificate]:
-    """Verify every tabulated decomposition and minimality claim exactly."""
+    """Verify every tabulated decomposition and minimality claim exactly.
+
+    The thirty residue-table rows come first, then the rows of the eight
+    exceptional a in (a, n) order: each witness generator, which the
+    oracle must find minimal, and the decompositions of EXTRA_INDEX_ROWS.
+    """
+    rows = [("residue-table", a, n, c) for (a, n), c in sorted(EMBED_DECOMPOSITIONS.items())]
+    extra = [("extra-minimal", c.a, c.witness_index, None) for c in EXCEPTIONAL_CASES]
+    extra += [("extra-table", a, n, c) for a, n, c in EXTRA_INDEX_ROWS]
+    rows += sorted(extra, key=lambda row: row[1:3])
     out = []
-    for (a, n), coefficients in sorted(EMBED_DECOMPOSITIONS.items()):
-        s = make_semigroup(a, 1)
-        out.append(
-            Certificate(
-                kind="residue-table",
-                a=a,
-                n=n,
-                ok=verify_decomposition(s, n, coefficients),
-                detail=_format_decomposition(n, coefficients),
-            )
-        )
-    minimal_sets: dict[int, tuple[int, ...]] = {}
-    for a, n, coefficients in EXTRA_INDEX_ROWS:
+    for kind, a, n, coefficients in rows:
         s = make_semigroup(a, 1)
         if coefficients is None:
-            if a not in minimal_sets:
-                minimal_sets[a] = minimal_generators_oracle(s).indices
-            out.append(
-                Certificate(
-                    kind="extra-minimal",
-                    a=a,
-                    n=n,
-                    ok=n in minimal_sets[a],
-                    detail=f"y_{n} unreachable from other generators of S({a},1)",
-                )
-            )
+            ok = n in minimal_generators_oracle(s).indices
+            detail = f"y_{n} unreachable from other generators of S({a},1)"
         else:
-            out.append(
-                Certificate(
-                    kind="extra-table",
-                    a=a,
-                    n=n,
-                    ok=verify_decomposition(s, n, coefficients),
-                    detail=_format_decomposition(n, coefficients),
-                )
-            )
+            ok = verify_decomposition(s, n, coefficients)
+            detail = _format_decomposition(n, coefficients)
+        out.append(Certificate(kind, a, n, ok, detail))
     return out

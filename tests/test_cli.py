@@ -426,12 +426,19 @@ def test_embedding_oracle_json(capsys):
 
 
 def test_embedding_certify(capsys):
-    code, out, _ = run_cli(capsys, "embedding", "--a", "29", "--b", "1", "--certify")
+    # embedding --certify is removed: certify --all is the one command that
+    # replays the 48 decomposition certificates, and embedding needs a pair.
+    for argv in (("--a", "29", "--b", "1", "--certify"), ("--certify",), ("--a", "29"), ()):
+        code, out, err = run_cli(capsys, "embedding", *argv)
+        assert (code, out) == (cli.USAGE_EXIT, ""), argv
+        assert "error:" in err, argv
+    code, out, _ = run_cli(capsys, "certify", "--all")
     assert code == 0
-    lines = out.splitlines()
-    passes = [line for line in lines if line.startswith("PASS")]
-    assert len(passes) == 48
-    assert not [line for line in lines if line.startswith("FAIL")]
+    certs = q.decomposition_certificates()
+    expected = [f"PASS {text}" for text, _ in cli._certificate_checks(certs)]
+    assert len(expected) == 48
+    # They follow the table check and the eight exceptional drops.
+    assert out.splitlines()[9:57] == expected
 
 
 def test_search_mu_drop(capsys):

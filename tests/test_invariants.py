@@ -304,6 +304,16 @@ def test_closed_forms_refuse_oversized_a_before_allocating(monkeypatch):
     assert q.shared_table().n_max == 10
 
 
+def test_closed_forms_grow_the_table_geometrically(monkeypatch):
+    # Per-pair calls at ascending a double the table rather than copy it at
+    # every a: one step past a = 1000 grows it to twice what it held.
+    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
+    q.genus(q.make_semigroup(1000, 1))
+    assert q.shared_table().n_max == 999
+    q.genus(q.make_semigroup(1001, 1))
+    assert len(q.shared_table().values) >= 1998
+
+
 def test_closed_forms_exact_past_int64(monkeypatch):
     # The benchmark's sweep grid, the exceptional pairs, and two pairs whose
     # Apery elements pass 2**63, where an int64 computation would wrap.

@@ -110,3 +110,37 @@ def test_every_imported_name_is_used():
         if imported - used:
             unused[path.name] = sorted(imported - used)
     assert unused == {}
+
+
+def test_every_private_name_is_used():
+    # The dead-code half of the same stand-in: each module-level private
+    # name (a function, class or assignment; dunders aside) is loaded
+    # somewhere in the package, as a name or as a module's attribute.
+    defined, loaded = set(), set()
+    for path in sorted(Path(q.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [
+                    n.id
+                    for target in targets
+                    for n in ast.walk(target)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                ]
+            else:
+                continue
+            defined |= {
+                (path.name, name)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert defined, "no private names found"
+    assert sorted((m, name) for m, name in defined if name not in loaded) == []

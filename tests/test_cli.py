@@ -659,6 +659,66 @@ GOLDEN = {
             {"a": 50, "n": 41, "mu_n": 16, "mu_n_plus_a": 14, "drop": 2},
         ],
     },
+    ("mu", "--n", "26", "--format", "plain"): "13\n",
+    ("mu", "--n", "26", "--format", "csv"): "n,mu\n26,13\n",
+    ("mu", "--n", "26", "--format", "json"): {"n": 26, "mu": 13},
+    ("bounds", "--n-max", "3", "--format", "csv"): (
+        "n,mu,lower,gauss,combined\n"
+        "1,2,2,4.37228132,5\n"
+        "2,4,2.56155281,5.27491722,6.43206265\n"
+        "3,3,3,6,7.37228132\n"
+    ),
+    ("apery", "--a", "4", "--b", "3", "--format", "plain"): "0 21 22 11\n",
+    ("apery", "--a", "4", "--b", "3", "--format", "csv"): "residue,element\n0,0\n1,21\n2,22\n3,11\n",
+    ("frobenius", "--a", "7", "--b", "2", "--format", "plain"): "52\n",
+    ("genus", "--a", "7", "--b", "2", "--format", "plain"): "28\n",
+    ("embedding", "--a", "29", "--b", "1", "--format", "plain"): (
+        "dimension 9\nindices 1 2 3 4 5 6 7 8 11\n"
+    ),
+    ("invariants", "--sweep", "--a-max", "5", "--b-max", "2", "--format", "csv"): (
+        "a,b,frobenius,genus,F_lo,F_hi,g_lo,g_hi\n"
+        "2,1,3,2,3,7.74456265,1.58333333,4.84402771\n"
+        "3,1,11,6,6.68465844,14.8247517,3.87886648,10.4920755\n"
+        "3,2,13,7,8.68465844,16.8247517,4.87886648,11.4920755\n"
+        "4,1,14,9,11,23,6.66666667,16.8105453\n"
+        "5,1,24,14,15.8614066,32.1173769,9.85710697,23.716497\n"
+        "5,2,28,16,19.8614066,36.1173769,11.857107,25.716497\n"
+    ),
+    ("search", "mu-drop", "--a-max", "50", "--format", "csv"): (
+        "a,n,mu_n,mu_n_plus_a,drop\n29,26,13,11,2\n45,33,15,13,2\n47,44,16,14,2\n50,41,16,14,2\n"
+    ),
+    ("search", "embedding-eq", "--a-max", "30", "--format", "csv"): (
+        "a,n,binom,residue,mu_residue\n"
+        "10,6,15,5,7\n13,7,21,8,8\n19,9,36,17,10\n22,9,36,14,10\n26,10,45,19,11\n"
+    ),
+    ("search", "embedding-eq", "--a-max", "30", "--format", "json"): {
+        "search_id": "embedding-eq",
+        "a_max": 30,
+        "elapsed": 0,
+        "hits": [
+            {"a": 10, "n": 6, "binom": 15, "residue": 5, "mu_residue": 7},
+            {"a": 13, "n": 7, "binom": 21, "residue": 8, "mu_residue": 8},
+            {"a": 19, "n": 9, "binom": 36, "residue": 17, "mu_residue": 10},
+            {"a": 22, "n": 9, "binom": 36, "residue": 14, "mu_residue": 10},
+            {"a": 26, "n": 10, "binom": 45, "residue": 19, "mu_residue": 11},
+        ],
+    },
+    ("g-analysis", "--format", "plain"): (
+        "local_max_location 52.1462763\n"
+        "local_max_value 4.59357878\n"
+        "root_at_2 485.935675\n"
+        "root_at_1 655.268619\n"
+    ),
+    ("g-analysis", "--format", "csv"): (
+        "quantity,value\n"
+        "local_max_location,52.1462763\n"
+        "local_max_value,4.59357878\n"
+        "root_at_2,485.935675\n"
+        "root_at_1,655.268619\n"
+    ),
+    ("tgrid", "--m-max", "2", "--n-max", "2", "--format", "csv"): (
+        "m,n,member\n0,0,1\n1,0,1\n2,0,1\n0,1,0\n1,1,0\n2,1,1\n0,2,0\n1,2,0\n2,2,0\n"
+    ),
     # Every check certify replays, in order, then its footer.
     ("certify", "--all"): (
         "PASS mu anchors and exact triangular values to index 2000\n"

@@ -8,21 +8,15 @@ each closed form against an oracle derived from one Apery set, computed
 by round robin from the generators alone.
 """
 
-from . import embedding, invariants, mu, search, semigroup
+from . import invariants, mu, search
 
 __version__ = "0.1.0"
 
-__all__ = [
-    name
-    for module in (embedding, invariants, mu, search, semigroup)
-    for name in module.__all__
-]
+__all__ = [name for module in (invariants, mu, search) for name in module.__all__]
 
 # Star imports come after __all__ is read from the submodules: `from .mu
 # import *` rebinds the package attribute mu from the submodule to the
 # function, which is what `quadsg.mu` must mean.
-from .embedding import *  # noqa: E402,F403
 from .invariants import *  # noqa: E402,F403
 from .mu import *  # noqa: E402,F403
 from .search import *  # noqa: E402,F403
-from .semigroup import *  # noqa: E402,F403

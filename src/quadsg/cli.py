@@ -18,12 +18,10 @@ from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
-from . import embedding as embedding_mod
 from . import invariants as invariants_mod
 from .invariants import frobenius, frobenius_oracle, genus, genus_oracle
 from .mu import _bounds_columns, _grow, mu, triangular
 from . import search as search_mod
-from . import semigroup as semigroup_mod
 
 __all__ = ["USAGE_EXIT", "FAILURE_EXIT", "build_parser", "main", "run"]
 
@@ -140,15 +138,15 @@ def _cmd_bounds(ns) -> _Record:
 
 
 def _cmd_semigroup(ns) -> _Record:
-    s = semigroup_mod.make_semigroup(ns.a, ns.b)
-    info = semigroup_mod.describe(s)
+    s = invariants_mod.make_semigroup(ns.a, ns.b)
+    info = invariants_mod.describe(s)
     gens = " ".join(map(str, info["generators"]))
     line = f"S({s.a},{s.b}) trivial={str(s.trivial).lower()} generators {gens}"
     return _Record(info, lines=[line])
 
 
 def _cmd_apery(ns) -> _Record:
-    s = semigroup_mod.make_semigroup(ns.a, ns.b)
+    s = invariants_mod.make_semigroup(ns.a, ns.b)
     ap = (invariants_mod.apery_oracle if ns.oracle else invariants_mod.apery_closed)(s)
     doc = {"a": s.a, "b": s.b, "modulus": ap.modulus, "elements": ap.elements}
     lines = [" ".join(map(str, ap.elements))]
@@ -156,7 +154,7 @@ def _cmd_apery(ns) -> _Record:
 
 
 def _cmd_frobenius_or_genus(ns) -> _Record:
-    s = semigroup_mod.make_semigroup(ns.a, ns.b)
+    s = invariants_mod.make_semigroup(ns.a, ns.b)
     closed, oracle = ns.forms
     value = (oracle if ns.oracle else closed)(s)
     return _Record({"a": s.a, "b": s.b, ns.command: value}, lines=[value])
@@ -184,7 +182,7 @@ def _cmd_invariants(ns) -> _Record:
         return _stream(ns.format, _SWEEP_HEADER, _SWEEP_ROW, blocks)
     if ns.a is None or ns.b is None:
         raise _UsageError("need --a and --b (or --sweep with --a-max/--b-max)")
-    summary = invariants_mod.invariant_summary(semigroup_mod.make_semigroup(ns.a, ns.b))
+    summary = invariants_mod.invariant_summary(invariants_mod.make_semigroup(ns.a, ns.b))
     if ns.format == "csv":
         return _Record(summary, lines=[_SWEEP_HEADER, _SWEEP_ROW["csv"] % astuple(summary)[:8]])
     lines = [
@@ -198,12 +196,12 @@ def _cmd_invariants(ns) -> _Record:
 
 
 def _cmd_embedding(ns) -> _Record:
-    dimension = embedding_mod.embedding_dimension(ns.a, ns.b)
-    s = semigroup_mod.make_semigroup(ns.a, ns.b)
+    dimension = invariants_mod.embedding_dimension(ns.a, ns.b)
+    s = invariants_mod.make_semigroup(ns.a, ns.b)
     if ns.oracle:
-        gens = embedding_mod.minimal_generators_oracle(s)
+        gens = invariants_mod.minimal_generators_oracle(s)
     else:
-        gens = embedding_mod.minimal_generators_closed(s)
+        gens = invariants_mod.minimal_generators_closed(s)
     if len(gens) != dimension:
         print(
             f"error: index list of length {len(gens)} disagrees with dimension {dimension}",

@@ -1,37 +1,247 @@
-"""Apery sets, Frobenius number, genus, and their analytic bounds."""
+"""The semigroups S(a,b) and their invariants, each closed form beside its oracle.
+
+S(a,b) is generated by y_n = n*a + C(n,2)*b for n >= 0.  It is a
+numerical semigroup (cofinite in the nonnegative integers) exactly when
+gcd(a,b) = 1, and collapses to all of them when a <= 1 or b = 0.
+
+The pairs (m,n) with mu(n) <= m form a monoid under addition (pad with
+copies of (1,0)); sending (m,n) to m*a + n*b maps it onto S(a,b).  The
+least m with m*a + n*b in S, written mu_{a,b}(n) here, equals mu(n) for
+0 <= n < a except at eight known (a,b,n) triples where it is mu(n) - 1.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mu import TABLE_LIMIT, _grow
-from .semigroup import (
-    EXCEPTIONAL_PAIRS,
-    _EXCEPTIONAL,
-    _TUPLE_LIMIT,
-    QuadraticSemigroup,
-    _apery,
-    require_nontrivial,
-)
+from .mu import TABLE_LIMIT, _grow, largest_index, mu, triangular
 
 __all__ = [
     "AperySet",
+    "EXCEPTIONAL_CASES",
+    "EXCEPTIONAL_PAIRS",
+    "ExceptionalCase",
     "InvariantSummary",
+    "MinimalGeneratorSet",
+    "NotANumericalSemigroup",
+    "QuadraticSemigroup",
     "apery_closed",
     "apery_oracle",
     "bounds_certified",
+    "contains",
+    "describe",
+    "embedding_dimension",
     "frobenius",
     "frobenius_bounds",
     "frobenius_oracle",
+    "generator",
     "genus",
     "genus_bounds",
     "genus_oracle",
     "invariant_summary",
+    "make_semigroup",
+    "minimal_generators_closed",
+    "minimal_generators_oracle",
+    "mu_ab_closed",
+    "mu_ab_oracle",
+    "require_nontrivial",
+    "verify_decomposition",
 ]
+
+
+class NotANumericalSemigroup(ValueError):
+    """The generators have a common divisor, so their span is not cofinite."""
+
+
+@dataclass(frozen=True)
+class QuadraticSemigroup:
+    """The semigroup generated by y_n = n*a + C(n,2)*b, n >= 0.
+
+    `trivial` marks the collapse to all nonnegative integers (a <= 1 or
+    b = 0); the conventions there are Frobenius number -1, genus 0,
+    embedding dimension 1.
+    """
+
+    a: int
+    b: int
+    trivial: bool
+
+
+@dataclass(frozen=True)
+class ExceptionalCase:
+    """A residue where the least lift sits one step below mu.
+
+    For these pairs (all with b = 1) the least m with m*a + n in S(a,1)
+    is mu(n) - 1, certified by (mu(n)-1)*a + n landing exactly on the
+    generator with index `witness_index`.
+    """
+
+    a: int
+    n: int
+    mu_n: int
+    witness_index: int
+
+    @property
+    def b(self) -> int:
+        return 1
+
+
+EXCEPTIONAL_CASES: tuple[ExceptionalCase, ...] = (
+    ExceptionalCase(29, 26, 13, 11),
+    ExceptionalCase(45, 33, 15, 13),
+    ExceptionalCase(47, 44, 16, 14),
+    ExceptionalCase(50, 41, 16, 14),
+    ExceptionalCase(55, 50, 17, 15),
+    ExceptionalCase(67, 53, 18, 16),
+    ExceptionalCase(73, 63, 19, 17),
+    ExceptionalCase(79, 74, 20, 18),
+)
+
+# The one lookup of the table above, by pair.
+_EXCEPTIONAL: dict[tuple[int, int], ExceptionalCase] = {(c.a, c.b): c for c in EXCEPTIONAL_CASES}
+
+EXCEPTIONAL_PAIRS: frozenset[tuple[int, int]] = frozenset(_EXCEPTIONAL)
+
+# Most Python ints a closed form returns in one tuple: 10**7 of them take
+# about 360 MB, and the list they are built from as much again.
+_TUPLE_LIMIT = 10**7
+
+# Most int64 entries in one temporary: 2**16 of them are 512 KiB, so memory
+# stays flat however large a is.  It is `_frobenius`'s block of n and the
+# minimal-generator oracle's block of sums, and an eighth of it caps a
+# block of the sweep's grid, whose eight columns, once Python lists, then
+# hold at most 2**16 entries; the CLI prints each block as one string, in
+# every format.  Without a cap, a grid that the size check allows would
+# allocate a * b_max entries at once (800 MB at a = 2, b_max = 5*10**7)
+# before its first row, and F at a = 10**8 - 1 would widen the whole lift
+# array (several GB); with it, both stream.
+_BLOCK = 1 << 16
+
+
+def make_semigroup(a: int, b: int) -> QuadraticSemigroup:
+    """Validate (a,b) and build the semigroup handle."""
+    if a < 0 or b < 0:
+        raise ValueError("a and b must be nonnegative")
+    if a == 0 and b == 0:
+        raise ValueError("(a, b) = (0, 0) generates only 0")
+    if math.gcd(a, b) != 1:
+        raise NotANumericalSemigroup(
+            f"gcd(a,b) must be 1, got gcd({a},{b}) = {math.gcd(a, b)}"
+        )
+    return QuadraticSemigroup(a=a, b=b, trivial=(a <= 1 or b == 0))
+
+
+def require_nontrivial(s: QuadraticSemigroup) -> None:
+    if s.trivial:
+        raise ValueError(f"S({s.a},{s.b}) is trivial; operation needs a >= 2 and b >= 1")
+
+
+def generator(s: QuadraticSemigroup, n: int) -> int:
+    """y_n = n*a + C(n,2)*b."""
+    if n < 0:
+        raise ValueError("generator index must be nonnegative")
+    return n * s.a + triangular(n) * s.b
+
+
+_DESCRIBED_GENERATORS = 8
+
+
+def describe(s: QuadraticSemigroup) -> dict:
+    """JSON-ready summary: a, b, trivial, the first eight generators."""
+    return {
+        "a": s.a,
+        "b": s.b,
+        "trivial": s.trivial,
+        "generators": [generator(s, n) for n in range(_DESCRIBED_GENERATORS)],
+    }
+
+
+@functools.lru_cache(maxsize=64)
+def _apery(a: int, b: int) -> np.ndarray:
+    """Read-only Apery set of nontrivial S(a,b) w.r.t. a, by round robin.
+
+    Starts from the span of y_1 = a (only class 0 reached) and folds in
+    y_2, y_3, ... (Boecker & Liptak, Algorithmica 48, 2007).  Adding y
+    moves along the cycles k -> k + y mod a, one per class mod
+    gcd(y, a), each of length L = a / gcd(y, a); entry j becomes
+    min over t in 0..L-1 of Ap[j - t*y] + t*y (t = L returns to j at a
+    higher cost).  One running minimum of Ap - walk over the cycle written
+    twice, plus the walk, gives this at positions L..2L-1: position j + L
+    sees every predecessor at forward distance 0..L-1, and the farther
+    copies only repeat one of them at L*y more.  A y with y >= Ap[y mod a]
+    is skipped: y = Ap[y mod a] + k*a already lies in the span folded so
+    far, so it lowers nothing.  Generators grow with n, so once one
+    exceeds every entry no later one can lower any: the stop is exact.
+    Uses only the generators; never mu or a closed form.
+    """
+    # After y_2 (coprime to a) every entry is at most (a-1)*y_2, and only
+    # y <= max(Ap) are folded, so a walk of length 2L <= 2a reaches at most
+    # (2L-1)*y < 2*a*a*y_2, which the guard keeps below 2**63: no int64
+    # wraps.  Every folded value is at most the entry it replaces, so none
+    # passes the `unreached` marker 2**62 - 1.
+    if a * a * (2 * a + b) >= 1 << 62:
+        raise ValueError(f"S({a},{b}) is too large for the Apery-set oracle")
+    unreached = (1 << 62) - 1
+    ap = np.full(a, unreached, dtype=np.int64)
+    ap[0] = 0
+    n, y, top = 2, 2 * a + b, unreached
+    while y <= top:
+        if y < ap[y % a]:
+            d = math.gcd(y, a)
+            length = a // d
+            cycles = (np.arange(d)[:, None] + np.arange(length) * (y % a)) % a
+            walk = np.arange(2 * length, dtype=np.int64) * y
+            entries = ap[cycles]
+            twice = np.concatenate((entries, entries), axis=1)
+            folded = (np.minimum.accumulate(twice - walk, axis=1) + walk)[:, length:]
+            ap[cycles] = folded
+            top = folded.max()
+        y += a + n * b
+        n += 1
+    ap.flags.writeable = False
+    return ap
+
+
+def contains(s: QuadraticSemigroup, x: int) -> bool:
+    """Exact membership of x in S(a,b), for any integer x."""
+    if x < 0:
+        return False
+    if s.trivial:
+        return True
+    return x >= int(_apery(s.a, s.b)[x % s.a])
+
+
+def mu_ab_oracle(s: QuadraticSemigroup, n: int) -> int:
+    """Least m with m*a + n*b in S, read off the Apery set.
+
+    The least member of S in the class of n*b mod a is the Apery element
+    there; m is its distance from n*b in steps of a.
+    """
+    require_nontrivial(s)
+    a, b = s.a, s.b
+    if not 0 <= n < a:
+        raise ValueError("oracle domain is 0 <= n < a")
+    least = int(_apery(a, b)[(n * b) % a])
+    return (least - n * b) // a
+
+
+def mu_ab_closed(s: QuadraticSemigroup, n: int) -> int:
+    """mu_{a,b}(n) on the base window 0 <= n < a without any membership scan.
+
+    Equals mu(n) except at the eight tabulated triples, where the value
+    drops by one.  Past the window, mu_{a,b}(n + a) = mu_{a,b}(n) - b:
+    multiply a witness by the relation between neighbouring generators.
+    """
+    require_nontrivial(s)
+    if not 0 <= n < s.a:
+        raise ValueError("closed form domain is 0 <= n < a")
+    case = _EXCEPTIONAL.get((s.a, s.b))
+    return mu(n) - (case is not None and case.n == n)
 
 
 @dataclass(frozen=True)
@@ -91,9 +301,11 @@ def apery_closed(s: QuadraticSemigroup) -> AperySet:
 
     Raises ValueError, before the table grows, past a = _TUPLE_LIMIT =
     10**7: its arrays, list and tuple take about 1.2 GB there.  `frobenius`
-    and `genus` still serve every a the table holds.
+    and `genus` still serve every a the table holds.  A trivial S gets
+    `apery_oracle`'s answer.
     """
-    require_nontrivial(s)
+    if s.trivial:
+        return apery_oracle(s)
     a = s.a
     if a > _TUPLE_LIMIT:
         raise ValueError(f"Apery set is limited to {_TUPLE_LIMIT} elements, S({a},{s.b}) has {a}")
@@ -115,11 +327,11 @@ def apery_oracle(s: QuadraticSemigroup) -> AperySet:
 def _frobenius(a: int, b: int) -> int:
     """F of S(a, b): the largest value of `_lifted`, less a.
 
-    The maximum runs over blocks of `_SWEEP_BLOCK` entries, so the
-    temporaries stay small however large a is.  The single-pair path, and
-    the reference the sweep's scans are tested against.
+    The maximum runs over blocks of `_BLOCK` entries, so the temporaries
+    stay small however large a is.  The single-pair path, and the
+    reference the sweep's scans are tested against.
     """
-    return int(max(block.max() for block in _lifted(a, b, _SWEEP_BLOCK))) - a
+    return int(max(block.max() for block in _lifted(a, b, _BLOCK))) - a
 
 
 def _genus(a: int, b: int) -> int:
@@ -148,7 +360,7 @@ def frobenius(s: QuadraticSemigroup) -> int:
 def frobenius_oracle(s: QuadraticSemigroup) -> int:
     if s.trivial:
         return -1
-    return max(apery_oracle(s).elements) - s.a
+    return int(_apery(s.a, s.b).max()) - s.a
 
 
 def genus(s: QuadraticSemigroup) -> int:
@@ -174,6 +386,119 @@ def genus_oracle(s: QuadraticSemigroup) -> int:
         return 0
     ap = _apery(s.a, s.b)
     return int((ap - np.arange(s.a)).sum()) // s.a
+
+
+@dataclass(frozen=True)
+class MinimalGeneratorSet:
+    """Indices n whose generator y_n no other generators can produce."""
+
+    semigroup: QuadraticSemigroup
+    indices: tuple[int, ...]
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        return tuple(generator(self.semigroup, n) for n in self.indices)
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+
+def minimal_generators_closed(s: QuadraticSemigroup) -> MinimalGeneratorSet:
+    """Minimal indices of S, decided without any search.
+
+    For nontrivial S, y_n is minimal when C(n,2) < a; it is never minimal
+    when n > a or a divides C(n,2) (so not at C(n,2) = a either); in the
+    remaining band, C(n,2) > a with n <= a and a not dividing C(n,2), it
+    is minimal only at the single extra index of an exceptional pair.  So
+    the indices are 1..largest_index(a - 1) followed by that extra index.
+    A trivial S has the lone generator y_1, or y_2 when a = 0.
+
+    Raises ValueError, before allocating, past _TUPLE_LIMIT = 10**7
+    indices (a past about 5*10**13): a tuple of that many Python ints
+    takes about 360 MB, and their elements as much again.
+    `embedding_dimension` still counts them.
+    """
+    if s.trivial:
+        return MinimalGeneratorSet(semigroup=s, indices=(1,) if s.a == 1 else (2,))
+    count = largest_index(s.a - 1)
+    if count > _TUPLE_LIMIT:
+        raise ValueError(f"index list is limited to {_TUPLE_LIMIT} indices, S({s.a},{s.b}) has {count}")
+    indices = tuple(range(1, count + 1))
+    case = _EXCEPTIONAL.get((s.a, s.b))
+    if case is not None:
+        indices += (case.witness_index,)
+    return MinimalGeneratorSet(semigroup=s, indices=indices)
+
+
+def minimal_generators_oracle(s: QuadraticSemigroup) -> MinimalGeneratorSet:
+    """Recompute minimality from the Apery set, using no closed forms.
+
+    The minimal generators are a together with the nonzero Apery elements
+    w that no other nonzero Apery element w' reaches, i.e. w - w' is never
+    in S (Rosales & Garcia-Sanchez, Numerical Semigroups, ch. 1).  Each is
+    some y_n, read back by walking the generators in order.
+
+    Ap[r] is reached exactly when Ap[r] = Ap[r'] + Ap[(r - r') mod a] for
+    some r' not in {0, r}: if Ap[r] - Ap[r'] is in S, it is the Apery
+    element of its class, since Ap[r] - a is not in S.  Row r' of a
+    circulant view of the Apery set written twice holds Ap[(r - r') mod a]
+    for every r without a copy, and the rows are scanned in blocks of at
+    most `_BLOCK` entries.
+    """
+    if s.trivial:
+        # The lone minimal generator 1 is y_1, or y_2 when a = 0.
+        return MinimalGeneratorSet(semigroup=s, indices=(1,) if s.a == 1 else (2,))
+    a, b = s.a, s.b
+    ap = _apery(a, b)
+    # The zero Ap[0] at doubled[a] lands on the diagonal r' = r, where it
+    # would match every Ap[r] with itself; -1 there matches none.
+    doubled = np.concatenate((ap, ap))
+    doubled[a] = -1
+    circulant = np.lib.stride_tricks.sliding_window_view(doubled, a)[::-1]
+    reached = np.zeros(a, dtype=bool)
+    reached[0] = True
+    rows = max(1, _BLOCK // a)
+    for lo in range(1, a, rows):
+        hi = min(lo + rows, a)
+        reached |= (ap[lo:hi, None] + circulant[lo:hi] == ap).any(axis=0)
+    indices = [1]
+    n, y = 1, a
+    for w in np.sort(ap[~reached]).tolist():
+        while y < w:
+            y += a + n * b
+            n += 1
+        indices.append(n)
+    return MinimalGeneratorSet(semigroup=s, indices=tuple(indices))
+
+
+def embedding_dimension(a: int, b: int) -> int:
+    """Size of the minimal generating set of S(a,b), in integer arithmetic.
+
+    Counts the indices n >= 1 with C(n,2) < a, plus one for the extra
+    index of an exceptional pair.  Never evaluates the real inverse of
+    the triangular map.
+    """
+    s = make_semigroup(a, b)
+    if s.trivial:
+        return 1
+    count = largest_index(a - 1)
+    if (a, b) in EXCEPTIONAL_PAIRS:
+        count += 1
+    return count
+
+
+def verify_decomposition(
+    s: QuadraticSemigroup, n: int, coefficients: dict[int, int]
+) -> bool:
+    """Exact check that y_n equals the stated combination of earlier generators."""
+    total = 0
+    for idx, c in coefficients.items():
+        if not 1 <= idx < n:
+            raise ValueError("decomposition indices must satisfy 1 <= i < n")
+        if c < 0:
+            raise ValueError("multiplicities must be nonnegative")
+        total += c * generator(s, idx)
+    return total == generator(s, n)
 
 
 def _a_terms(a: int) -> tuple[float, float, float, float]:
@@ -244,23 +569,12 @@ def invariant_summary(s: QuadraticSemigroup) -> InvariantSummary:
     return InvariantSummary(a, b, _frobenius(a, b), _genus(a, b), *bounds, bounds_certified(a, b))
 
 
-# Most entries in one block of lifted values: 2**16 int64 values are
-# 512 KiB.  It is `_frobenius`'s block of n, and an eighth of it caps a
-# block of the sweep's grid, whose eight columns, once Python lists, then
-# hold at most 2**16 entries; the CLI prints each block as one string, in
-# every format.  Without a cap, a grid that the size check allows would
-# allocate a * b_max entries at once (800 MB at a = 2, b_max = 5*10**7)
-# before its first row, and F at a = 10**8 - 1 would widen the whole lift
-# array (several GB); with it, both stream.
-_SWEEP_BLOCK = 1 << 16
-
-
 def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     """(a, b, F, g) of every coprime pair 2 <= a <= a_max, 1 <= b <= b_max.
 
     Rows come a ascending, then b ascending, in int64 arrays of at most
-    `_SWEEP_BLOCK // 8` pairs.  F and g for every a come from scans of
-    the mu table, not from one lift array per a.
+    `_BLOCK // 8` pairs.  F and g for every a come from scans of the mu
+    table, not from one lift array per a.
 
     Let M(a) = max mu(0..a-1), and let last_m(a) be the largest n < a with
     mu(n) = m.  F(a, b) + a is the largest lift mu(n)*a + n*b over n < a,
@@ -292,7 +606,7 @@ def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     """
     if a_max < 2 or b_max < 1:
         return
-    cap = max(1, _SWEEP_BLOCK // 8)
+    cap = max(1, _BLOCK // 8)
     width = max(1, cap // b_max)
     last = np.full(min(1 << 16, 2 * a_max), -1, dtype=np.int64)  # one slot per level
     top = total = 0
@@ -343,8 +657,9 @@ def _sweep_columns(a_max: int, b_max: int) -> Iterator[list[list]]:
 
     One list of Python lists per block of `_scan`.  The bounds take the
     terms in a alone once per a and add the terms in b over the whole
-    block through `_with_b`, so every float equals the single-pair one.  An oversized grid is refused at the call, before any
-    row; this also keeps a_max - 1 within what the mu table holds.
+    block through `_with_b`, so every float equals the single-pair one.
+    An oversized grid is refused at the call, before any row; this also
+    keeps a_max - 1 within what the mu table holds.
     """
     if (a_max - 1) * max(b_max, 1) > TABLE_LIMIT:
         raise ValueError(f"sweep needs (a_max - 1) * b_max <= {TABLE_LIMIT}")
@@ -357,4 +672,3 @@ def _sweep_columns(a_max: int, b_max: int) -> Iterator[list[list]]:
             yield [column.tolist() for column in (a, b, f, g, *bounds)]
 
     return blocks()
-

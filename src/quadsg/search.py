@@ -18,15 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import minimal_generators_oracle, verify_decomposition
-from .mu import _grow, inverse_triangular, mu, triangular
-from .semigroup import (
+from .invariants import (
     EXCEPTIONAL_CASES,
     contains,
     generator,
     make_semigroup,
+    minimal_generators_oracle,
     mu_ab_oracle,
+    verify_decomposition,
 )
+from .mu import _grow, inverse_triangular, mu, triangular
 
 __all__ = [
     "EMBED_DECOMPOSITIONS",

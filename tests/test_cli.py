@@ -127,6 +127,9 @@ def test_apery_plain_and_oracle(capsys):
     code, oracle_out, _ = run_cli(capsys, "apery", "--a", "3", "--b", "1", "--oracle")
     assert code == 0
     assert oracle_out == out
+    # S(1, b) is every nonnegative integer: one class, least member 0.
+    for flags in ((), ("--oracle",)):
+        assert run_cli(capsys, "apery", "--a", "1", "--b", "5", *flags) == (0, "0\n", "")
 
 
 def test_apery_csv(capsys):
@@ -297,7 +300,7 @@ def test_sweep_json_matches_list_form(capsys, monkeypatch, a_max):
     assert run_cli(capsys, *argv) == (0, expected.getvalue() + "\n", "")
     assert (expected.getvalue() == "[]") == (a_max < 2)
     # Again with blocks of 5 pairs, so the array's commas cross block edges.
-    monkeypatch.setattr(invariants_module, "_SWEEP_BLOCK", 40)
+    monkeypatch.setattr(invariants_module, "_BLOCK", 40)
     assert run_cli(capsys, *argv) == (0, expected.getvalue() + "\n", "")
 
 
@@ -352,7 +355,7 @@ def sweep_row(a, b):
 @pytest.mark.parametrize("a_max,b_max,block", [(400, 10, None), (80, 12, 40), (-3, 2, None)])
 def test_sweep_csv_matches_csv_writer(a_max, b_max, block, capsys, monkeypatch):
     if block is not None:
-        monkeypatch.setattr(invariants_module, "_SWEEP_BLOCK", block)
+        monkeypatch.setattr(invariants_module, "_BLOCK", block)
     pairs = [(a, b) for a in range(2, a_max + 1) for b in range(1, b_max + 1) if math.gcd(a, b) == 1]
     expected = csv_writer_text(SWEEP_HEADER, [sweep_row(a, b) for a, b in pairs])
     argv = ["invariants", "--sweep", "--a-max", str(a_max), "--b-max", str(b_max)]

@@ -11,8 +11,7 @@ import pytest
 import quadsg as q
 from helpers import minimal_generators_naive
 
-embedding_module = importlib.import_module("quadsg.embedding")
-semigroup_module = importlib.import_module("quadsg.semigroup")
+invariants_module = importlib.import_module("quadsg.invariants")
 
 
 def closed_indices(a: int, b: int) -> tuple[int, ...]:
@@ -128,7 +127,7 @@ def test_oracle_vs_naive_closure():
 def _oracle_per_w_prime(a, b):
     # The minimal-generator oracle as first written: one pass over the Apery
     # set per nonzero element w', marking the elements w with w - w' in S.
-    ap = semigroup_module._apery(a, b)
+    ap = invariants_module._apery(a, b)
     reached = np.zeros(a, dtype=bool)
     reached[0] = True
     for w_prime in ap[1:]:
@@ -151,7 +150,7 @@ def test_oracle_matches_per_w_prime_reference(rows, monkeypatch):
     pairs = [(a, b) for a in range(2, 151) for b in range(1, 7) if math.gcd(a, b) == 1]
     for a, b in pairs + sorted(q.EXCEPTIONAL_PAIRS):
         if rows is not None:
-            monkeypatch.setattr(embedding_module, "_REACH_BLOCK", rows * a)
+            monkeypatch.setattr(invariants_module, "_BLOCK", rows * a)
         got = q.minimal_generators_oracle(q.make_semigroup(a, b)).indices
         assert got == _oracle_per_w_prime(a, b), (a, b, rows)
 

@@ -72,8 +72,12 @@ def test_apery_trivial_and_errors():
     assert q.apery_oracle(q.make_semigroup(1, 0)) == q.AperySet(1, (0,))
     with pytest.raises(ValueError):
         q.apery_oracle(q.make_semigroup(0, 1))
+    # The closed form keeps the oracle's conventions on trivial S.
+    for a, b in [(1, 1), (1, 0), (1, 5)]:
+        s = q.make_semigroup(a, b)
+        assert q.apery_closed(s) == q.apery_oracle(s) == q.AperySet(1, (0,))
     with pytest.raises(ValueError):
-        q.apery_closed(q.make_semigroup(1, 1))
+        q.apery_closed(q.make_semigroup(0, 1))
 
 
 def test_frobenius_genus_examples():
@@ -216,7 +220,7 @@ def test_sweep_covers_exceptional_pairs(block, monkeypatch):
     # and the drops of a = 47 and 79 (n = 44 and 74) sit in the second
     # block of `_lifted`.
     if block is not None:
-        monkeypatch.setattr(invariants_module, "_SWEEP_BLOCK", block)
+        monkeypatch.setattr(invariants_module, "_BLOCK", block)
     rows = list(sweep_rows(80, 12))
     assert rows == summaries_pair_by_pair(80, 12)
     assert q.EXCEPTIONAL_PAIRS <= {(a, b) for a, b, *_ in rows}
@@ -260,7 +264,7 @@ def test_scan_matches_per_a_reference(block, monkeypatch):
     monkeypatch.setattr(mu_module, "_shared", q.MuTable())
     expected = per_a_reference()
     if block is not None:
-        monkeypatch.setattr(invariants_module, "_SWEEP_BLOCK", block)
+        monkeypatch.setattr(invariants_module, "_BLOCK", block)
     ones = scanned(3000, 1)
     assert list(ones) == [(a, 1) for a in range(2, 3001)]
     assert ones == {key: value for key, value in expected.items() if key[1] == 1}

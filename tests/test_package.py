@@ -144,3 +144,39 @@ def test_every_private_name_is_used():
                 loaded.add(node.attr)
     assert defined, "no private names found"
     assert sorted((m, name) for m, name in defined if name not in loaded) == []
+
+
+def test_cross_module_private_names():
+    # The private names each module imports from, or reads off, another
+    # package module: the coupling left once S(a,b) and all its invariants
+    # live in one module.  A new entry should be a deliberate choice.
+    shared = {}
+    for path in sorted(Path(q.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+            for alias in node.names
+        }
+        names = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level and node.module is not None
+            for alias in node.names
+        }
+        names |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        }
+        private = {name for name in names if name.startswith("_") and not name.startswith("__")}
+        if private:
+            shared[path.stem] = private
+    assert shared == {
+        "cli": {"_bounds_columns", "_grow", "_sweep_columns"},
+        "invariants": {"_grow"},
+        "search": {"_grow"},
+    }

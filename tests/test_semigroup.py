@@ -11,7 +11,7 @@ import pytest
 import quadsg as q
 from helpers import least_lift_scan, lift_members, semigroup_members
 
-semigroup_module = importlib.import_module("quadsg.semigroup")
+invariants_module = importlib.import_module("quadsg.invariants")
 
 
 def test_make_semigroup_validation():
@@ -144,7 +144,7 @@ def test_apery_matches_round_robin_reference():
     pairs += sorted(q.EXCEPTIONAL_PAIRS)
     pairs += [(a, _largest_b_under_guard(a)) for a in (3, 100, 1999)]
     for a, b in pairs:
-        got = semigroup_module._apery(a, b)
+        got = invariants_module._apery(a, b)
         assert np.array_equal(got, _round_robin_apery(a, b)), (a, b)
 
 

@@ -6,19 +6,22 @@ least 2, which is exactly where the least lift can undercut mu(n); the
 residue search finds all (a, n) where an extra generator could enter the
 minimal set.  Both come with certificate replay: exact arithmetic
 witnesses for each hit, verifiable without trusting either search.
-Each search is one numpy pass per a over the mu table; only the few
-candidates it flags are examined one by one.
+Each search lists only the (a, n) pairs that the floor mu(m) >= f(m) of
+`MuTable` leaves and tests them against the mu table in vectorised
+blocks; only the hits are examined one by one.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .invariants import (
+    _BLOCK,
     EXCEPTIONAL_CASES,
     contains,
     generator,
@@ -27,7 +30,7 @@ from .invariants import (
     mu_ab_oracle,
     verify_decomposition,
 )
-from .mu import _grow, inverse_triangular, mu, triangular
+from .mu import _grow, inverse_triangular, largest_index, mu
 
 __all__ = [
     "EMBED_DECOMPOSITIONS",
@@ -91,21 +94,48 @@ class SearchReport:
 _SEARCH_CAP = 10**5
 
 
+def _pairs(first: int, lo: np.ndarray, hi: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every pair (first + k, j) with lo[k] < j <= hi[k], as two int64 arrays.
+
+    In order of k, then j, in blocks of at most `_BLOCK` pairs, so memory
+    stays flat however many pairs there are.
+    """
+    counts = np.maximum(hi - lo, 0)
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, _BLOCK):
+        flat = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
+        k = np.searchsorted(ends, flat, side="right")
+        yield first + k, lo[k] + 1 + flat - (ends[k] - counts[k])
+
+
 def search_mu_drop(a_max: int) -> SearchReport:
     """All (a, n) with 3 <= n < a <= a_max and mu(n) - mu(n+a) in 2..4.
 
     A drop of at least 2 is the only way the least lift can land below
     mu; 4 bounds the window the derivation needs.
+
+    Only pairs with n + a <= C(mu(n) - 2, 2) are read.  A drop of at
+    least 2 needs mu(n+a) <= mu(n) - 2 = k, and mu(m) >= f(m) =
+    (1 + sqrt(8m+1))/2 for m >= 1 (see `MuTable`).  For an integer k >= 1,
+    f(m) <= k exactly when 8m + 1 <= (2k-1)^2, that is m <= C(k,2); and
+    k >= 1 here, since mu(n) >= f(n) >= f(3) = 3.  So for each n the
+    candidate a form the interval n < a <= min(a_max, C(mu(n) - 2, 2) - n),
+    empty for all but a few n.
     """
     if not 4 <= a_max <= _SEARCH_CAP:
         raise ValueError(f"a_max must be in 4..{_SEARCH_CAP}")
     start = time.perf_counter()
     values = _grow(2 * a_max, 2 * a_max).values
+    ns = np.arange(3, a_max, dtype=np.int64)
+    k = values[3:a_max].astype(np.int64) - 2
     hits = []
-    for a in range(4, a_max + 1):
-        drop = np.subtract(values[3:a], values[3 + a : 2 * a], dtype=np.int64)
-        for n in (np.flatnonzero((drop >= 2) & (drop <= 4)) + 3).tolist():
-            hits.append(DropHit(a, n, int(values[n]), int(values[n + a])))
+    for n, a in _pairs(3, ns, np.minimum(a_max, k * (k - 1) // 2 - ns)):
+        mu_n, mu_shifted = values[n], values[n + a]
+        drop = np.subtract(mu_n, mu_shifted, dtype=np.int64)
+        keep = (drop >= 2) & (drop <= 4)
+        hits += map(DropHit, *(x[keep].tolist() for x in (a, n, mu_n, mu_shifted)))
+    hits.sort(key=lambda hit: (hit.a, hit.n))
     return SearchReport("mu-drop", a_max, time.perf_counter() - start, tuple(hits))
 
 
@@ -117,19 +147,27 @@ def search_embedding_eq(a_max: int) -> SearchReport:
     residue is C(n,2) itself, whose mu is n (0 for n = 1).  If a divides
     C(n,2), including C(n,2) = a, the residue is 0 and mu(0) = 0.  Neither
     is n + 1, and n <= a already keeps C(n,2) <= C(a,2).
+
+    So a hit has C(n,2) > a, that is n > largest_index(a).  Its residue
+    lies in 0..a-1, so n + 1 = mu(residue) <= M(a) = max mu(0..a-1).
+    Only n with largest_index(a) < n <= min(a, M(a) - 1) are read: M comes
+    from one running maximum over the table, largest_index from a binary
+    search over exact integer triangular numbers.
     """
     if not 2 <= a_max <= _SEARCH_CAP:
         raise ValueError(f"a_max must be in 2..{_SEARCH_CAP}")
     start = time.perf_counter()
     values = _grow(a_max, a_max).values
-    indices = np.arange(1, a_max + 1)
-    binoms = indices * (indices - 1) // 2
+    a_all = np.arange(2, a_max + 1, dtype=np.int64)
+    top = np.maximum.accumulate(values[:a_max]).astype(np.int64)[1:]
+    i = np.arange(largest_index(a_max) + 2, dtype=np.int64)
+    low = np.searchsorted(i * (i - 1) // 2, a_all, side="right") - 1
     hits = []
-    for a in range(2, a_max + 1):
-        ns = indices[:a]
-        for n in ns[values[binoms[:a] % a] == ns + 1].tolist():
-            binom = triangular(n)
-            hits.append(ResidueHit(a, n, binom, binom % a, n + 1))
+    for a, n in _pairs(2, low, np.minimum(a_all, top - 1)):
+        binom = n * (n - 1) // 2
+        residue = binom % a
+        keep = values[residue] == n + 1
+        hits += map(ResidueHit, *(x[keep].tolist() for x in (a, n, binom, residue, n + 1)))
     return SearchReport("embedding-eq", a_max, time.perf_counter() - start, tuple(hits))
 
 

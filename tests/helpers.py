@@ -1,12 +1,17 @@
 """Independent reference implementations used only by tests.
 
 Deliberately naive: plain Python, no windowing, no numpy closures, so a
-bug in the package's optimized paths cannot hide here too.
+bug in the package's optimized paths cannot hide here too.  The two
+`*_scan` searches are the exception: one numpy pass per a over every
+pair, fast enough to check the package's pruned searches at a few
+thousand.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from quadsg import mu_ab_closed
 
@@ -158,4 +163,28 @@ def residue_hits_plain(values, a_max: int) -> list[tuple]:
             if residue == 0:
                 reasons.append("binom_multiple_of_a")
             found.append((a, n, binom, residue, mu_residue, ";".join(reasons)))
+    return found
+
+
+def drop_hits_scan(values, a_max: int) -> list[tuple[int, int, int, int]]:
+    """The rows of `drop_hits_plain` by one numpy pass over every n < a per
+    a; `values` is a uint16 array of mu(0..2*a_max - 1)."""
+    found = []
+    for a in range(4, a_max + 1):
+        drop = np.subtract(values[3:a], values[3 + a : 2 * a], dtype=np.int64)
+        for n in (np.flatnonzero((drop >= 2) & (drop <= 4)) + 3).tolist():
+            found.append((a, n, int(values[n]), int(values[n + a])))
+    return found
+
+
+def residue_hits_scan(values, a_max: int) -> list[tuple[int, int, int, int, int]]:
+    """The rows of `residue_hits_plain`, without excluded_by, by one numpy
+    pass over every n <= a per a; `values` is a uint16 array of mu(0..a_max)."""
+    indices = np.arange(1, a_max + 1)
+    binoms = indices * (indices - 1) // 2
+    found = []
+    for a in range(2, a_max + 1):
+        ns = indices[:a]
+        for n in ns[values[binoms[:a] % a] == ns + 1].tolist():
+            found.append((a, n, tri(n), tri(n) % a, n + 1))
     return found

@@ -178,5 +178,5 @@ def test_cross_module_private_names():
     assert shared == {
         "cli": {"_bounds_columns", "_grow", "_sweep_columns"},
         "invariants": {"_grow"},
-        "search": {"_grow"},
+        "search": {"_BLOCK", "_grow"},
     }

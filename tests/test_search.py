@@ -4,10 +4,11 @@ import importlib
 import math
 from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 import quadsg as q
-from helpers import drop_hits_plain, residue_hits_plain
+from helpers import drop_hits_plain, drop_hits_scan, residue_hits_plain, residue_hits_scan
 
 
 @pytest.fixture(scope="module")
@@ -74,10 +75,37 @@ def test_scans_match_plain_loops(table, a_max):
     assert [astuple(h) for h in eq.hits] == [hit[:-1] for hit in plain]
 
 
-@pytest.mark.slow
+def test_pruned_searches_match_scans(monkeypatch):
+    # The pruned searches read only the pairs the floor of mu leaves; the
+    # reference scans read every pair.  Compare at 3000, at a stride of
+    # a_max, and on each side of every hit's a, where a miss would show.
+    t = q.MuTable(2 * 3000)
+    monkeypatch.setattr(importlib.import_module("quadsg.mu"), "_shared", t)
+    drop, residue = drop_hits_scan(t.values, 3000), residue_hits_scan(t.values, 3000)
+    edges = {a - d for a, *_ in drop + residue for d in (0, 1)}
+    for a_max in sorted(set(range(4, 3001, 97)) | edges | {3000}):
+        got = [astuple(h) for h in q.search_mu_drop(a_max).hits]
+        assert got == [hit for hit in drop if hit[0] <= a_max], a_max
+        got = [astuple(h) for h in q.search_embedding_eq(a_max).hits]
+        assert got == [hit for hit in residue if hit[0] <= a_max], a_max
+    assert [hit[:2] for hit in drop] == list(q.EXPECTED_DROP_PAIRS)
+    assert [hit[:2] for hit in residue] == list(q.EXPECTED_RESIDUE_PAIRS)
+
+
+def test_floor_of_mu_in_integers(monkeypatch):
+    # The premise of both prunes, mu(m) >= f(m) for m >= 1, in the integer
+    # form they use: m <= C(mu(m), 2), on the served table to C(2000,2).
+    monkeypatch.setattr(importlib.import_module("quadsg.mu"), "_shared", q.MuTable())
+    top = q.triangular(2000)
+    q.mu(top)
+    k = q.shared_table().values[1 : top + 1].astype(np.int64)
+    assert np.all(np.arange(1, top + 1) <= k * (k - 1) // 2)
+
+
 def test_drop_search_to_search_cap(monkeypatch):
-    # Nothing past the eight: the drop search over every a <= 10**5 (11-23 s
-    # on a 2-vCPU machine) finds only the known pairs, each a drop of 2.
+    # Nothing past the eight: the drop search over every a <= 10**5 (about
+    # 10 ms on a 2-vCPU machine, the fill to 2*10**5 included) finds only
+    # the known pairs, each a drop of 2.
     monkeypatch.setattr(importlib.import_module("quadsg.mu"), "_shared", q.MuTable())
     report = q.search_mu_drop(100_000)
     assert report.pairs() == q.EXPECTED_DROP_PAIRS
@@ -85,10 +113,9 @@ def test_drop_search_to_search_cap(monkeypatch):
     assert q.shared_table().n_max == 200_000
 
 
-@pytest.mark.slow
 def test_residue_search_to_search_cap(monkeypatch):
     # Nothing past the thirty: the residue search over every a <= 10**5
-    # (about 35 s on a 2-vCPU machine) finds only the tabulated pairs.
+    # (about 0.2 s on a 2-vCPU machine) finds only the tabulated pairs.
     monkeypatch.setattr(importlib.import_module("quadsg.mu"), "_shared", q.MuTable())
     assert q.search_embedding_eq(100_000).pairs() == q.EXPECTED_RESIDUE_PAIRS
 

@@ -112,14 +112,13 @@ EXCEPTIONAL_PAIRS: frozenset[tuple[int, int]] = frozenset(_EXCEPTIONAL)
 _TUPLE_LIMIT = 10**7
 
 # Most int64 entries in one temporary: 2**16 of them are 512 KiB, so memory
-# stays flat however large a is.  It is `_frobenius`'s block of n and the
-# minimal-generator oracle's block of sums, and an eighth of it caps a
-# block of the sweep's grid, whose eight columns, once Python lists, then
-# hold at most 2**16 entries; the CLI prints each block as one string, in
-# every format.  Without a cap, a grid that the size check allows would
-# allocate a * b_max entries at once (800 MB at a = 2, b_max = 5*10**7)
-# before its first row, and F at a = 10**8 - 1 would widen the whole lift
-# array (several GB); with it, both stream.
+# stays flat however large a is.  It is `_frobenius`'s block of n, and an
+# eighth of it caps a block of the sweep's grid, whose eight columns, once
+# Python lists, then hold at most 2**16 entries; the CLI prints each block
+# as one string, in every format.  Without a cap, a grid that the size
+# check allows would allocate a * b_max entries at once (800 MB at a = 2,
+# b_max = 5*10**7) before its first row, and F at a = 10**8 - 1 would widen
+# the whole lift array (several GB); with it, both stream.
 _BLOCK = 1 << 16
 
 
@@ -161,9 +160,17 @@ def describe(s: QuadraticSemigroup) -> dict:
     }
 
 
+# Largest a the Apery-set oracle serves.  The round robin folds about
+# sqrt(2a) generators at O(a) each, so its cost grows as a**1.5: on one
+# 2-vCPU box it took 0.46 s at a = 50,021 (0.46-0.47 s for b = 1, 7, 1,000
+# and 10**6 + 1), 1.5 s at 100,003 and 4.8 s at 199,999, all at b = 1.
+# The int64 guard alone admits a up to about 1.3*10**6, about a minute.
+_APERY_LIMIT = 2 * 10**5
+
+
 @functools.lru_cache(maxsize=64)
-def _apery(a: int, b: int) -> np.ndarray:
-    """Read-only Apery set of nontrivial S(a,b) w.r.t. a, by round robin.
+def _apery(a: int, b: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Read-only Apery set of nontrivial S(a,b) w.r.t. a, and the indices it folds.
 
     Starts from the span of y_1 = a (only class 0 reached) and folds in
     y_2, y_3, ... (Boecker & Liptak, Algorithmica 48, 2007).  Adding y
@@ -177,8 +184,14 @@ def _apery(a: int, b: int) -> np.ndarray:
     is skipped: y = Ap[y mod a] + k*a already lies in the span folded so
     far, so it lowers nothing.  Generators grow with n, so once one
     exceeds every entry no later one can lower any: the stop is exact.
-    Uses only the generators; never mu or a closed form.
+    The indices are 1 (y_1 = a) and every n whose y_n was folded, in
+    order; `minimal_generators_oracle` returns them.  Uses only the
+    generators; never mu or a closed form.
+
+    Raises ValueError, before allocating, past a = _APERY_LIMIT.
     """
+    if a > _APERY_LIMIT:
+        raise ValueError(f"Apery-set oracle is limited to a <= {_APERY_LIMIT}, S({a},{b}) has {a}")
     # After y_2 (coprime to a) every entry is at most (a-1)*y_2, and only
     # y <= max(Ap) are folded, so a walk of length 2L <= 2a reaches at most
     # (2L-1)*y < 2*a*a*y_2, which the guard keeps below 2**63: no int64
@@ -189,9 +202,11 @@ def _apery(a: int, b: int) -> np.ndarray:
     unreached = (1 << 62) - 1
     ap = np.full(a, unreached, dtype=np.int64)
     ap[0] = 0
+    indices = [1]
     n, y, top = 2, 2 * a + b, unreached
     while y <= top:
         if y < ap[y % a]:
+            indices.append(n)
             d = math.gcd(y, a)
             length = a // d
             cycles = (np.arange(d)[:, None] + np.arange(length) * (y % a)) % a
@@ -204,7 +219,7 @@ def _apery(a: int, b: int) -> np.ndarray:
         y += a + n * b
         n += 1
     ap.flags.writeable = False
-    return ap
+    return ap, tuple(indices)
 
 
 def contains(s: QuadraticSemigroup, x: int) -> bool:
@@ -213,7 +228,7 @@ def contains(s: QuadraticSemigroup, x: int) -> bool:
         return False
     if s.trivial:
         return True
-    return x >= int(_apery(s.a, s.b)[x % s.a])
+    return x >= int(_apery(s.a, s.b)[0][x % s.a])
 
 
 def mu_ab_oracle(s: QuadraticSemigroup, n: int) -> int:
@@ -226,7 +241,7 @@ def mu_ab_oracle(s: QuadraticSemigroup, n: int) -> int:
     a, b = s.a, s.b
     if not 0 <= n < a:
         raise ValueError("oracle domain is 0 <= n < a")
-    least = int(_apery(a, b)[(n * b) % a])
+    least = int(_apery(a, b)[0][(n * b) % a])
     return (least - n * b) // a
 
 
@@ -321,7 +336,7 @@ def apery_oracle(s: QuadraticSemigroup) -> AperySet:
         if s.a == 1:
             return AperySet(modulus=1, elements=(0,))
         raise ValueError("Apery set needs a positive modulus a")
-    return AperySet(modulus=s.a, elements=tuple(_apery(s.a, s.b).tolist()))
+    return AperySet(modulus=s.a, elements=tuple(_apery(s.a, s.b)[0].tolist()))
 
 
 def _frobenius(a: int, b: int) -> int:
@@ -360,7 +375,7 @@ def frobenius(s: QuadraticSemigroup) -> int:
 def frobenius_oracle(s: QuadraticSemigroup) -> int:
     if s.trivial:
         return -1
-    return int(_apery(s.a, s.b).max()) - s.a
+    return int(_apery(s.a, s.b)[0].max()) - s.a
 
 
 def genus(s: QuadraticSemigroup) -> int:
@@ -384,7 +399,7 @@ def genus_oracle(s: QuadraticSemigroup) -> int:
     """
     if s.trivial:
         return 0
-    ap = _apery(s.a, s.b)
+    ap = _apery(s.a, s.b)[0]
     return int((ap - np.arange(s.a)).sum()) // s.a
 
 
@@ -431,44 +446,26 @@ def minimal_generators_closed(s: QuadraticSemigroup) -> MinimalGeneratorSet:
 
 
 def minimal_generators_oracle(s: QuadraticSemigroup) -> MinimalGeneratorSet:
-    """Recompute minimality from the Apery set, using no closed forms.
+    """Minimal indices of S read off the round robin, using no closed forms.
 
-    The minimal generators are a together with the nonzero Apery elements
-    w that no other nonzero Apery element w' reaches, i.e. w - w' is never
-    in S (Rosales & Garcia-Sanchez, Numerical Semigroups, ch. 1).  Each is
-    some y_n, read back by walking the generators in order.
+    They are the indices `_apery` records as it folds:
 
-    Ap[r] is reached exactly when Ap[r] = Ap[r'] + Ap[(r - r') mod a] for
-    some r' not in {0, r}: if Ap[r] - Ap[r'] is in S, it is the Apery
-    element of its class, since Ap[r] - a is not in S.  Row r' of a
-    circulant view of the Apery set written twice holds Ap[(r - r') mod a]
-    for every r without a copy, and the rows are scanned in blocks of at
-    most `_BLOCK` entries.
+    1. The generators strictly increase, so a sum of other generators
+       equal to y_n uses only y_1..y_{n-1}.
+    2. So y_n is minimal exactly when y_1..y_{n-1} do not span it, that
+       is, when y_n < Ap[y_n mod a] over them.  When y_n comes up, the
+       fold holds that Ap (a skipped generator lies in the span already),
+       so it folds y_n exactly when y_n is minimal; y_1 = a always is.
+    3. The fold stops once y_n > max Ap, and every later generator, larger
+       still, lies in the span from then on.
+
+    One fold serves this oracle and the Apery-set one, so both stop at
+    `_APERY_LIMIT`.
     """
     if s.trivial:
         # The lone minimal generator 1 is y_1, or y_2 when a = 0.
         return MinimalGeneratorSet(semigroup=s, indices=(1,) if s.a == 1 else (2,))
-    a, b = s.a, s.b
-    ap = _apery(a, b)
-    # The zero Ap[0] at doubled[a] lands on the diagonal r' = r, where it
-    # would match every Ap[r] with itself; -1 there matches none.
-    doubled = np.concatenate((ap, ap))
-    doubled[a] = -1
-    circulant = np.lib.stride_tricks.sliding_window_view(doubled, a)[::-1]
-    reached = np.zeros(a, dtype=bool)
-    reached[0] = True
-    rows = max(1, _BLOCK // a)
-    for lo in range(1, a, rows):
-        hi = min(lo + rows, a)
-        reached |= (ap[lo:hi, None] + circulant[lo:hi] == ap).any(axis=0)
-    indices = [1]
-    n, y = 1, a
-    for w in np.sort(ap[~reached]).tolist():
-        while y < w:
-            y += a + n * b
-            n += 1
-        indices.append(n)
-    return MinimalGeneratorSet(semigroup=s, indices=tuple(indices))
+    return MinimalGeneratorSet(semigroup=s, indices=_apery(s.a, s.b)[1])
 
 
 def embedding_dimension(a: int, b: int) -> int:

@@ -174,6 +174,14 @@ def test_sweep_past_limit_is_domain_error(capsys):
         assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
+@pytest.mark.parametrize("command", ["apery", "frobenius", "genus", "embedding"])
+def test_oracles_past_limit_are_domain_errors(capsys, command):
+    a = invariants_module._APERY_LIMIT + 1
+    code, out, err = run_cli(capsys, command, "--a", str(a), "--b", "1", "--oracle")
+    assert (code, out) == (1, ""), command
+    assert err.count("\n") == 1 and err.startswith("error: ") and "limited" in err, err
+
+
 def cli_process(argv):
     """A CLI subprocess on this source tree, its stdout piped as text."""
     src_dir = str(Path(q.__file__).resolve().parents[1])

@@ -127,7 +127,7 @@ def test_oracle_vs_naive_closure():
 def _oracle_per_w_prime(a, b):
     # The minimal-generator oracle as first written: one pass over the Apery
     # set per nonzero element w', marking the elements w with w - w' in S.
-    ap = invariants_module._apery(a, b)
+    ap = invariants_module._apery(a, b)[0]
     reached = np.zeros(a, dtype=bool)
     reached[0] = True
     for w_prime in ap[1:]:
@@ -143,16 +143,28 @@ def _oracle_per_w_prime(a, b):
     return tuple(indices)
 
 
-@pytest.mark.parametrize("rows", [None, 1, 7])
-def test_oracle_matches_per_w_prime_reference(rows, monkeypatch):
-    # One block per a by default; with 1 or 7 rows per block the scan
-    # crosses a block edge at every a past 2 or past 8.
+def test_oracle_matches_per_w_prime_reference():
     pairs = [(a, b) for a in range(2, 151) for b in range(1, 7) if math.gcd(a, b) == 1]
     for a, b in pairs + sorted(q.EXCEPTIONAL_PAIRS):
-        if rows is not None:
-            monkeypatch.setattr(invariants_module, "_BLOCK", rows * a)
         got = q.minimal_generators_oracle(q.make_semigroup(a, b)).indices
-        assert got == _oracle_per_w_prime(a, b), (a, b, rows)
+        assert got == _oracle_per_w_prime(a, b), (a, b)
+
+
+def test_oracles_refuse_past_the_limit_before_allocating():
+    # Just past the limit the fold would take several seconds; the refusal
+    # comes first, before any array of size a.
+    a = invariants_module._APERY_LIMIT + 1
+    s = q.make_semigroup(a, 1)
+    refused = [q.apery_oracle, q.frobenius_oracle, q.genus_oracle, q.minimal_generators_oracle]
+    tracemalloc.start()
+    try:
+        for oracle in refused:
+            with pytest.raises(ValueError, match="limited"):
+                oracle(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_oracle_speed_at_a_1000():

@@ -385,6 +385,7 @@ def test_closed_vs_oracle_at_a_100001(b, monkeypatch):
     monkeypatch.setattr(mu_module, "_shared", q.MuTable())
     s = q.make_semigroup(10**5 + 1, b)
     assert q.apery_closed(s).elements == q.apery_oracle(s).elements
+    assert q.minimal_generators_oracle(s).indices == q.minimal_generators_closed(s).indices
 
 
 @pytest.mark.slow

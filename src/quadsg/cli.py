@@ -1,8 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 domain error (bad arguments to a well-formed
-command), 2 verification failure (a certify run found a mismatch), 64
-usage error (unknown command or flag).
+command), 2 verification failure (a certify run found a mismatch, or
+`embedding --oracle` disagrees with `embedding_dimension`), 64 usage error
+(unknown command or flag).
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from dataclasses import asdict, astuple, dataclass
 import numpy as np
 
 from . import invariants as invariants_mod
-from .invariants import frobenius, frobenius_oracle, genus, genus_oracle
-from .mu import _bounds_columns, _grow, mu, triangular
+from .mu import _bounds_columns, mu, shared_table, triangular
 from . import search as search_mod
 
 __all__ = ["USAGE_EXIT", "FAILURE_EXIT", "build_parser", "main", "run"]
@@ -145,18 +145,22 @@ def _cmd_semigroup(ns) -> _Record:
     return _Record(info, lines=[line])
 
 
-def _cmd_apery(ns) -> _Record:
+def _pair_form(ns) -> tuple:
+    """S(a, b) and what the command's closed form, or with --oracle its oracle, gives for it."""
     s = invariants_mod.make_semigroup(ns.a, ns.b)
-    ap = (invariants_mod.apery_oracle if ns.oracle else invariants_mod.apery_closed)(s)
+    closed, oracle = ns.forms
+    return s, (oracle if ns.oracle else closed)(s)
+
+
+def _cmd_apery(ns) -> _Record:
+    s, ap = _pair_form(ns)
     doc = {"a": s.a, "b": s.b, "modulus": ap.modulus, "elements": ap.elements}
     lines = [" ".join(map(str, ap.elements))]
     return _Record(doc, ["residue", "element"], enumerate(ap.elements), lines)
 
 
 def _cmd_frobenius_or_genus(ns) -> _Record:
-    s = invariants_mod.make_semigroup(ns.a, ns.b)
-    closed, oracle = ns.forms
-    value = (oracle if ns.oracle else closed)(s)
+    s, value = _pair_form(ns)
     return _Record({"a": s.a, "b": s.b, ns.command: value}, lines=[value])
 
 
@@ -196,26 +200,22 @@ def _cmd_invariants(ns) -> _Record:
 
 
 def _cmd_embedding(ns) -> _Record:
-    dimension = invariants_mod.embedding_dimension(ns.a, ns.b)
-    s = invariants_mod.make_semigroup(ns.a, ns.b)
-    if ns.oracle:
-        gens = invariants_mod.minimal_generators_oracle(s)
-    else:
-        gens = invariants_mod.minimal_generators_closed(s)
-    if len(gens) != dimension:
+    s, gens = _pair_form(ns)
+    # The closed list is the closed count written out; the oracle's is checked against it.
+    if ns.oracle and len(gens) != (dimension := invariants_mod.embedding_dimension(s.a, s.b)):
         print(
             f"error: index list of length {len(gens)} disagrees with dimension {dimension}",
             file=sys.stderr,
         )
         return _Record(code=FAILURE_EXIT)
     doc = {
-        "a": ns.a,
-        "b": ns.b,
-        "dimension": dimension,
+        "a": s.a,
+        "b": s.b,
+        "dimension": len(gens),
         "indices": gens.indices,
         "elements": gens.elements,
     }
-    lines = [f"dimension {dimension}", "indices " + " ".join(map(str, gens.indices))]
+    lines = [f"dimension {len(gens)}", "indices " + " ".join(map(str, gens.indices))]
     return _Record(doc, lines=lines)
 
 
@@ -241,7 +241,7 @@ def _cmd_g_analysis(ns) -> _Record:
 
 
 def _cmd_certify(ns) -> _Record:
-    table = _grow(triangular(2000), triangular(2000))
+    table = shared_table().ensure(triangular(2000))
     anchors = table[0] == 0 and table[1] == 2 and table[2] == 4
     i = np.arange(2, 2001)
     exact = np.array_equal(table.values[i * (i - 1) // 2], i)
@@ -311,6 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Invariants of numerical semigroups generated by quadratic sequences.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
+    # --a and --b, both required, for every command on one pair.
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--a", type=int, required=True)
+    pair.add_argument("--b", type=int, required=True)
 
     p = sub.add_parser("mu", help="minimum index-weight of a triangular partition")
     p.add_argument("--n", type=int, required=True)
@@ -322,26 +326,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p, "csv")
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("semigroup", help="validate (a,b) and describe S(a,b)")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p = sub.add_parser("semigroup", parents=[pair], help="validate (a,b) and describe S(a,b)")
     _add_format(p, "json", choices=("plain", "json"))
     p.set_defaults(func=_cmd_semigroup)
 
-    p = sub.add_parser("apery", help="least member of S per residue class mod a")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p = sub.add_parser("apery", parents=[pair], help="least member of S per residue class mod a")
     p.add_argument("--oracle", action="store_true", help="derive from the round-robin Apery set")
     _add_format(p, "plain")
-    p.set_defaults(func=_cmd_apery)
+    forms = (invariants_mod.apery_closed, invariants_mod.apery_oracle)
+    p.set_defaults(func=_cmd_apery, forms=forms)
 
     for name, help_text, closed, oracle in (
-        ("frobenius", "largest integer outside S", frobenius, frobenius_oracle),
-        ("genus", "number of gaps of S", genus, genus_oracle),
+        ("frobenius", "largest integer outside S", invariants_mod.frobenius, invariants_mod.frobenius_oracle),
+        ("genus", "number of gaps of S", invariants_mod.genus, invariants_mod.genus_oracle),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--a", type=int, required=True)
-        p.add_argument("--b", type=int, required=True)
+        p = sub.add_parser(name, parents=[pair], help=help_text)
         p.add_argument("--oracle", action="store_true")
         _add_format(p, "plain", choices=("plain", "json"))
         p.set_defaults(func=_cmd_frobenius_or_genus, forms=(closed, oracle))
@@ -359,12 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p, "csv")
     p.set_defaults(func=_cmd_invariants)
 
-    p = sub.add_parser("embedding", help="minimal generators and their count")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+    p = sub.add_parser("embedding", parents=[pair], help="minimal generators and their count")
     p.add_argument("--oracle", action="store_true", help="recompute from the round-robin Apery set")
     _add_format(p, "plain", choices=("plain", "json"))
-    p.set_defaults(func=_cmd_embedding)
+    forms = (invariants_mod.minimal_generators_closed, invariants_mod.minimal_generators_oracle)
+    p.set_defaults(func=_cmd_embedding, forms=forms)
 
     p = sub.add_parser("search", help="exhaustive searches")
     mode = p.add_subparsers(dest="mode", metavar="mode", required=True)

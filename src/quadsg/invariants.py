@@ -478,10 +478,7 @@ def embedding_dimension(a: int, b: int) -> int:
     s = make_semigroup(a, b)
     if s.trivial:
         return 1
-    count = largest_index(a - 1)
-    if (a, b) in EXCEPTIONAL_PAIRS:
-        count += 1
-    return count
+    return largest_index(a - 1) + ((a, b) in _EXCEPTIONAL)
 
 
 def verify_decomposition(
@@ -542,7 +539,7 @@ def bounds_certified(a: int, b: int) -> bool:
     """Whether the two-sided bounds are guaranteed to hold for (a,b)."""
     if a < 2 or b < 1:
         return False
-    return (a, b) not in EXCEPTIONAL_PAIRS
+    return (a, b) not in _EXCEPTIONAL
 
 
 @dataclass(frozen=True)
@@ -638,7 +635,7 @@ def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:
                 np.maximum(f, heads[:, d : d + 1] + lasts[:, d : d + 1] * b, out=f)
             f -= a
             g = sums[:, None] + (a - 1) * (b - 1) // 2
-            for ea, eb in EXCEPTIONAL_PAIRS:
+            for ea, eb in _EXCEPTIONAL:
                 if a0 <= ea < a1 and b0 <= eb <= b[-1]:
                     f[ea - a0, eb - b0] = _frobenius(ea, eb)
                     g[ea - a0, eb - b0] = _genus(ea, eb)

@@ -69,19 +69,15 @@ def inverse_triangular(x: float) -> float:
 
 
 def largest_index(n: int) -> int:
-    """Largest integer i with triangular(i) <= n, for n >= 0.
+    """Largest integer i with triangular(i) <= n, for n >= 0: (1 + isqrt(8n+1)) // 2.
 
-    Integer arithmetic throughout; the isqrt seed is corrected by at most
-    one step in each direction.
+    That i is the floor of inverse_triangular(n) = (1 + sqrt(8n+1))/2.  With
+    s = isqrt(8n+1) and sqrt(8n+1) = s + f, 0 <= f < 1, floor((1+s+f)/2) =
+    (1+s)//2 for s odd and even alike, so the integer form is exact.
     """
     if n < 0:
         raise ValueError("argument must be nonnegative")
-    i = (1 + math.isqrt(8 * n + 1)) // 2
-    while triangular(i + 1) <= n:
-        i += 1
-    while triangular(i) > n:
-        i -= 1
-    return i
+    return (1 + math.isqrt(8 * n + 1)) // 2
 
 
 class MuTable:
@@ -183,8 +179,9 @@ class MuTable:
         """Grow the table to cover exactly 0..n_max; values already present are kept.
 
         Each growth copies the table, so a caller that grows it n by n
-        should step geometrically.  Inside the library every growth of the
-        process-wide table goes through `_grow`, which does.  Raises
+        should step geometrically.  Inside the library a caller that knows
+        the size it needs grows the process-wide table here, and one that
+        steps n upward goes through `_grow`, which doubles.  Raises
         ValueError, before allocating, past TABLE_LIMIT.
         """
         if n_max < 0:
@@ -259,8 +256,9 @@ def shared_table() -> MuTable:
 def _grow(n: int, cap: int) -> MuTable:
     """The process-wide table, grown to cover n if it does not yet.
 
-    Each growth at least doubles the table, so growing it n by n stays
-    linear overall, but stops at cap, the caller's last n.
+    For callers that step n upward: each growth at least doubles the table,
+    so growing it n by n stays linear overall, but stops at cap, the
+    caller's last n.  A caller that knows its size calls `ensure` instead.
     """
     if n > _shared.n_max:
         _shared.ensure(max(n, min(2 * _shared.n_max, cap)))

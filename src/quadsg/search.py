@@ -30,7 +30,7 @@ from .invariants import (
     mu_ab_oracle,
     verify_decomposition,
 )
-from .mu import _grow, inverse_triangular, largest_index, mu
+from .mu import inverse_triangular, largest_index, mu, shared_table
 
 __all__ = [
     "EMBED_DECOMPOSITIONS",
@@ -126,7 +126,7 @@ def search_mu_drop(a_max: int) -> SearchReport:
     if not 4 <= a_max <= _SEARCH_CAP:
         raise ValueError(f"a_max must be in 4..{_SEARCH_CAP}")
     start = time.perf_counter()
-    values = _grow(2 * a_max, 2 * a_max).values
+    values = shared_table().ensure(2 * a_max).values
     ns = np.arange(3, a_max, dtype=np.int64)
     k = values[3:a_max].astype(np.int64) - 2
     hits = []
@@ -157,7 +157,7 @@ def search_embedding_eq(a_max: int) -> SearchReport:
     if not 2 <= a_max <= _SEARCH_CAP:
         raise ValueError(f"a_max must be in 2..{_SEARCH_CAP}")
     start = time.perf_counter()
-    values = _grow(a_max, a_max).values
+    values = shared_table().ensure(a_max).values
     a_all = np.arange(2, a_max + 1, dtype=np.int64)
     top = np.maximum.accumulate(values[:a_max]).astype(np.int64)[1:]
     i = np.arange(largest_index(a_max) + 2, dtype=np.int64)

@@ -1,10 +1,11 @@
 """Independent reference implementations used only by tests.
 
 Deliberately naive: plain Python, no windowing, no numpy closures, so a
-bug in the package's optimized paths cannot hide here too.  The two
-`*_scan` searches are the exception: one numpy pass per a over every
-pair, fast enough to check the package's pruned searches at a few
-thousand.
+bug in the package's optimized paths cannot hide here too.  Two kinds
+are the exception.  The `*_scan` searches make one numpy pass per a over
+every pair, fast enough to check the package's pruned searches at a few
+thousand.  The mu fixpoint check makes one numpy pass per part index,
+fast enough to check the table at 10**7.
 """
 
 from __future__ import annotations
@@ -33,6 +34,33 @@ def mu_table_plain(n_max: int) -> list[int]:
             i += 1
         dp[n] = best
     return dp
+
+
+def mu_fixpoint_mismatches(values) -> np.ndarray:
+    """The n in 0..N where T = values (uint16, length N + 1) breaks mu's recursion.
+
+    T equals mu on 0..N exactly when T(0) = 0 and, for 1 <= n <= N, T(n) is
+    the least T(n - C(i,2)) + i over every i >= 2 with C(i,2) <= n: by strong
+    induction on n, since the right side reads only smaller n.  So an empty
+    answer pins every entry with no window proof and no second table; the
+    check reads T only, with one np.add and one np.minimum per part index.
+
+    No uint16 sum wraps: each is T(m) + i with i <= largest_index(N) <=
+    14,142 and T(m) = mu(m) <= 24,497 up to TABLE_LIMIT (see `MuTable`), and
+    38,639 < 65,535.  A T past that bound is not mu, and is refused.
+    """
+    n_max = len(values) - 1
+    i_max = (1 + math.isqrt(8 * n_max + 1)) // 2
+    assert int(values.max()) + i_max < 1 << 16, "T is past mu's bound"
+    best = np.full(n_max + 1, (1 << 16) - 1, dtype=np.uint16)
+    best[0] = 0
+    buf = np.empty(n_max + 1, dtype=np.uint16)
+    i, t = 2, 1
+    while t <= n_max:
+        width = n_max + 1 - t
+        np.minimum(best[t:], np.add(values[:width], i, out=buf[:width]), out=best[t:])
+        i, t = i + 1, t + i
+    return np.flatnonzero(best != values)
 
 
 def semigroup_members(a: int, b: int, bound: int) -> set[int]:

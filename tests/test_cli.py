@@ -436,6 +436,17 @@ def test_embedding_oracle_json(capsys):
     assert doc["elements"][-1] == 374
 
 
+def test_embedding_oracle_disagreement_exits_2(capsys, monkeypatch):
+    # --oracle compares the oracle's list with embedding_dimension; a short
+    # list fails that check and prints nothing on stdout.
+    monkeypatch.setattr(
+        invariants_module, "minimal_generators_oracle", lambda s: q.MinimalGeneratorSet(s, (1, 2))
+    )
+    code, out, err = run_cli(capsys, "embedding", "--a", "29", "--b", "1", "--oracle")
+    assert (code, out) == (cli.FAILURE_EXIT, "")
+    assert err == "error: index list of length 2 disagrees with dimension 9\n"
+
+
 def test_embedding_certify(capsys):
     # embedding --certify is removed: certify --all is the one command that
     # replays the 48 decomposition certificates, and embedding needs a pair.
@@ -530,9 +541,10 @@ def test_tgrid_plain(capsys):
 
 
 def test_tgrid_limit(capsys):
-    code, _, err = run_cli(capsys, "tgrid", "--m-max", "501", "--n-max", "3")
-    assert code == 1
-    assert "error:" in err
+    for m_max in ("501", "-1"):
+        code, out, err = run_cli(capsys, "tgrid", "--m-max", m_max, "--n-max", "3")
+        assert (code, out) == (1, ""), m_max
+        assert "error:" in err, m_max
 
 
 def test_certify_all(capsys):
@@ -808,6 +820,176 @@ def test_golden_stdout(capsys, argv):
         expected = json.dumps(expected, indent=2) + "\n"
     out = re.sub(r'^  "elapsed": [-+.e0-9]+,$', '  "elapsed": 0,', out, flags=re.M)
     assert out == expected
+
+
+# Full --help stdout of the top level and of every command, at the width
+# argparse reads from COLUMNS.
+HELP = {
+    ("--help",): (
+        "usage: quadsg [-h] command ...\n"
+        "\n"
+        "Invariants of numerical semigroups generated by quadratic sequences.\n"
+        "\n"
+        "positional arguments:\n"
+        "  command\n"
+        "    mu        minimum index-weight of a triangular partition\n"
+        "    bounds    mu with its analytic envelope, tabulated\n"
+        "    semigroup\n"
+        "              validate (a,b) and describe S(a,b)\n"
+        "    apery     least member of S per residue class mod a\n"
+        "    frobenius\n"
+        "              largest integer outside S\n"
+        "    genus     number of gaps of S\n"
+        "    invariants\n"
+        "              frobenius, genus, and bounds together\n"
+        "    embedding\n"
+        "              minimal generators and their count\n"
+        "    search    exhaustive searches\n"
+        "    g-analysis\n"
+        "              peak and roots of the bound-gap margin\n"
+        "    certify   replay every certificate and search\n"
+        "    tgrid     membership grid of the lifted pair monoid\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+    ),
+    ("mu", "--help"): (
+        "usage: quadsg mu [-h] --n N [--format {plain,json,csv}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --n N\n"
+        "  --format {plain,json,csv}\n"
+    ),
+    ("bounds", "--help"): (
+        "usage: quadsg bounds [-h] --n-max N_MAX [--format {plain,json,csv}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --n-max N_MAX\n"
+        "  --format {plain,json,csv}\n"
+    ),
+    ("semigroup", "--help"): (
+        "usage: quadsg semigroup [-h] --a A --b B [--format {plain,json}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --a A\n"
+        "  --b B\n"
+        "  --format {plain,json}\n"
+    ),
+    ("apery", "--help"): (
+        "usage: quadsg apery [-h] --a A --b B [--oracle] [--format {plain,json,csv}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --a A\n"
+        "  --b B\n"
+        "  --oracle              derive from the round-robin Apery set\n"
+        "  --format {plain,json,csv}\n"
+    ),
+    ("frobenius", "--help"): (
+        "usage: quadsg frobenius [-h] --a A --b B [--oracle] [--format {plain,json}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --a A\n"
+        "  --b B\n"
+        "  --oracle\n"
+        "  --format {plain,json}\n"
+    ),
+    ("genus", "--help"): (
+        "usage: quadsg genus [-h] --a A --b B [--oracle] [--format {plain,json}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --a A\n"
+        "  --b B\n"
+        "  --oracle\n"
+        "  --format {plain,json}\n"
+    ),
+    ("invariants", "--help"): (
+        "usage: quadsg invariants [-h] [--a A] [--b B] [--sweep] [--a-max A_MAX]\n"
+        "                         [--b-max B_MAX] [--format {plain,json,csv}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --a A\n"
+        "  --b B\n"
+        "  --sweep               tabulate a coprime grid (rows print as they are made)\n"
+        "  --a-max A_MAX\n"
+        "  --b-max B_MAX\n"
+        "  --format {plain,json,csv}\n"
+    ),
+    ("embedding", "--help"): (
+        "usage: quadsg embedding [-h] --a A --b B [--oracle] [--format {plain,json}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --a A\n"
+        "  --b B\n"
+        "  --oracle              recompute from the round-robin Apery set\n"
+        "  --format {plain,json}\n"
+    ),
+    ("search", "--help"): (
+        "usage: quadsg search [-h] mode ...\n"
+        "\n"
+        "positional arguments:\n"
+        "  mode\n"
+        "    mu-drop     pairs where one shift lowers mu by 2..4\n"
+        "    embedding-eq\n"
+        "                pairs where an extra generator could enter\n"
+        "\n"
+        "options:\n"
+        "  -h, --help    show this help message and exit\n"
+    ),
+    ("search", "mu-drop", "--help"): (
+        "usage: quadsg search mu-drop [-h] --a-max A_MAX [--format {csv,json}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help           show this help message and exit\n"
+        "  --a-max A_MAX\n"
+        "  --format {csv,json}\n"
+    ),
+    ("search", "embedding-eq", "--help"): (
+        "usage: quadsg search embedding-eq [-h] --a-max A_MAX [--format {csv,json}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help           show this help message and exit\n"
+        "  --a-max A_MAX\n"
+        "  --format {csv,json}\n"
+    ),
+    ("g-analysis", "--help"): (
+        "usage: quadsg g-analysis [-h] [--format {plain,json,csv}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {plain,json,csv}\n"
+    ),
+    ("certify", "--help"): (
+        "usage: quadsg certify [-h] [--all]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  --all       accepted for compatibility; always runs everything\n"
+    ),
+    ("tgrid", "--help"): (
+        "usage: quadsg tgrid [-h] [--m-max M_MAX] [--n-max N_MAX]\n"
+        "                    [--format {csv,plain}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --m-max M_MAX\n"
+        "  --n-max N_MAX\n"
+        "  --format {csv,plain}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(HELP), ids=" ".join)
+def test_help_stdout(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *argv) == (0, HELP[argv], "")
 
 
 _INT_FLAGS = {

@@ -11,7 +11,7 @@ import pytest
 
 import quadsg as q
 from quadsg import cli
-from helpers import mu_table_plain
+from helpers import mu_fixpoint_mismatches, mu_table_plain
 
 # The package's function mu shadows the submodule on the package object.
 mu_module = importlib.import_module("quadsg.mu")
@@ -84,6 +84,20 @@ def test_matches_exhaustive_oracle_to_limit():
     n = q.ORACLE_LIMIT
     mismatches = np.flatnonzero(q.MuTable(n).values != mu_module._mu_fold(n))
     assert mismatches.size == 0, mismatches[:5]
+
+
+@pytest.mark.parametrize("n_max", [10**6, pytest.param(10**7, marks=pytest.mark.slow)])
+def test_table_is_the_recursion_fixpoint(n_max):
+    # Every entry, checked against mu's recursion rather than the window proof.
+    mismatches = mu_fixpoint_mismatches(q.MuTable(n_max).values)
+    assert mismatches.size == 0, mismatches[:5]
+
+
+def test_fixpoint_check_finds_a_wrong_entry(table):
+    for n, delta in ((0, 1), (1234, 1), (1234, -1), (PLAIN_LIMIT, 1)):
+        values = table.values.astype(np.int64)
+        values[n] += delta
+        assert mu_fixpoint_mismatches(values.astype(np.uint16))[0] == n, (n, delta)
 
 
 def test_triangular_arguments_exact(table):
@@ -288,6 +302,16 @@ def test_getitem_bounds(table):
         table[table.n_max + 1]
     with pytest.raises(ValueError):
         q.MuTable(-1)
+    with pytest.raises(ValueError):
+        q.MuTable().ensure(-1)
+
+
+def test_ensure_below_n_max_keeps_the_table():
+    table = q.MuTable(10)
+    before = table.values.copy()
+    assert table.ensure(5) is table
+    assert table.n_max == 10
+    assert np.array_equal(table.values, before)
 
 
 def test_oracle_domain():

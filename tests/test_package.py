@@ -176,7 +176,7 @@ def test_cross_module_private_names():
         if private:
             shared[path.stem] = private
     assert shared == {
-        "cli": {"_bounds_columns", "_grow", "_sweep_columns"},
+        "cli": {"_bounds_columns", "_sweep_columns"},
         "invariants": {"_grow"},
-        "search": {"_BLOCK", "_grow"},
+        "search": {"_BLOCK"},
     }

@@ -151,6 +151,9 @@ def test_g_solve(table):
     # Round trip through an arbitrary interior point.
     target = q.g_of(300.0)
     assert abs(q.g_solve(target, (299, 301)) - 300.0) < 1e-4
+    # An endpoint that already solves g = target is returned as it is.
+    assert q.g_solve(q.g_of(100.0), (100.0, 600.0)) == 100.0
+    assert q.g_solve(q.g_of(600.0), (100.0, 600.0)) == 600.0
     with pytest.raises(ValueError):
         q.g_solve(2.0, (600, 100))
     with pytest.raises(ValueError):
@@ -166,6 +169,8 @@ def test_g_local_max():
     assert v1 >= q.g_of(x1 - 0.01)
     assert v1 >= q.g_of(x1 + 0.01)
     assert abs(v1 - v2) < 1e-9
+    with pytest.raises(ValueError):
+        q.g_local_max((5.0, 5.0))
 
 
 def test_g_shape():

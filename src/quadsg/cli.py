@@ -177,8 +177,8 @@ def _cmd_invariants(ns) -> _Record:
     if ns.sweep:
         if ns.a_max is None or ns.b_max is None:
             raise _UsageError("--sweep needs --a-max and --b-max")
-        # A plain sweep prints the csv table, as it always has; only json
-        # prints bounds_certified.
+        # The sweep has no plain row template, so plain prints the csv
+        # table; only json prints bounds_certified.
         blocks = invariants_mod._sweep_columns(ns.a_max, ns.b_max)
         if ns.format == "json":
             certified = invariants_mod.bounds_certified
@@ -311,10 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Invariants of numerical semigroups generated by quadratic sequences.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
-    # --a and --b, both required, for every command on one pair.
+    # --a and --b, both required, for every command on one pair, and
+    # --oracle for the four of them that have an oracle.
     pair = argparse.ArgumentParser(add_help=False)
     pair.add_argument("--a", type=int, required=True)
     pair.add_argument("--b", type=int, required=True)
+    by_oracle = argparse.ArgumentParser(add_help=False)
+    by_oracle.add_argument("--oracle", action="store_true", help="derive from the round-robin Apery set")
 
     p = sub.add_parser("mu", help="minimum index-weight of a triangular partition")
     p.add_argument("--n", type=int, required=True)
@@ -330,8 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p, "json", choices=("plain", "json"))
     p.set_defaults(func=_cmd_semigroup)
 
-    p = sub.add_parser("apery", parents=[pair], help="least member of S per residue class mod a")
-    p.add_argument("--oracle", action="store_true", help="derive from the round-robin Apery set")
+    p = sub.add_parser("apery", parents=[pair, by_oracle], help="least member of S per residue class mod a")
     _add_format(p, "plain")
     forms = (invariants_mod.apery_closed, invariants_mod.apery_oracle)
     p.set_defaults(func=_cmd_apery, forms=forms)
@@ -340,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("frobenius", "largest integer outside S", invariants_mod.frobenius, invariants_mod.frobenius_oracle),
         ("genus", "number of gaps of S", invariants_mod.genus, invariants_mod.genus_oracle),
     ):
-        p = sub.add_parser(name, parents=[pair], help=help_text)
-        p.add_argument("--oracle", action="store_true")
+        p = sub.add_parser(name, parents=[pair, by_oracle], help=help_text)
         _add_format(p, "plain", choices=("plain", "json"))
         p.set_defaults(func=_cmd_frobenius_or_genus, forms=(closed, oracle))
 
@@ -358,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p, "csv")
     p.set_defaults(func=_cmd_invariants)
 
-    p = sub.add_parser("embedding", parents=[pair], help="minimal generators and their count")
-    p.add_argument("--oracle", action="store_true", help="recompute from the round-robin Apery set")
+    p = sub.add_parser("embedding", parents=[pair, by_oracle], help="minimal generators and their count")
     _add_format(p, "plain", choices=("plain", "json"))
     forms = (invariants_mod.minimal_generators_closed, invariants_mod.minimal_generators_oracle)
     p.set_defaults(func=_cmd_embedding, forms=forms)
@@ -367,15 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive searches")
     mode = p.add_subparsers(dest="mode", metavar="mode", required=True)
 
-    d = mode.add_parser("mu-drop", help="pairs where one shift lowers mu by 2..4")
-    d.add_argument("--a-max", type=int, required=True)
-    _add_format(d, "csv", choices=("csv", "json"))
-    d.set_defaults(func=_cmd_search_drop)
-
-    e = mode.add_parser("embedding-eq", help="pairs where an extra generator could enter")
-    e.add_argument("--a-max", type=int, required=True)
-    _add_format(e, "csv", choices=("csv", "json"))
-    e.set_defaults(func=_cmd_search_eq)
+    for name, help_text, handler in (
+        ("mu-drop", "pairs where one shift lowers mu by 2..4", _cmd_search_drop),
+        ("embedding-eq", "pairs where an extra generator could enter", _cmd_search_eq),
+    ):
+        m = mode.add_parser(name, help=help_text)
+        m.add_argument("--a-max", type=int, required=True)
+        _add_format(m, "csv", choices=("csv", "json"))
+        m.set_defaults(func=handler)
 
     p = sub.add_parser("g-analysis", help="peak and roots of the bound-gap margin")
     _add_format(p, "plain")

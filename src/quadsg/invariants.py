@@ -112,13 +112,15 @@ EXCEPTIONAL_PAIRS: frozenset[tuple[int, int]] = frozenset(_EXCEPTIONAL)
 _TUPLE_LIMIT = 10**7
 
 # Most int64 entries in one temporary: 2**16 of them are 512 KiB, so memory
-# stays flat however large a is.  It is `_frobenius`'s block of n, and an
-# eighth of it caps a block of the sweep's grid, whose eight columns, once
-# Python lists, then hold at most 2**16 entries; the CLI prints each block
-# as one string, in every format.  Without a cap, a grid that the size
-# check allows would allocate a * b_max entries at once (800 MB at a = 2,
-# b_max = 5*10**7) before its first row, and F at a = 10**8 - 1 would widen
-# the whole lift array (several GB); with it, both stream.
+# stays flat however large a is.  Three readers share it: `frobenius` takes
+# the lifts in blocks of this many n, search's `_pairs` yields this many
+# pairs at a time, and an eighth of it caps a block of the sweep's grid
+# (`_scan`), whose eight columns, once Python lists, then hold at most 2**16
+# entries; the CLI prints each block as one string, in every format.
+# Without a cap, a grid that the size check allows would allocate
+# a * b_max entries at once (800 MB at a = 2, b_max = 5*10**7) before its
+# first row, and F at a = 10**8 - 1 would widen the whole lift array
+# (several GB); with it, both stream.
 _BLOCK = 1 << 16
 
 
@@ -339,37 +341,18 @@ def apery_oracle(s: QuadraticSemigroup) -> AperySet:
     return AperySet(modulus=s.a, elements=tuple(_apery(s.a, s.b)[0].tolist()))
 
 
-def _frobenius(a: int, b: int) -> int:
-    """F of S(a, b): the largest value of `_lifted`, less a.
-
-    The maximum runs over blocks of `_BLOCK` entries, so the temporaries
-    stay small however large a is.  The single-pair path, and the
-    reference the sweep's scans are tested against.
-    """
-    return int(max(block.max() for block in _lifted(a, b, _BLOCK))) - a
-
-
-def _genus(a: int, b: int) -> int:
-    """g of S(a, b), from one sum of mu(0..a-1).
-
-    b adds (a-1)(b-1)/2, and an exceptional (a, b) takes one off for its
-    lowered lift.  The sum accumulates in int64 straight off the uint16
-    table; every mu(n) is at most 2n, so it stays below 2*a**2 < 2**63.
-    """
-    total = int(_lifts(a).sum(dtype=np.int64))
-    return total - ((a, b) in _EXCEPTIONAL) + (a - 1) * (b - 1) // 2
-
-
 def frobenius(s: QuadraticSemigroup) -> int:
     """Largest integer outside S; -1 when S is everything (trivial case).
 
     The largest Apery element less a, taken as the max of the lifted
-    array mu_{a,b}(n)*a + n*b without scattering it.  Tests check it
-    against the scalar definition, `mu_ab_closed` called once per n.
+    values mu_{a,b}(n)*a + n*b without scattering them.  The maximum runs
+    over blocks of `_BLOCK` entries, so the temporaries stay small however
+    large a is.  Tests check it against the scalar definition,
+    `mu_ab_closed` called once per n, and the sweep's scans against it.
     """
     if s.trivial:
         return -1
-    return _frobenius(s.a, s.b)
+    return int(max(block.max() for block in _lifted(s.a, s.b, _BLOCK))) - s.a
 
 
 def frobenius_oracle(s: QuadraticSemigroup) -> int:
@@ -381,15 +364,19 @@ def frobenius_oracle(s: QuadraticSemigroup) -> int:
 def genus(s: QuadraticSemigroup) -> int:
     """Number of gaps, via the integer lift-sum formula.
 
-    g = sum of mu_{a,b}(n) over 0 <= n < a, plus (a-1)(b-1)/2, with the
-    sum taken over the lift array in one numpy reduction.  The division
+    g = sum of mu_{a,b}(n) over 0 <= n < a, plus (a-1)(b-1)/2: one sum of
+    mu(0..a-1), less one for an exceptional (a, b) and its lowered lift.
+    The sum accumulates in int64 straight off the uint16 table; every
+    mu(n) is at most 2n, so it stays below 2*a**2 < 2**63.  The division
     is exact: a and b cannot both be even (they are coprime), so a-1 or
     b-1 is even.  Tests check it against the scalar definition,
-    `mu_ab_closed` called once per n.
+    `mu_ab_closed` called once per n, and the sweep's scans against it.
     """
     if s.trivial:
         return 0
-    return _genus(s.a, s.b)
+    a, b = s.a, s.b
+    total = int(_lifts(a).sum(dtype=np.int64))
+    return total - ((a, b) in _EXCEPTIONAL) + (a - 1) * (b - 1) // 2
 
 
 def genus_oracle(s: QuadraticSemigroup) -> int:
@@ -560,7 +547,7 @@ def invariant_summary(s: QuadraticSemigroup) -> InvariantSummary:
     require_nontrivial(s)
     a, b = s.a, s.b
     bounds = _with_b(_a_terms(a), a, b)
-    return InvariantSummary(a, b, _frobenius(a, b), _genus(a, b), *bounds, bounds_certified(a, b))
+    return InvariantSummary(a, b, frobenius(s), genus(s), *bounds, bounds_certified(a, b))
 
 
 def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:
@@ -584,11 +571,11 @@ def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     the scan may take every d below min(b_max, M+1) for every b: it also
     reads a missing level as last = -1, whose term (M-d)*a - b is below
     M*a as well.  The genus is g(a, b) = sum mu(0..a-1) + (a-1)(b-1)/2,
-    as in `_genus`, read off one running sum.
+    as in `genus`, read off one running sum.
 
     The eight exceptional pairs, all at b = 1, keep their drop: their F
-    and g come from the single-pair `_frobenius` and `_genus`.  The drop moves F
-    at a = 29, 47 and 79.
+    and g come from the single-pair `frobenius` and `genus`.  The drop
+    moves F at a = 29, 47 and 79.
 
     a runs in blocks that the table's growth also bounds (`_grow`), so the
     first rows come at once.  M, the last n of every level and the running
@@ -637,8 +624,9 @@ def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:
             g = sums[:, None] + (a - 1) * (b - 1) // 2
             for ea, eb in _EXCEPTIONAL:
                 if a0 <= ea < a1 and b0 <= eb <= b[-1]:
-                    f[ea - a0, eb - b0] = _frobenius(ea, eb)
-                    g[ea - a0, eb - b0] = _genus(ea, eb)
+                    s = make_semigroup(ea, eb)
+                    f[ea - a0, eb - b0] = frobenius(s)
+                    g[ea - a0, eb - b0] = genus(s)
             keep = np.gcd(a, b) == 1
             if keep.any():
                 grid = np.broadcast_arrays(a, b)

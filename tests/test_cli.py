@@ -360,7 +360,9 @@ def sweep_row(a, b):
     return [a, b, q.frobenius(s), q.genus(s), *bounds]
 
 
-@pytest.mark.parametrize("a_max,b_max,block", [(400, 10, None), (80, 12, 40), (-3, 2, None)])
+@pytest.mark.parametrize(
+    "a_max,b_max,block", [(400, 10, None), (80, 12, 40), (-3, 2, None), (30, 0, None)]
+)
 def test_sweep_csv_matches_csv_writer(a_max, b_max, block, capsys, monkeypatch):
     if block is not None:
         monkeypatch.setattr(invariants_module, "_BLOCK", block)
@@ -895,7 +897,7 @@ HELP = {
         "  -h, --help            show this help message and exit\n"
         "  --a A\n"
         "  --b B\n"
-        "  --oracle\n"
+        "  --oracle              derive from the round-robin Apery set\n"
         "  --format {plain,json}\n"
     ),
     ("genus", "--help"): (
@@ -905,7 +907,7 @@ HELP = {
         "  -h, --help            show this help message and exit\n"
         "  --a A\n"
         "  --b B\n"
-        "  --oracle\n"
+        "  --oracle              derive from the round-robin Apery set\n"
         "  --format {plain,json}\n"
     ),
     ("invariants", "--help"): (
@@ -928,7 +930,7 @@ HELP = {
         "  -h, --help            show this help message and exit\n"
         "  --a A\n"
         "  --b B\n"
-        "  --oracle              recompute from the round-robin Apery set\n"
+        "  --oracle              derive from the round-robin Apery set\n"
         "  --format {plain,json}\n"
     ),
     ("search", "--help"): (

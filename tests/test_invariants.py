@@ -231,8 +231,8 @@ def test_sweep_covers_exceptional_pairs(block, monkeypatch):
     exceptional_a = {a for a, _ in q.EXCEPTIONAL_PAIRS}
     for a, b, f, g, *_ in rows:
         if a in exceptional_a:
-            single = invariants_module._frobenius(a, b), invariants_module._genus(a, b)
-            assert single == (f, g), (a, b)
+            s = q.make_semigroup(a, b)
+            assert (q.frobenius(s), q.genus(s)) == (f, g), (a, b)
 
 
 def scanned(a_max, b_max):
@@ -245,7 +245,7 @@ def scanned(a_max, b_max):
 
 
 def per_a_reference():
-    """{(a, b): (F, g)} from the single-pair `_frobenius` and `_genus`:
+    """{(a, b): (F, g)} from the single-pair `frobenius` and `genus`:
     every a < 3001 at b = 1, and every coprime a < 1500 at b = 2, 3, 5, 7
     and 10."""
     rows = {}
@@ -253,7 +253,8 @@ def per_a_reference():
         for a in range(2, a_max + 1):
             for b in bs:
                 if math.gcd(a, b) == 1:
-                    rows[a, b] = invariants_module._frobenius(a, b), invariants_module._genus(a, b)
+                    s = q.make_semigroup(a, b)
+                    rows[a, b] = q.frobenius(s), q.genus(s)
     return rows
 
 

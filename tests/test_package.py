@@ -180,3 +180,20 @@ def test_cross_module_private_names():
         "invariants": {"_grow"},
         "search": {"_BLOCK"},
     }
+
+
+def test_no_private_twins():
+    # A private `_name` beside a public `name` in one module is two paths to
+    # one result; the public one should carry the body.
+    twins = {}
+    for path in sorted(Path(q.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        twinned = {"_" + name for name in names if not name.startswith("_") and "_" + name in names}
+        if twinned:
+            twins[path.name] = twinned
+    assert twins == {}

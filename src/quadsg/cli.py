@@ -48,14 +48,14 @@ def _fmt(x: float) -> str:
 class _Record:
     """What one command prints, in each format it offers.
 
-    `doc` is the json document (dataclasses in it go through `asdict`; an
-    iterator of str prints as an array, one item at a time, each item json
-    text already rendered at the array's indent), `header` and `rows` the
-    csv table, and `lines` the plain output, by default the csv rows joined
-    by spaces.  Large parts are generators, so only the format asked for is
-    built.  A format the record has nothing for prints its plain lines, so
-    a table rendered from row templates (`_stream`) gives its csv as
-    `lines` and no header.
+    `doc` is the json document (a `SearchReport` or `GAnalysis` in it goes
+    through `asdict`; an iterator of str prints as an array, one item at a
+    time, each item json text already rendered at the array's indent),
+    `header` and `rows` the csv table, and `lines` the plain output, by
+    default the csv rows joined by spaces.  Large parts are generators, so
+    only the format asked for is built.  A format the record has nothing
+    for prints its plain lines, so a table rendered from row templates
+    (`_stream`) gives its csv as `lines` and no header.
     """
 
     doc: object = None
@@ -95,16 +95,6 @@ def _dump_array(items: Iterator[str], out) -> None:
     out.write("[]" if sep == "[\n  " else "\n]")
 
 
-def _verdicts(checks: list[tuple[str, bool]]) -> _Record:
-    """A PASS or FAIL line per (text, ok) check; exit 2 if any failed."""
-    lines = [f"{'PASS' if ok else 'FAIL'} {text}" for text, ok in checks]
-    return _Record(lines=lines, code=0 if all(ok for _, ok in checks) else FAILURE_EXIT)
-
-
-def _certificate_checks(certs) -> list[tuple[str, bool]]:
-    return [(f"{c.kind} a={c.a} n={c.n}: {c.detail}", c.ok) for c in certs]
-
-
 def _cmd_mu(ns) -> _Record:
     value = mu(ns.n)
     return _Record({"n": ns.n, "mu": value}, ["n", "mu"], [[ns.n, value]], [value])
@@ -137,12 +127,15 @@ def _cmd_bounds(ns) -> _Record:
     return _stream(ns.format, "n,mu,lower,gauss,combined", _BOUNDS_ROW, _bounds_columns(ns.n_max))
 
 
+_SHOWN_GENERATORS = 8
+
+
 def _cmd_semigroup(ns) -> _Record:
     s = invariants_mod.make_semigroup(ns.a, ns.b)
-    info = invariants_mod.describe(s)
-    gens = " ".join(map(str, info["generators"]))
-    line = f"S({s.a},{s.b}) trivial={str(s.trivial).lower()} generators {gens}"
-    return _Record(info, lines=[line])
+    gens = [invariants_mod.generator(s, n) for n in range(_SHOWN_GENERATORS)]
+    doc = {"a": s.a, "b": s.b, "trivial": s.trivial, "generators": gens}
+    line = f"S({s.a},{s.b}) trivial={str(s.trivial).lower()} generators {' '.join(map(str, gens))}"
+    return _Record(doc, lines=[line])
 
 
 def _pair_form(ns) -> tuple:
@@ -171,6 +164,11 @@ _SWEEP_ROW = {
     '    "frobenius_low": %r,\n    "frobenius_high": %r,\n    "genus_low": %r,\n'
     '    "genus_high": %r,\n    "bounds_certified": %s\n  }',
 }
+# The json names of one pair's row, in the order of the sweep's json template.
+_INVARIANTS_KEYS = (
+    "a", "b", "frobenius", "genus", "frobenius_low", "frobenius_high",
+    "genus_low", "genus_high", "bounds_certified",
+)
 
 
 def _cmd_invariants(ns) -> _Record:
@@ -186,17 +184,25 @@ def _cmd_invariants(ns) -> _Record:
         return _stream(ns.format, _SWEEP_HEADER, _SWEEP_ROW, blocks)
     if ns.a is None or ns.b is None:
         raise _UsageError("need --a and --b (or --sweep with --a-max/--b-max)")
-    summary = invariants_mod.invariant_summary(invariants_mod.make_semigroup(ns.a, ns.b))
+    s = invariants_mod.make_semigroup(ns.a, ns.b)
+    invariants_mod.require_nontrivial(s)
+    a, b = s.a, s.b
+    f, g = invariants_mod.frobenius(s), invariants_mod.genus(s)
+    f_low, f_high = invariants_mod.frobenius_bounds(a, b)
+    g_low, g_high = invariants_mod.genus_bounds(a, b)
+    row = (a, b, f, g, f_low, f_high, g_low, g_high)
+    certified = invariants_mod.bounds_certified(a, b)
+    doc = dict(zip(_INVARIANTS_KEYS, (*row, certified)))
     if ns.format == "csv":
-        return _Record(summary, lines=[_SWEEP_HEADER, _SWEEP_ROW["csv"] % astuple(summary)[:8]])
+        return _Record(lines=[_SWEEP_HEADER, _SWEEP_ROW["csv"] % row])
     lines = [
-        f"frobenius {summary.frobenius}",
-        f"genus {summary.genus}",
-        f"frobenius_bounds {_fmt(summary.frobenius_low)} {_fmt(summary.frobenius_high)}",
-        f"genus_bounds {_fmt(summary.genus_low)} {_fmt(summary.genus_high)}",
-        f"bounds_certified {str(summary.bounds_certified).lower()}",
+        f"frobenius {f}",
+        f"genus {g}",
+        f"frobenius_bounds {_fmt(f_low)} {_fmt(f_high)}",
+        f"genus_bounds {_fmt(g_low)} {_fmt(g_high)}",
+        f"bounds_certified {str(certified).lower()}",
     ]
-    return _Record(summary, lines=lines)
+    return _Record(doc, lines=lines)
 
 
 def _cmd_embedding(ns) -> _Record:
@@ -250,7 +256,8 @@ def _cmd_certify(ns) -> _Record:
     for c in search_mod.exception_certificates():
         checks.append((f"exceptional drop a={c.a} n={c.n}: {c.detail}", c.ok))
 
-    checks += _certificate_checks(search_mod.decomposition_certificates())
+    for c in search_mod.decomposition_certificates():
+        checks.append((f"{c.kind} a={c.a} n={c.n}: {c.detail}", c.ok))
 
     drop = search_mod.search_mu_drop(485)
     checks.append((
@@ -284,9 +291,10 @@ def _cmd_certify(ns) -> _Record:
         and abs(search_mod.g_of(655.24) - 1.0) <= 0.01,
     ))
 
-    record = _verdicts(checks)
-    record.lines.append(f"certified {sum(ok for _, ok in checks)}/{len(checks)} checks")
-    return record
+    lines = [f"{'PASS' if ok else 'FAIL'} {text}" for text, ok in checks]
+    passed = sum(ok for _, ok in checks)
+    lines.append(f"certified {passed}/{len(checks)} checks")
+    return _Record(lines=lines, code=0 if passed == len(checks) else FAILURE_EXIT)
 
 
 def _cmd_tgrid(ns) -> _Record:

@@ -26,7 +26,6 @@ __all__ = [
     "EXCEPTIONAL_CASES",
     "EXCEPTIONAL_PAIRS",
     "ExceptionalCase",
-    "InvariantSummary",
     "MinimalGeneratorSet",
     "NotANumericalSemigroup",
     "QuadraticSemigroup",
@@ -34,7 +33,6 @@ __all__ = [
     "apery_oracle",
     "bounds_certified",
     "contains",
-    "describe",
     "embedding_dimension",
     "frobenius",
     "frobenius_bounds",
@@ -43,7 +41,6 @@ __all__ = [
     "genus",
     "genus_bounds",
     "genus_oracle",
-    "invariant_summary",
     "make_semigroup",
     "minimal_generators_closed",
     "minimal_generators_oracle",
@@ -147,19 +144,6 @@ def generator(s: QuadraticSemigroup, n: int) -> int:
     if n < 0:
         raise ValueError("generator index must be nonnegative")
     return n * s.a + triangular(n) * s.b
-
-
-_DESCRIBED_GENERATORS = 8
-
-
-def describe(s: QuadraticSemigroup) -> dict:
-    """JSON-ready summary: a, b, trivial, the first eight generators."""
-    return {
-        "a": s.a,
-        "b": s.b,
-        "trivial": s.trivial,
-        "generators": [generator(s, n) for n in range(_DESCRIBED_GENERATORS)],
-    }
 
 
 # Largest a the Apery-set oracle serves.  The round robin folds about
@@ -527,27 +511,6 @@ def bounds_certified(a: int, b: int) -> bool:
     if a < 2 or b < 1:
         return False
     return (a, b) not in _EXCEPTIONAL
-
-
-@dataclass(frozen=True)
-class InvariantSummary:
-    a: int
-    b: int
-    frobenius: int
-    genus: int
-    frobenius_low: float
-    frobenius_high: float
-    genus_low: float
-    genus_high: float
-    bounds_certified: bool
-
-
-def invariant_summary(s: QuadraticSemigroup) -> InvariantSummary:
-    """Everything at once for one nontrivial semigroup."""
-    require_nontrivial(s)
-    a, b = s.a, s.b
-    bounds = _with_b(_a_terms(a), a, b)
-    return InvariantSummary(a, b, frobenius(s), genus(s), *bounds, bounds_certified(a, b))
 
 
 def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:

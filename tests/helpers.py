@@ -5,7 +5,9 @@ bug in the package's optimized paths cannot hide here too.  Two kinds
 are the exception.  The `*_scan` searches make one numpy pass per a over
 every pair, fast enough to check the package's pruned searches at a few
 thousand.  The mu fixpoint check makes one numpy pass per part index,
-fast enough to check the table at 10**7.
+fast enough to check the table at 10**7.  `invariants_row` is no
+reference at all: it spells the expected `invariants` row of one pair
+from the package's public functions, so the CLI tests share one.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ import math
 
 import numpy as np
 
-from quadsg import mu_ab_closed
+from quadsg import (
+    bounds_certified,
+    frobenius,
+    frobenius_bounds,
+    genus,
+    genus_bounds,
+    make_semigroup,
+    mu_ab_closed,
+)
 
 
 def tri(i: int) -> int:
@@ -153,6 +163,25 @@ def invariant_bounds_plain(a: int, b: int) -> tuple[float, float, float, float]:
         math.sqrt(3.0) * (8.0 * a + 3.0) ** 1.5 + 36.0 * a - 36.0 - 11.0 * math.sqrt(33.0)
     ) / 24.0 + shift
     return (f_low, f_high, g_low, g_high)
+
+
+def invariants_row(a: int, b: int) -> dict:
+    """The json object `quadsg invariants` prints for S(a,b), key for key;
+    its first eight values are the csv row's cells."""
+    s = make_semigroup(a, b)
+    f_low, f_high = frobenius_bounds(a, b)
+    g_low, g_high = genus_bounds(a, b)
+    return {
+        "a": a,
+        "b": b,
+        "frobenius": frobenius(s),
+        "genus": genus(s),
+        "frobenius_low": f_low,
+        "frobenius_high": f_high,
+        "genus_low": g_low,
+        "genus_high": g_high,
+        "bounds_certified": bounds_certified(a, b),
+    }
 
 
 def drop_hits_plain(values, a_max: int) -> list[tuple[int, int, int, int]]:

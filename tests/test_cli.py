@@ -12,7 +12,6 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import quadsg as q
-from helpers import invariant_bounds_plain
+from helpers import invariant_bounds_plain, invariants_row
 from quadsg import cli
 
 # The package exports a function named mu, which shadows the submodule on
@@ -274,7 +273,7 @@ def test_sweep_of_a_million_by_ten():
     a = np.arange(2, 10**6 + 1)
     assert count == sum(int((np.gcd(a, b) == 1).sum()) for b in range(1, 11))
     expected = [
-        cli._SWEEP_ROW["csv"] % astuple(q.invariant_summary(q.make_semigroup(a, b)))[:8] + "\n"
+        cli._SWEEP_ROW["csv"] % tuple(invariants_row(a, b).values())[:8] + "\n"
         for a in sorted(sample | {2})
         for b in range(1, 11)
         if math.gcd(a, b) == 1
@@ -286,9 +285,9 @@ def test_sweep_json_streams_objects():
     # The json array is written as it is made: a grid that passes the size
     # check but could never be held in memory prints its first object.
     argv = ["invariants", "--sweep", "--a-max", "10001", "--b-max", "10000", "--format", "json"]
-    first = [q.invariant_summary(q.make_semigroup(2, b)) for b in (1, 3)]
-    expected = json.dumps(first, indent=2, default=asdict).splitlines(keepends=True)
-    count = 1 + len(json.dumps(first[0], indent=2, default=asdict).splitlines())
+    first = [invariants_row(2, b) for b in (1, 3)]
+    expected = json.dumps(first, indent=2).splitlines(keepends=True)
+    count = 1 + len(json.dumps(first[0], indent=2).splitlines())
     assert first_lines(argv, count) == expected[:count]
     assert expected[count - 1] == "  },\n"
 
@@ -297,13 +296,13 @@ def test_sweep_json_streams_objects():
 def test_sweep_json_matches_list_form(capsys, monkeypatch, a_max):
     # Byte for byte what json.dump writes for the whole list, [] included.
     summaries = [
-        q.invariant_summary(q.make_semigroup(a, b))
+        invariants_row(a, b)
         for a in range(2, a_max + 1)
         for b in range(1, 4)
         if math.gcd(a, b) == 1
     ]
     expected = io.StringIO()
-    json.dump(summaries, expected, indent=2, default=asdict)
+    json.dump(summaries, expected, indent=2)
     argv = ["invariants", "--sweep", "--a-max", str(a_max), "--b-max", "3", "--format", "json"]
     assert run_cli(capsys, *argv) == (0, expected.getvalue() + "\n", "")
     assert (expected.getvalue() == "[]") == (a_max < 2)
@@ -449,6 +448,19 @@ def test_embedding_oracle_disagreement_exits_2(capsys, monkeypatch):
     assert err == "error: index list of length 2 disagrees with dimension 9\n"
 
 
+def test_invariants_pair_is_its_sweep_row(capsys):
+    # The one-pair json and the sweep's json template spell the nine keys
+    # apart; each pair's object must match, key order included.
+    argv = ["invariants", "--sweep", "--a-max", "30", "--b-max", "7", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    sweep = {(row["a"], row["b"]): row for row in json.loads(out)}
+    for a, b in [(2, 1), (29, 1), (29, 2), (30, 7)]:
+        code, out, err = run_cli(capsys, "invariants", "--a", str(a), "--b", str(b), "--format", "json")
+        assert (code, err) == (0, "")
+        assert list(json.loads(out).items()) == list(sweep[a, b].items())
+
+
 def test_embedding_certify(capsys):
     # embedding --certify is removed: certify --all is the one command that
     # replays the 48 decomposition certificates, and embedding needs a pair.
@@ -459,7 +471,7 @@ def test_embedding_certify(capsys):
     code, out, _ = run_cli(capsys, "certify", "--all")
     assert code == 0
     certs = q.decomposition_certificates()
-    expected = [f"PASS {text}" for text, _ in cli._certificate_checks(certs)]
+    expected = [f"PASS {c.kind} a={c.a} n={c.n}: {c.detail}" for c in certs]
     assert len(expected) == 48
     # They follow the table check and the eight exceptional drops.
     assert out.splitlines()[9:57] == expected

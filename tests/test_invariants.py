@@ -2,16 +2,17 @@
 
 import importlib
 import itertools
+import json
 import math
 import time
 import tracemalloc
-from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import quadsg as q
-from helpers import apery_closed_plain, invariant_bounds_plain, semigroup_members
+from helpers import apery_closed_plain, invariant_bounds_plain, invariants_row, semigroup_members
+from quadsg import cli
 
 # The package exports a function named mu; go through importlib for the module.
 mu_module = importlib.import_module("quadsg.mu")
@@ -31,7 +32,7 @@ AT_SCALE = {
 def summaries_pair_by_pair(a_max, b_max):
     """The sweep's rows (a, b, F, g, F low, F high, g low, g high), one pair at a time."""
     return [
-        astuple(q.invariant_summary(q.make_semigroup(a, b)))[:8]
+        tuple(invariants_row(a, b).values())[:8]
         for a in range(2, a_max + 1)
         for b in range(1, b_max + 1)
         if math.gcd(a, b) == 1
@@ -181,17 +182,21 @@ def test_bounds_certified():
     assert not q.bounds_certified(2, 0)
 
 
-def test_invariant_summary():
-    summary = q.invariant_summary(q.make_semigroup(29, 1))
-    assert summary.a == 29 and summary.b == 1
-    assert summary.frobenius == q.frobenius(q.make_semigroup(29, 1))
-    assert summary.genus == q.genus(q.make_semigroup(29, 1))
-    assert summary.frobenius_low < summary.frobenius_high
-    assert summary.genus_low < summary.genus_high
-    assert not summary.bounds_certified
-    assert q.invariant_summary(q.make_semigroup(29, 2)).bounds_certified
-    with pytest.raises(ValueError):
-        q.invariant_summary(q.make_semigroup(1, 1))
+def test_invariant_summary(capsys):
+    def invariants(a, b):
+        code = cli.run(["invariants", "--a", str(a), "--b", str(b), "--format", "json"])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    code, out, err = invariants(29, 1)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["a"], doc["b"], doc["frobenius"], doc["genus"]) == (29, 1, 345, 217)
+    assert doc["frobenius_low"] < doc["frobenius_high"]
+    assert doc["genus_low"] < doc["genus_high"]
+    assert doc["bounds_certified"] is False
+    assert json.loads(invariants(29, 2)[1])["bounds_certified"] is True
+    assert invariants(1, 1) == (1, "", "error: S(1,1) is trivial; operation needs a >= 2 and b >= 1\n")
 
 
 def test_sweep_matches_pair_by_pair(monkeypatch):

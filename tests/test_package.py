@@ -19,7 +19,6 @@ PUBLIC_NAMES = {
     "EXTRA_INDEX_ROWS",
     "ExceptionalCase",
     "GAnalysis",
-    "InvariantSummary",
     "MinimalGeneratorSet",
     "MuTable",
     "NotANumericalSemigroup",
@@ -34,7 +33,6 @@ PUBLIC_NAMES = {
     "combined_bound",
     "contains",
     "decomposition_certificates",
-    "describe",
     "embedding_dimension",
     "exception_certificates",
     "frobenius",
@@ -49,7 +47,6 @@ PUBLIC_NAMES = {
     "genus",
     "genus_bounds",
     "genus_oracle",
-    "invariant_summary",
     "inverse_triangular",
     "largest_index",
     "lower_bound",

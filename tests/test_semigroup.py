@@ -10,6 +10,7 @@ import pytest
 
 import quadsg as q
 from helpers import least_lift_scan, lift_members, semigroup_members
+from quadsg import cli
 
 invariants_module = importlib.import_module("quadsg.invariants")
 
@@ -49,15 +50,14 @@ def test_generator_values():
         q.generator(s, -1)
 
 
-def test_describe_is_json_ready():
-    info = q.describe(q.make_semigroup(2, 1))
-    assert info == {
+def test_describe_is_json_ready(capsys):
+    assert cli.run(["semigroup", "--a", "2", "--b", "1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
         "a": 2,
         "b": 1,
         "trivial": False,
         "generators": [0, 2, 5, 9, 14, 20, 27, 35],
     }
-    json.dumps(info)
 
 
 @pytest.mark.parametrize("a,b", [(2, 1), (3, 1), (3, 2), (5, 2), (29, 1), (2, 5)])

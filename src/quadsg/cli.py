@@ -15,7 +15,8 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,18 +45,18 @@ def _fmt(x: float) -> str:
     return format(x, ".9g")
 
 
-@dataclass
-class _Record:
+class _Record(NamedTuple):
     """What one command prints, in each format it offers.
 
-    `doc` is the json document (a `SearchReport` or `GAnalysis` in it goes
-    through `asdict`; an iterator of str prints as an array, one item at a
-    time, each item json text already rendered at the array's indent),
-    `header` and `rows` the csv table, and `lines` the plain output, by
-    default the csv rows joined by spaces.  Large parts are generators, so
-    only the format asked for is built.  A format the record has nothing
-    for prints its plain lines, so a table rendered from row templates
-    (`_stream`) gives its csv as `lines` and no header.
+    `doc` is the json document: dicts, lists, tuples and scalars, which
+    `json.dump` takes as they are (so a named tuple would print as an
+    array), or an iterator of str, which prints as an array one item at a
+    time, each item json text already rendered at the array's indent.
+    `header` and `rows` are the csv table, and `lines` the plain output, by
+    default the csv rows joined by spaces.  Large parts are generators, or
+    are built only for the format asked for.  A format the record has
+    nothing for prints its plain lines, so a table rendered from row
+    templates (`_stream`) gives its csv as `lines` and no header.
     """
 
     doc: object = None
@@ -72,7 +73,7 @@ def _render(fmt: str, record: _Record) -> None:
         if isinstance(record.doc, Iterator):
             _dump_array(record.doc, out)
         else:
-            json.dump(record.doc, out, indent=2, default=asdict)
+            json.dump(record.doc, out, indent=2)
         out.write("\n")
     elif fmt == "csv" and record.header is not None:
         writer = csv.writer(out, lineterminator="\n")
@@ -147,9 +148,10 @@ def _pair_form(ns) -> tuple:
 
 def _cmd_apery(ns) -> _Record:
     s, ap = _pair_form(ns)
-    doc = {"a": s.a, "b": s.b, "modulus": ap.modulus, "elements": ap.elements}
-    lines = [" ".join(map(str, ap.elements))]
-    return _Record(doc, ["residue", "element"], enumerate(ap.elements), lines)
+    if ns.format == "plain":
+        return _Record(lines=[" ".join(map(str, ap.elements))])
+    doc = {"a": s.a, "b": s.b, "modulus": s.a, "elements": ap.elements}
+    return _Record(doc, ["residue", "element"], enumerate(ap.elements))
 
 
 def _cmd_frobenius_or_genus(ns) -> _Record:
@@ -207,22 +209,19 @@ def _cmd_invariants(ns) -> _Record:
 
 def _cmd_embedding(ns) -> _Record:
     s, gens = _pair_form(ns)
+    indices = gens.indices
     # The closed list is the closed count written out; the oracle's is checked against it.
-    if ns.oracle and len(gens) != (dimension := invariants_mod.embedding_dimension(s.a, s.b)):
+    if ns.oracle and len(indices) != (dimension := invariants_mod.embedding_dimension(s.a, s.b)):
         print(
-            f"error: index list of length {len(gens)} disagrees with dimension {dimension}",
+            f"error: index list of length {len(indices)} disagrees with dimension {dimension}",
             file=sys.stderr,
         )
         return _Record(code=FAILURE_EXIT)
-    doc = {
-        "a": s.a,
-        "b": s.b,
-        "dimension": len(gens),
-        "indices": gens.indices,
-        "elements": gens.elements,
-    }
-    lines = [f"dimension {len(gens)}", "indices " + " ".join(map(str, gens.indices))]
-    return _Record(doc, lines=lines)
+    if ns.format == "json":
+        elements = [invariants_mod.generator(s, n) for n in indices]
+        doc = {"a": s.a, "b": s.b, "dimension": len(indices), "indices": indices, "elements": elements}
+        return _Record(doc)
+    return _Record(lines=[f"dimension {len(indices)}", "indices " + " ".join(map(str, indices))])
 
 
 def _cmd_search_drop(ns) -> _Record:
@@ -238,12 +237,12 @@ def _cmd_search_drop(ns) -> _Record:
 def _cmd_search_eq(ns) -> _Record:
     report = search_mod.search_embedding_eq(ns.a_max)
     header = ["a", "n", "binom", "residue", "mu_residue"]
-    return _Record(report, header, map(astuple, report.hits))
+    return _Record(asdict(report), header, map(astuple, report.hits))
 
 
 def _cmd_g_analysis(ns) -> _Record:
-    ga = search_mod.g_analysis()
-    return _Record(ga, ["quantity", "value"], [[k, _fmt(v)] for k, v in asdict(ga).items()])
+    doc = search_mod.g_analysis()._asdict()
+    return _Record(doc, ["quantity", "value"], [[k, _fmt(v)] for k, v in doc.items()])
 
 
 def _cmd_certify(ns) -> _Record:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,8 +55,7 @@ class NotANumericalSemigroup(ValueError):
     """The generators have a common divisor, so their span is not cofinite."""
 
 
-@dataclass(frozen=True)
-class QuadraticSemigroup:
+class QuadraticSemigroup(NamedTuple):
     """The semigroup generated by y_n = n*a + C(n,2)*b, n >= 0.
 
     `trivial` marks the collapse to all nonnegative integers (a <= 1 or
@@ -69,8 +68,7 @@ class QuadraticSemigroup:
     trivial: bool
 
 
-@dataclass(frozen=True)
-class ExceptionalCase:
+class ExceptionalCase(NamedTuple):
     """A residue where the least lift sits one step below mu.
 
     For these pairs (all with b = 1) the least m with m*a + n in S(a,1)
@@ -82,10 +80,6 @@ class ExceptionalCase:
     n: int
     mu_n: int
     witness_index: int
-
-    @property
-    def b(self) -> int:
-        return 1
 
 
 EXCEPTIONAL_CASES: tuple[ExceptionalCase, ...] = (
@@ -99,8 +93,8 @@ EXCEPTIONAL_CASES: tuple[ExceptionalCase, ...] = (
     ExceptionalCase(79, 74, 20, 18),
 )
 
-# The one lookup of the table above, by pair.
-_EXCEPTIONAL: dict[tuple[int, int], ExceptionalCase] = {(c.a, c.b): c for c in EXCEPTIONAL_CASES}
+# The one lookup of the table above, by pair; every case has b = 1.
+_EXCEPTIONAL: dict[tuple[int, int], ExceptionalCase] = {(c.a, 1): c for c in EXCEPTIONAL_CASES}
 
 EXCEPTIONAL_PAIRS: frozenset[tuple[int, int]] = frozenset(_EXCEPTIONAL)
 
@@ -245,16 +239,14 @@ def mu_ab_closed(s: QuadraticSemigroup, n: int) -> int:
     return mu(n) - (case is not None and case.n == n)
 
 
-@dataclass(frozen=True)
-class AperySet:
-    """Least member of S in each residue class mod `modulus`.
+class AperySet(NamedTuple):
+    """Least member of S in each residue class mod a.
 
     elements[k] is congruent to k and is the smallest such member; its
-    predecessor elements[k] - modulus is outside S (except for k = 0,
-    where the element is 0 itself).
+    predecessor elements[k] - a is outside S (except for k = 0, where the
+    element is 0 itself).
     """
 
-    modulus: int
     elements: tuple[int, ...]
 
 
@@ -313,16 +305,16 @@ def apery_closed(s: QuadraticSemigroup) -> AperySet:
     values = next(_lifted(a, s.b, a))
     elements = np.empty_like(values)
     elements[np.arange(a, dtype=np.int64) * (s.b % a) % a] = values
-    return AperySet(modulus=a, elements=tuple(elements.tolist()))
+    return AperySet(tuple(elements.tolist()))
 
 
 def apery_oracle(s: QuadraticSemigroup) -> AperySet:
     """Apery set by round robin over the generators alone."""
     if s.trivial:
         if s.a == 1:
-            return AperySet(modulus=1, elements=(0,))
+            return AperySet((0,))
         raise ValueError("Apery set needs a positive modulus a")
-    return AperySet(modulus=s.a, elements=tuple(_apery(s.a, s.b)[0].tolist()))
+    return AperySet(tuple(_apery(s.a, s.b)[0].tolist()))
 
 
 def frobenius(s: QuadraticSemigroup) -> int:
@@ -374,19 +366,10 @@ def genus_oracle(s: QuadraticSemigroup) -> int:
     return int((ap - np.arange(s.a)).sum()) // s.a
 
 
-@dataclass(frozen=True)
-class MinimalGeneratorSet:
+class MinimalGeneratorSet(NamedTuple):
     """Indices n whose generator y_n no other generators can produce."""
 
-    semigroup: QuadraticSemigroup
     indices: tuple[int, ...]
-
-    @property
-    def elements(self) -> tuple[int, ...]:
-        return tuple(generator(self.semigroup, n) for n in self.indices)
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 def minimal_generators_closed(s: QuadraticSemigroup) -> MinimalGeneratorSet:
@@ -401,11 +384,12 @@ def minimal_generators_closed(s: QuadraticSemigroup) -> MinimalGeneratorSet:
 
     Raises ValueError, before allocating, past _TUPLE_LIMIT = 10**7
     indices (a past about 5*10**13): a tuple of that many Python ints
-    takes about 360 MB, and their elements as much again.
+    takes about 360 MB, and the generators y_n that `embedding --format
+    json` prints for them as much again.
     `embedding_dimension` still counts them.
     """
     if s.trivial:
-        return MinimalGeneratorSet(semigroup=s, indices=(1,) if s.a == 1 else (2,))
+        return MinimalGeneratorSet((1,) if s.a == 1 else (2,))
     count = largest_index(s.a - 1)
     if count > _TUPLE_LIMIT:
         raise ValueError(f"index list is limited to {_TUPLE_LIMIT} indices, S({s.a},{s.b}) has {count}")
@@ -413,7 +397,7 @@ def minimal_generators_closed(s: QuadraticSemigroup) -> MinimalGeneratorSet:
     case = _EXCEPTIONAL.get((s.a, s.b))
     if case is not None:
         indices += (case.witness_index,)
-    return MinimalGeneratorSet(semigroup=s, indices=indices)
+    return MinimalGeneratorSet(indices)
 
 
 def minimal_generators_oracle(s: QuadraticSemigroup) -> MinimalGeneratorSet:
@@ -435,8 +419,8 @@ def minimal_generators_oracle(s: QuadraticSemigroup) -> MinimalGeneratorSet:
     """
     if s.trivial:
         # The lone minimal generator 1 is y_1, or y_2 when a = 0.
-        return MinimalGeneratorSet(semigroup=s, indices=(1,) if s.a == 1 else (2,))
-    return MinimalGeneratorSet(semigroup=s, indices=_apery(s.a, s.b)[1])
+        return MinimalGeneratorSet((1,) if s.a == 1 else (2,))
+    return MinimalGeneratorSet(_apery(s.a, s.b)[1])
 
 
 def embedding_dimension(a: int, b: int) -> int:

@@ -14,9 +14,9 @@ blocks; only the hits are examined one by one.
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,11 +80,15 @@ class ResidueHit:
 
 @dataclass(frozen=True)
 class SearchReport:
-    """One search's hits; `quadsg search --format json` prints the fields in order."""
+    """One search's hits; `quadsg search --format json` prints the fields in order.
+
+    This and the two hit types stay dataclasses, not named tuples, because
+    the benchmark's self-test (`perfbench/selftest.py`) tampers with them
+    through `dataclasses.replace`.
+    """
 
     search_id: str
     a_max: int
-    elapsed: float
     hits: tuple
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -125,7 +129,6 @@ def search_mu_drop(a_max: int) -> SearchReport:
     """
     if not 4 <= a_max <= _SEARCH_CAP:
         raise ValueError(f"a_max must be in 4..{_SEARCH_CAP}")
-    start = time.perf_counter()
     values = shared_table().ensure(2 * a_max).values
     ns = np.arange(3, a_max, dtype=np.int64)
     k = values[3:a_max].astype(np.int64) - 2
@@ -136,7 +139,7 @@ def search_mu_drop(a_max: int) -> SearchReport:
         keep = (drop >= 2) & (drop <= 4)
         hits += map(DropHit, *(x[keep].tolist() for x in (a, n, mu_n, mu_shifted)))
     hits.sort(key=lambda hit: (hit.a, hit.n))
-    return SearchReport("mu-drop", a_max, time.perf_counter() - start, tuple(hits))
+    return SearchReport("mu-drop", a_max, tuple(hits))
 
 
 def search_embedding_eq(a_max: int) -> SearchReport:
@@ -156,7 +159,6 @@ def search_embedding_eq(a_max: int) -> SearchReport:
     """
     if not 2 <= a_max <= _SEARCH_CAP:
         raise ValueError(f"a_max must be in 2..{_SEARCH_CAP}")
-    start = time.perf_counter()
     values = shared_table().ensure(a_max).values
     a_all = np.arange(2, a_max + 1, dtype=np.int64)
     top = np.maximum.accumulate(values[:a_max]).astype(np.int64)[1:]
@@ -168,7 +170,7 @@ def search_embedding_eq(a_max: int) -> SearchReport:
         residue = binom % a
         keep = values[residue] == n + 1
         hits += map(ResidueHit, *(x[keep].tolist() for x in (a, n, binom, residue, n + 1)))
-    return SearchReport("embedding-eq", a_max, time.perf_counter() - start, tuple(hits))
+    return SearchReport("embedding-eq", a_max, tuple(hits))
 
 
 def g_of(a: float) -> float:
@@ -239,8 +241,7 @@ def g_local_max(bracket: tuple[float, float] = (10.0, 200.0)) -> tuple[float, fl
     return (x, g_of(x))
 
 
-@dataclass(frozen=True)
-class GAnalysis:
+class GAnalysis(NamedTuple):
     """Peak and threshold crossings of g at the scales the searches rely on."""
 
     local_max_location: float
@@ -323,8 +324,7 @@ EXPECTED_DROP_PAIRS: tuple[tuple[int, int], ...] = tuple(
 EXPECTED_RESIDUE_PAIRS: tuple[tuple[int, int], ...] = tuple(sorted(EMBED_DECOMPOSITIONS))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     kind: str
     a: int
     n: int

@@ -194,3 +194,21 @@ def test_no_private_twins():
         if twinned:
             twins[path.name] = twinned
     assert twins == {}
+
+
+def test_only_the_search_records_are_dataclasses():
+    # Every other result type is a named tuple.  These three stay dataclasses
+    # because the benchmark's self-test (perfbench/selftest.py) builds
+    # tampered copies of them with dataclasses.replace, which a named tuple
+    # refuses.
+    found = set()
+    for path in sorted(Path(q.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found |= {
+            (path.name, node.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for decorator in node.decorator_list
+            if "dataclass" in ast.unparse(decorator)
+        }
+    assert found == {("search.py", "DropHit"), ("search.py", "ResidueHit"), ("search.py", "SearchReport")}

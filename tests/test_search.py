@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import dataclasses
 from dataclasses import astuple
 
 import numpy as np
@@ -30,7 +31,21 @@ def test_drop_search_small(table):
     assert hit.drop == 2
     assert report.search_id == "mu-drop"
     assert report.a_max == 29
-    assert report.elapsed >= 0.0
+
+
+def test_search_records_take_dataclasses_replace(table):
+    # The benchmark's self-test (perfbench/selftest.py) tampers with a drop
+    # hit and with both reports through dataclasses.replace, which a named
+    # tuple would refuse.
+    drop, residue = q.search_mu_drop(485), q.search_embedding_eq(655)
+    hit = drop.hits[3]
+    bad = dataclasses.replace(hit, mu_n=hit.mu_n + 1, mu_shifted=hit.mu_shifted + 1)
+    assert (bad.a, bad.n, bad.mu_n, bad.mu_shifted) == (hit.a, hit.n, hit.mu_n + 1, hit.mu_shifted + 1)
+    tampered = dataclasses.replace(drop, hits=drop.hits[:3] + (bad,) + drop.hits[4:])
+    assert tampered.hits[3] == bad and tampered.pairs() == drop.pairs()
+    shorter = dataclasses.replace(residue, hits=residue.hits[1:])
+    assert (shorter.search_id, shorter.a_max) == ("embedding-eq", 655)
+    assert shorter.pairs() == residue.pairs()[1:]
 
 
 def test_drop_search_full(table):

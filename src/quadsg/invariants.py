@@ -142,9 +142,10 @@ def generator(s: QuadraticSemigroup, n: int) -> int:
 
 # Largest a the Apery-set oracle serves.  The round robin folds about
 # sqrt(2a) generators at O(a) each, so its cost grows as a**1.5: on one
-# 2-vCPU box it took 0.46 s at a = 50,021 (0.46-0.47 s for b = 1, 7, 1,000
-# and 10**6 + 1), 1.5 s at 100,003 and 4.8 s at 199,999, all at b = 1.
-# The int64 guard alone admits a up to about 1.3*10**6, about a minute.
+# 2-vCPU box (medians of ten fresh processes) it took 0.24 s at a = 50,021
+# (0.21-0.24 s for b = 1, 7, 1,000 and 10**6 + 1), 0.66 s at 100,003 and
+# 2.3 s at 199,999, all at b = 1.  The int64 guard alone admits a up to
+# about 1.3*10**6, where it took about 55 s (median of three runs).
 _APERY_LIMIT = 2 * 10**5
 
 
@@ -154,16 +155,20 @@ def _apery(a: int, b: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
     Starts from the span of y_1 = a (only class 0 reached) and folds in
     y_2, y_3, ... (Boecker & Liptak, Algorithmica 48, 2007).  Adding y
-    moves along the cycles k -> k + y mod a, one per class mod
-    gcd(y, a), each of length L = a / gcd(y, a); entry j becomes
-    min over t in 0..L-1 of Ap[j - t*y] + t*y (t = L returns to j at a
-    higher cost).  One running minimum of Ap - walk over the cycle written
-    twice, plus the walk, gives this at positions L..2L-1: position j + L
-    sees every predecessor at forward distance 0..L-1, and the farther
-    copies only repeat one of them at L*y more.  A y with y >= Ap[y mod a]
-    is skipped: y = Ap[y mod a] + k*a already lies in the span folded so
-    far, so it lowers nothing.  Generators grow with n, so once one
-    exceeds every entry no later one can lower any: the stop is exact.
+    moves along the cycles k -> k + r mod a, r = y mod a, one per class
+    mod gcd(y, a) = gcd(r, a), each of length L = a / gcd(r, a).  Entry j
+    of a cycle c_0..c_{L-1} becomes the least of Ap[c_t] + (j - t)*y over
+    t <= j and Ap[c_t] + (j - t + L)*y over t > j; going round again
+    costs L*y more and lowers nothing.  With x_t = Ap[c_t] - t*y, its
+    prefix minimum P and the cycle's least value g = P[L-1], that is
+    j*y + min(P[j], g + L*y), worked in one lap of the cycle: if the
+    argmin t* of x is at most j, then P[j] = g, which is below g + L*y
+    and every wrap term; if t* > j, the x_t past j have least value
+    exactly g, so the least wrap term is g + L*y.  A y with
+    y >= Ap[y mod a] is skipped: y = Ap[y mod a] + k*a already lies in
+    the span folded so far, so it lowers nothing.  Generators grow with
+    n, so once one exceeds every entry no later one can lower any: the
+    stop is exact.
     The indices are 1 (y_1 = a) and every n whose y_n was folded, in
     order; `minimal_generators_oracle` returns them.  Uses only the
     generators; never mu or a closed form.
@@ -173,29 +178,35 @@ def _apery(a: int, b: int) -> tuple[np.ndarray, tuple[int, ...]]:
     if a > _APERY_LIMIT:
         raise ValueError(f"Apery-set oracle is limited to a <= {_APERY_LIMIT}, S({a},{b}) has {a}")
     # After y_2 (coprime to a) every entry is at most (a-1)*y_2, and only
-    # y <= max(Ap) are folded, so a walk of length 2L <= 2a reaches at most
-    # (2L-1)*y < 2*a*a*y_2, which the guard keeps below 2**63: no int64
-    # wraps.  Every folded value is at most the entry it replaces, so none
-    # passes the `unreached` marker 2**62 - 1.
+    # y <= max(Ap) are folded, so a*y < a*a*y_2, which the guard keeps
+    # below 2**62.  The walk reaches at most (L-1)*y, and the wrap term
+    # g + L*y is at most (2**62 - 1) + a*y < 2**63: no int64 wraps.  Every
+    # folded value is at most the entry it replaces, so none passes the
+    # `unreached` marker 2**62 - 1.
     if a * a * (2 * a + b) >= 1 << 62:
         raise ValueError(f"S({a},{b}) is too large for the Apery-set oracle")
     unreached = (1 << 62) - 1
     ap = np.full(a, unreached, dtype=np.int64)
     ap[0] = 0
+    steps = np.arange(a, dtype=np.int64)
     indices = [1]
     n, y, top = 2, 2 * a + b, unreached
     while y <= top:
-        if y < ap[y % a]:
+        r = y % a
+        if y < ap[r]:
             indices.append(n)
-            d = math.gcd(y, a)
+            d = math.gcd(r, a)
             length = a // d
-            cycles = (np.arange(d)[:, None] + np.arange(length) * (y % a)) % a
-            walk = np.arange(2 * length, dtype=np.int64) * y
+            cycles = steps[:d, None] + steps[:length] * r
+            cycles -= cycles // a * a  # cycles % a: int64 // by a scalar is faster
+            walk = steps[:length] * y
             entries = ap[cycles]
-            twice = np.concatenate((entries, entries), axis=1)
-            folded = (np.minimum.accumulate(twice - walk, axis=1) + walk)[:, length:]
-            ap[cycles] = folded
-            top = folded.max()
+            entries -= walk
+            np.minimum.accumulate(entries, axis=1, out=entries)
+            np.minimum(entries, entries[:, -1:] + length * y, out=entries)
+            entries += walk
+            ap[cycles] = entries
+            top = entries.max()
         y += a + n * b
         n += 1
     ap.flags.writeable = False
@@ -332,6 +343,7 @@ def frobenius(s: QuadraticSemigroup) -> int:
 
 
 def frobenius_oracle(s: QuadraticSemigroup) -> int:
+    """Largest Apery element less a, off the round-robin Apery set."""
     if s.trivial:
         return -1
     return int(_apery(s.a, s.b)[0].max()) - s.a

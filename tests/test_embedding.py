@@ -157,7 +157,7 @@ def test_oracle_matches_per_w_prime_reference(lift):
 
 
 def test_oracles_refuse_past_the_limit_before_allocating():
-    # Just past the limit the fold would take several seconds; the refusal
+    # Just past the limit the fold would take over two seconds; the refusal
     # comes first, before any array of size a.
     a = invariants_module._APERY_LIMIT + 1
     s = q.make_semigroup(a, 1)

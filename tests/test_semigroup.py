@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,9 +144,31 @@ def test_apery_matches_round_robin_reference():
     pairs += [(6, 1), (99, 1), (300, 7), (1200, 1), (2997, 59)]
     pairs += sorted(q.EXCEPTIONAL_PAIRS)
     pairs += [(a, _largest_b_under_guard(a)) for a in (3, 100, 1999)]
-    for a, b in pairs:
+    grid = [(a, b) for a in range(2, 61) for b in range(1, 6) if math.gcd(a, b) == 1]
+    # The grid must fold some y_n along gcd(y_n, a) > 1 cycles, so the
+    # multi-row path of the fold is checked whatever the random pairs are.
+    # Index 1 is y_1 = a itself, the starting span, not a fold.
+    assert any(
+        math.gcd(q.generator(q.make_semigroup(a, b), n), a) > 1
+        for a, b in grid
+        for n in invariants_module._apery(a, b)[1][1:]
+    )
+    for a, b in pairs + grid:
         got = invariants_module._apery(a, b)[0]
         assert np.array_equal(got, _round_robin_apery(a, b)), (a, b)
+
+
+def test_apery_fold_peaks_below_ten_words_per_entry():
+    # Working each cycle in one lap peaks near 7 int64 words per class; a
+    # fold that writes each cycle out twice peaks near 13.
+    a = 20011
+    tracemalloc.start()
+    try:
+        invariants_module._apery.__wrapped__(a, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * a, peak / (8 * a)
 
 
 # The lifted pair monoid holds (m, n) exactly when mu(n) <= m, and m*a + n*b

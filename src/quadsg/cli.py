@@ -312,96 +312,115 @@ def _add_format(p, default: str, choices=("plain", "json", "csv")) -> None:
     p.add_argument("--format", choices=list(choices), default=default)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_pair(p, oracle: bool) -> None:
+    """--a and --b, both required, for a command on one pair; --oracle for one with an oracle."""
+    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--b", type=int, required=True)
+    if oracle:
+        p.add_argument("--oracle", action="store_true", help="derive from the round-robin Apery set")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone when it names one.
+
+    `run` passes the first word of argv, so a run builds the parser of the
+    command it runs and no other.  A word that names no command (--help,
+    an unknown word, none) builds every command's, so the command list and
+    its usage errors read as from the full parser.
+    """
     parser = _Parser(
         prog="quadsg",
         description="Invariants of numerical semigroups generated by quadratic sequences.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
-    # --a and --b, both required, for every command on one pair, and
-    # --oracle for the four of them that have an oracle.
-    pair = argparse.ArgumentParser(add_help=False)
-    pair.add_argument("--a", type=int, required=True)
-    pair.add_argument("--b", type=int, required=True)
-    by_oracle = argparse.ArgumentParser(add_help=False)
-    by_oracle.add_argument("--oracle", action="store_true", help="derive from the round-robin Apery set")
 
-    p = sub.add_parser("mu", help="minimum index-weight of a triangular partition")
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p, "plain")
-    p.set_defaults(func=_cmd_mu)
+    def add(name: str, help_text: str) -> argparse.ArgumentParser | None:
+        """The parser of command `name`, or None if this build leaves it out."""
+        return sub.add_parser(name, help=help_text) if command in (None, name) else None
 
-    p = sub.add_parser("bounds", help="mu with its analytic envelope, tabulated")
-    p.add_argument("--n-max", type=int, required=True)
-    _add_format(p, "csv")
-    p.set_defaults(func=_cmd_bounds)
+    if p := add("mu", "minimum index-weight of a triangular partition"):
+        p.add_argument("--n", type=int, required=True)
+        _add_format(p, "plain")
+        p.set_defaults(func=_cmd_mu)
 
-    p = sub.add_parser("semigroup", parents=[pair], help="validate (a,b) and describe S(a,b)")
-    _add_format(p, "json", choices=("plain", "json"))
-    p.set_defaults(func=_cmd_semigroup)
+    if p := add("bounds", "mu with its analytic envelope, tabulated"):
+        p.add_argument("--n-max", type=int, required=True)
+        _add_format(p, "csv")
+        p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("apery", parents=[pair, by_oracle], help="least member of S per residue class mod a")
-    _add_format(p, "plain")
-    forms = (invariants_mod.apery_closed, invariants_mod.apery_oracle)
-    p.set_defaults(func=_cmd_apery, forms=forms)
+    if p := add("semigroup", "validate (a,b) and describe S(a,b)"):
+        _add_pair(p, oracle=False)
+        _add_format(p, "json", choices=("plain", "json"))
+        p.set_defaults(func=_cmd_semigroup)
+
+    if p := add("apery", "least member of S per residue class mod a"):
+        _add_pair(p, oracle=True)
+        _add_format(p, "plain")
+        forms = (invariants_mod.apery_closed, invariants_mod.apery_oracle)
+        p.set_defaults(func=_cmd_apery, forms=forms)
 
     for name, help_text, closed, oracle in (
         ("frobenius", "largest integer outside S", invariants_mod.frobenius, invariants_mod.frobenius_oracle),
         ("genus", "number of gaps of S", invariants_mod.genus, invariants_mod.genus_oracle),
     ):
-        p = sub.add_parser(name, parents=[pair, by_oracle], help=help_text)
+        if p := add(name, help_text):
+            _add_pair(p, oracle=True)
+            _add_format(p, "plain", choices=("plain", "json"))
+            p.set_defaults(func=_cmd_frobenius_or_genus, forms=(closed, oracle))
+
+    if p := add("invariants", "frobenius, genus, and bounds together"):
+        p.add_argument("--a", type=int)
+        p.add_argument("--b", type=int)
+        p.add_argument(
+            "--sweep",
+            action="store_true",
+            help="tabulate a coprime grid (rows print as they are made)",
+        )
+        p.add_argument("--a-max", type=int)
+        p.add_argument("--b-max", type=int)
+        _add_format(p, "csv")
+        p.set_defaults(func=_cmd_invariants)
+
+    if p := add("embedding", "minimal generators and their count"):
+        _add_pair(p, oracle=True)
         _add_format(p, "plain", choices=("plain", "json"))
-        p.set_defaults(func=_cmd_frobenius_or_genus, forms=(closed, oracle))
+        forms = (invariants_mod.minimal_generators_closed, invariants_mod.minimal_generators_oracle)
+        p.set_defaults(func=_cmd_embedding, forms=forms)
 
-    p = sub.add_parser("invariants", help="frobenius, genus, and bounds together")
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument(
-        "--sweep",
-        action="store_true",
-        help="tabulate a coprime grid (rows print as they are made)",
-    )
-    p.add_argument("--a-max", type=int)
-    p.add_argument("--b-max", type=int)
-    _add_format(p, "csv")
-    p.set_defaults(func=_cmd_invariants)
+    if p := add("search", "exhaustive searches"):
+        mode = p.add_subparsers(dest="mode", metavar="mode", required=True)
+        for name, help_text, handler in (
+            ("mu-drop", "pairs where one shift lowers mu by 2..4", _cmd_search_drop),
+            ("embedding-eq", "pairs where an extra generator could enter", _cmd_search_eq),
+        ):
+            m = mode.add_parser(name, help=help_text)
+            m.add_argument("--a-max", type=int, required=True)
+            _add_format(m, "csv", choices=("csv", "json"))
+            m.set_defaults(func=handler)
 
-    p = sub.add_parser("embedding", parents=[pair, by_oracle], help="minimal generators and their count")
-    _add_format(p, "plain", choices=("plain", "json"))
-    forms = (invariants_mod.minimal_generators_closed, invariants_mod.minimal_generators_oracle)
-    p.set_defaults(func=_cmd_embedding, forms=forms)
+    if p := add("g-analysis", "peak and roots of the bound-gap margin"):
+        _add_format(p, "plain")
+        p.set_defaults(func=_cmd_g_analysis)
 
-    p = sub.add_parser("search", help="exhaustive searches")
-    mode = p.add_subparsers(dest="mode", metavar="mode", required=True)
+    if p := add("certify", "replay every certificate and search"):
+        p.add_argument(
+            "--all", action="store_true", help="accepted for compatibility; always runs everything"
+        )
+        p.set_defaults(func=_cmd_certify)
 
-    for name, help_text, handler in (
-        ("mu-drop", "pairs where one shift lowers mu by 2..4", _cmd_search_drop),
-        ("embedding-eq", "pairs where an extra generator could enter", _cmd_search_eq),
-    ):
-        m = mode.add_parser(name, help=help_text)
-        m.add_argument("--a-max", type=int, required=True)
-        _add_format(m, "csv", choices=("csv", "json"))
-        m.set_defaults(func=handler)
+    if p := add("tgrid", "membership grid of the lifted pair monoid"):
+        p.add_argument("--m-max", type=int, default=49)
+        p.add_argument("--n-max", type=int, default=49)
+        _add_format(p, "csv", choices=("csv", "plain"))
+        p.set_defaults(func=_cmd_tgrid)
 
-    p = sub.add_parser("g-analysis", help="peak and roots of the bound-gap margin")
-    _add_format(p, "plain")
-    p.set_defaults(func=_cmd_g_analysis)
-
-    p = sub.add_parser("certify", help="replay every certificate and search")
-    p.add_argument("--all", action="store_true", help="accepted for compatibility; always runs everything")
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("tgrid", help="membership grid of the lifted pair monoid")
-    p.add_argument("--m-max", type=int, default=49)
-    p.add_argument("--n-max", type=int, default=49)
-    _add_format(p, "csv", choices=("csv", "plain"))
-    p.set_defaults(func=_cmd_tgrid)
-
-    return parser
+    return parser if sub.choices else build_parser()
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command line (default sys.argv[1:]) on its command's parser alone; the exit code."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:

@@ -536,13 +536,14 @@ def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     and g come from the single-pair `frobenius` and `genus`.  The drop
     moves F at a = 29, 47 and 79.
 
-    a runs in blocks that the table's growth also bounds (`_grow`), so the
-    first rows come at once.  M, the last n of every level and the running
-    sum carry from block to block.  Within a block, last_m(a) is one
-    binary search per d into the block's mu values sorted by (mu, n); the
-    carried last n answers the levels that the block has not reached by
-    a.  Everything fits in int64 under `_sweep_columns`' size check:
-    M*a <= 2*a**2 since mu(n) <= 2n, and (a-1)*b <= 10**8.
+    a runs in blocks of at most `width` values, and each block grows the
+    table to its own last n (`_grow`), so the first rows come at once.  M,
+    the last n of every level and the running sum carry from block to
+    block.  Within a block, last_m(a) is one binary search per d into the
+    block's mu values sorted by (mu, n); the carried last n answers the
+    levels that the block has not reached by a.  Everything fits in int64
+    under `_sweep_columns`' size check: M*a <= 2*a**2 since mu(n) <= 2n,
+    and (a-1)*b <= 10**8.
     """
     if a_max < 2 or b_max < 1:
         return
@@ -552,8 +553,8 @@ def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     top = total = 0
     a0 = 2
     while a0 <= a_max:
-        values = _grow(a0 - 1, a_max - 1).values
-        a1 = min(a0 + width, a_max + 1, len(values) + 1)
+        a1 = min(a0 + width, a_max + 1)
+        values = _grow(a1 - 2, a_max - 1).values
         lo, size = a0 - 1, a1 - a0  # block of n = a - 1
         mus = values[lo : a1 - 1].astype(np.int64)
         tops = np.maximum(np.maximum.accumulate(mus), top)

@@ -258,7 +258,9 @@ def _grow(n: int, cap: int) -> MuTable:
 
     For callers that step n upward: each growth at least doubles the table,
     so growing it n by n stays linear overall, but stops at cap, the
-    caller's last n.  A caller that knows its size calls `ensure` instead.
+    caller's last n.  A caller that streams blocks passes each block's own
+    last n, so its blocks, not the table's size, set where they end.  A
+    caller that knows its size calls `ensure` instead.
     """
     if n > _shared.n_max:
         _shared.ensure(max(n, min(2 * _shared.n_max, cap)))
@@ -357,10 +359,11 @@ def _envelope(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _bounds_columns(n_max: int) -> Iterator[list[list]]:
     """The bound profiles of n = 1..n_max as columns n, mu, lower, gauss, combined.
 
-    One list of Python lists per block of at most `_CHUNK` rows.  The table
-    grows with the blocks in doubling steps that end exactly at n_max, so
-    the first rows come at once however long the full fill takes.  An n_max
-    out of range is refused at the call, before any row.
+    One list of Python lists per block of at most `_CHUNK` rows.  Each
+    block grows the table to its own last n (`_grow`, whose doubling steps
+    end exactly at n_max), so the first rows come at once however long the
+    full fill takes.  An n_max out of range is refused at the call, before
+    any row.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -370,8 +373,8 @@ def _bounds_columns(n_max: int) -> Iterator[list[list]]:
     def blocks() -> Iterator[list[list]]:
         lo = 1
         while lo <= n_max:
-            values = _grow(lo, n_max).values
-            hi = min(lo + _CHUNK, len(values), n_max + 1)
+            hi = min(lo + _CHUNK, n_max + 1)
+            values = _grow(hi - 1, n_max).values
             n = np.arange(lo, hi)
             yield [column.tolist() for column in (n, values[lo:hi], *_envelope(n))]
             lo = hi

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface through cli.run."""
 
+import argparse
 import csv
 import importlib
 import io
@@ -70,14 +71,19 @@ def test_mu_negative_is_domain_error(capsys):
     assert err.startswith("error:")
 
 
+USAGE_ERRORS = [
+    ("nonsense",),
+    ("mu", "--n", "5", "--bogus"),
+    ("search",),
+    ("mu",),
+    ("certify", "--all", "--threads", "2"),
+    ("search", "mu-drop", "--a-max", "30", "--threads", "2"),
+]
+
+
 def test_usage_errors(capsys):
-    assert run_cli(capsys, "nonsense")[0] == cli.USAGE_EXIT
-    assert run_cli(capsys, "mu", "--n", "5", "--bogus")[0] == cli.USAGE_EXIT
-    assert run_cli(capsys, "search")[0] == cli.USAGE_EXIT
-    assert run_cli(capsys, "mu")[0] == cli.USAGE_EXIT
-    assert run_cli(capsys, "certify", "--all", "--threads", "2")[0] == cli.USAGE_EXIT
-    argv = ("search", "mu-drop", "--a-max", "30", "--threads", "2")
-    assert run_cli(capsys, *argv)[0] == cli.USAGE_EXIT
+    for argv in USAGE_ERRORS:
+        assert run_cli(capsys, *argv)[0] == cli.USAGE_EXIT, argv
 
 
 def test_help_exits_zero(capsys):
@@ -1013,6 +1019,44 @@ HELP = {
 def test_help_stdout(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     assert run_cli(capsys, *argv) == (0, HELP[argv], "")
+
+
+@pytest.mark.parametrize(
+    "argv", [*HELP, *USAGE_ERRORS, ()], ids=lambda argv: " ".join(argv) or "<empty>"
+)
+def test_run_reads_as_the_full_parser(capsys, monkeypatch, argv):
+    # `run` builds only the named command's parser; help, usage errors and
+    # argv that names no command ("nonsense", none) read as from the full one.
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = run_cli(capsys, *argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert run_cli(capsys, *argv) == expected
+
+
+def test_run_builds_only_the_named_command_parser(capsys, monkeypatch):
+    # Every parser a run makes, the subcommands' included, runs this __init__.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser()
+    every = len(built)
+
+    def parsers(*argv):
+        built.clear()
+        cli.run(list(argv))
+        capsys.readouterr()
+        return len(built)
+
+    assert parsers("certify", "--all") <= 2
+    assert parsers("search", "mu-drop", "--a-max", "30") <= 4
+    # A first word that names no command builds them all (and one spare top level).
+    assert parsers("--help") >= every
 
 
 _INT_FLAGS = {

@@ -295,6 +295,16 @@ def test_sweep_streams_in_bounded_memory(monkeypatch):
     assert peak < 8 << 20, peak
 
 
+def test_sweep_block_is_not_cut_by_table_growth(monkeypatch):
+    # Each block grows a fresh table to the block's own last n, so a grid
+    # within one block's cap comes in one block, not in one block per
+    # doubling of the table (10 of them here).
+    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
+    blocks = list(invariants_module._sweep_columns(400, 10))
+    assert len(blocks) == 1
+    assert blocks[0][0][-1] == 400 and q.shared_table().n_max == 399
+
+
 def test_closed_forms_refuse_oversized_a_before_allocating(monkeypatch):
     s = q.make_semigroup(10**11, 1)
     monkeypatch.setattr(mu_module, "_shared", q.MuTable(10))

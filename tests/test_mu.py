@@ -416,6 +416,14 @@ def test_bound_profiles_grow_table_to_n_max(monkeypatch):
     assert len(bound_rows(10)) == 10
 
 
+def test_bound_profiles_come_in_full_chunks(monkeypatch):
+    # Blocks are cut at `_CHUNK` rows and n_max alone; the table grows to
+    # each block's last n, so its doubling steps cut no block short.
+    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
+    sizes = [len(block[0]) for block in mu_module._bounds_columns(100_000)]
+    assert sizes == [mu_module._CHUNK] * 6 + [100_000 - 6 * mu_module._CHUNK]
+
+
 def test_bounds_csv(monkeypatch, capsys):
     # The bounds CSV is written by the CLI renderer from `_bounds_columns`.
     monkeypatch.setattr(mu_module, "_shared", mu_module.MuTable())

@@ -141,11 +141,13 @@ def generator(s: QuadraticSemigroup, n: int) -> int:
 
 
 # Largest a the Apery-set oracle serves.  The round robin folds about
-# sqrt(2a) generators at O(a) each, so its cost grows as a**1.5: on one
-# 2-vCPU box (medians of ten fresh processes) it took 0.24 s at a = 50,021
-# (0.21-0.24 s for b = 1, 7, 1,000 and 10**6 + 1), 0.66 s at 100,003 and
-# 2.3 s at 199,999, all at b = 1.  The int64 guard alone admits a up to
-# about 1.3*10**6, where it took about 55 s (median of three runs).
+# sqrt(2a) generators, each in a few doubling steps of O(a) (2,169 steps
+# for 631 folds at a = 199,999, 18 of them in the first), so its cost
+# grows about as a**1.5: on one 2-vCPU box (medians of ten fresh
+# processes) it took 0.038 s at a = 50,021 (0.037-0.042 s for b = 1, 7,
+# 1,000 and 10**6 + 1), 0.11 s at 100,003 and 0.54 s at 199,999, all at
+# b = 1.  The int64 guard alone admits a up to about 1.3*10**6, where it
+# took 10 s (one run at a = 1,321,122, b = 1).
 _APERY_LIMIT = 2 * 10**5
 
 
@@ -154,21 +156,23 @@ def _apery(a: int, b: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Read-only Apery set of nontrivial S(a,b) w.r.t. a, and the indices it folds.
 
     Starts from the span of y_1 = a (only class 0 reached) and folds in
-    y_2, y_3, ... (Boecker & Liptak, Algorithmica 48, 2007).  Adding y
-    moves along the cycles k -> k + r mod a, r = y mod a, one per class
-    mod gcd(y, a) = gcd(r, a), each of length L = a / gcd(r, a).  Entry j
-    of a cycle c_0..c_{L-1} becomes the least of Ap[c_t] + (j - t)*y over
-    t <= j and Ap[c_t] + (j - t + L)*y over t > j; going round again
-    costs L*y more and lowers nothing.  With x_t = Ap[c_t] - t*y, its
-    prefix minimum P and the cycle's least value g = P[L-1], that is
-    j*y + min(P[j], g + L*y), worked in one lap of the cycle: if the
-    argmin t* of x is at most j, then P[j] = g, which is below g + L*y
-    and every wrap term; if t* > j, the x_t past j have least value
-    exactly g, so the least wrap term is g + L*y.  A y with
+    y_2, y_3, ... (Boecker & Liptak, Algorithmica 48, 2007).  Folding y,
+    with r = y mod a, makes entry x the least of Ap[(x - k*r) mod a] + k*y
+    over k >= 0.  A term with k*y > max(Ap) lowers nothing, and one with
+    k >= a repeats k - a at a higher cost, so k <= K = min(max(Ap) // y,
+    a - 1) suffices.  The fold doubles: step s rotates Ap by 2**s * r
+    into one reused buffer, adds 2**s * y and takes the elementwise
+    minimum, so after step s entry x holds the least term over
+    k < 2**(s+1); K.bit_length() steps cover every k <= K.  A y with
     y >= Ap[y mod a] is skipped: y = Ap[y mod a] + k*a already lies in
     the span folded so far, so it lowers nothing.  Generators grow with
     n, so once one exceeds every entry no later one can lower any: the
     stop is exact.
+    No int64 wraps: the guard keeps a*a*y_2 below 2**62.  The first fold
+    (y_2, coprime to a) adds at most 2**s * y_2 <= (a-1)*y_2 to entries
+    at most the `unreached` marker 2**62 - 1, and leaves every entry at
+    most (a-1)*y_2; later folds add at most K*y <= max(Ap), so the
+    buffer stays at most 2*max(Ap).  The minimum never passes the marker.
     The indices are 1 (y_1 = a) and every n whose y_n was folded, in
     order; `minimal_generators_oracle` returns them.  Uses only the
     generators; never mu or a closed form.
@@ -177,36 +181,25 @@ def _apery(a: int, b: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """
     if a > _APERY_LIMIT:
         raise ValueError(f"Apery-set oracle is limited to a <= {_APERY_LIMIT}, S({a},{b}) has {a}")
-    # After y_2 (coprime to a) every entry is at most (a-1)*y_2, and only
-    # y <= max(Ap) are folded, so a*y < a*a*y_2, which the guard keeps
-    # below 2**62.  The walk reaches at most (L-1)*y, and the wrap term
-    # g + L*y is at most (2**62 - 1) + a*y < 2**63: no int64 wraps.  Every
-    # folded value is at most the entry it replaces, so none passes the
-    # `unreached` marker 2**62 - 1.
     if a * a * (2 * a + b) >= 1 << 62:
         raise ValueError(f"S({a},{b}) is too large for the Apery-set oracle")
     unreached = (1 << 62) - 1
     ap = np.full(a, unreached, dtype=np.int64)
     ap[0] = 0
-    steps = np.arange(a, dtype=np.int64)
+    rotated = np.empty_like(ap)
     indices = [1]
     n, y, top = 2, 2 * a + b, unreached
     while y <= top:
         r = y % a
         if y < ap[r]:
             indices.append(n)
-            d = math.gcd(r, a)
-            length = a // d
-            cycles = steps[:d, None] + steps[:length] * r
-            cycles -= cycles // a * a  # cycles % a: int64 // by a scalar is faster
-            walk = steps[:length] * y
-            entries = ap[cycles]
-            entries -= walk
-            np.minimum.accumulate(entries, axis=1, out=entries)
-            np.minimum(entries, entries[:, -1:] + length * y, out=entries)
-            entries += walk
-            ap[cycles] = entries
-            top = entries.max()
+            shift, step = r, y
+            for _ in range(min(top // y, a - 1).bit_length()):
+                np.add(ap[: a - shift], step, out=rotated[shift:])
+                np.add(ap[a - shift :], step, out=rotated[:shift])
+                np.minimum(ap, rotated, out=ap)
+                shift, step = 2 * shift % a, 2 * step
+            top = int(ap.max())
         y += a + n * b
         n += 1
     ap.flags.writeable = False

@@ -11,13 +11,13 @@ C(2,2) = 1.  Values satisfy
 Allowing i = 1 would add the useless option mu(n) + 1 and is skipped.
 
 The module provides a growable bottom-up table (`MuTable`), filled by
-one loop over chunks of consecutive n, at most a fixed width and at most a
-quarter past their start, with one slice minimum per part index, over the
-few part indices that two exact bounds on the largest index of an optimal
-partition leave, an oracle (`mu_oracle`) that folds in one part at a time
-with no window, checked against the table up to n = 10**6, the analytic
-envelope around mu (`lower_bound`, `gauss_bound`, `combined_bound`).  `mu`
-and everything built on it read one process-wide table.
+blocks of triangular levels (the n from C(i,2) to C(i+1,2) - 1) with one
+strided pass per window depth, over the few part indices that two exact
+bounds on the largest index of an optimal partition leave, an oracle
+(`mu_oracle`) that folds in one part at a time with no window, checked
+against the table up to n = 10**6, the analytic envelope around mu
+(`lower_bound`, `gauss_bound`, `combined_bound`).  `mu` and everything
+built on it read one process-wide table.
 """
 
 from __future__ import annotations
@@ -47,11 +47,20 @@ ORACLE_LIMIT = 10**6
 # Largest n a MuTable grows to: 10**8 entries of uint16 is 200 MB.
 TABLE_LIMIT = 10**8
 
-# Widest run of consecutive n that MuTable fills together: wide enough that
-# each np.minimum call does more arithmetic than call overhead, small
-# enough that a chunk stays in cache.  Of the powers 2**12..2**16, 2**14
-# filled mu(0..C(2000,2)) fastest on a 2-vCPU machine.
-_CHUNK = 1 << 14
+# Most entries MuTable fills in one block of levels.  The block's one work
+# array grows with it: of the powers 2**14..2**18, each doubling filled
+# mu(0..C(2000,2)) a little faster on a 2-vCPU machine (3.5 -> 2.8 -> 2.5
+# ms at 2**14, 2**16 and 2**18), and 2**16 keeps that fill's peak within
+# 0.3 MB of the table itself.
+_FILL_BLOCK = 1 << 16
+
+# mu(0..27), which the fill copies: below C(8,2) = 28 some levels read
+# their own entries, so the level blocks start at 28.  The tests check these
+# against the recursion.
+_HEAD = (0, 2, 4, 3, 5, 7, 4, 6, 8, 7, 5, 7, 8, 8, 10, 6, 8, 10, 9, 11, 10, 7, 9, 11, 10, 11, 13, 11)
+
+# Rows per block of `bounds` profiles.
+_BOUNDS_ROWS = 1 << 14
 
 
 def triangular(i: int) -> int:
@@ -85,62 +94,70 @@ class MuTable:
 
     Only `ensure` writes; `values` exposes a read-only view.
 
-    The fill walks chunks lo..end of consecutive n, at most `_CHUNK` wide,
-    and restricts the recursion to a window of part indices.  Any partition
-    counted by mu uses parts C(i,2) <= i(k-1)/2 when every index is at most
-    k, so n <= mu(n)(k-1)/2 and the largest index of an optimal partition
-    is at least 1 + 2n/U for any upper bound U >= mu(n).
+    The fill works by levels: level i holds the i entries n = C(i,2) + r,
+    0 <= r < i, and C(i,2) is the largest part that fits each of them.
+    Taking that part leaves r < i, so U = i + max mu(0..i-1) bounds mu on
+    the whole level.  Two exact bounds then confine the largest index k of
+    an optimal partition of every n on the level to a window k_min..i.
 
-    Each chunk starts from a tentative end at most `_CHUNK` wide and at most
-    a quarter past lo, lo + min(_CHUNK, lo // 4 + 1) - 1: near the start of
-    the table a full-width end would give a loose U, a small k_min and,
-    after the cut below, chunks of one entry.  With j = largest_index of
-    the tentative end, U = j + max mu(0..j-1) bounds mu from lo to there:
-    taking the largest fitting part C(i,2) <= n leaves n - C(i,2) < i <= j.
-    Where 0..j-1 is not filled yet, mu(m) <= 2m stands in.  So
-    k_min = 1 + ceil(2*lo/U), taken at the chunk's low end, is at most the
-    largest index of every optimal partition up to the tentative end, and
-    so in the chunk, which the cut only shortens.
+    First, any partition counted by mu uses parts C(j,2) <= j(k-1)/2 when
+    every index is at most k, so n <= mu(n)(k-1)/2 and k >= 1 + 2n/U:
+    k_min = max(2, 1 + ceil(2*lo/U)) with lo = C(i,2).  Second, a partition
+    of n >= lo whose largest index is k scores k + mu(m) at best, m = n -
+    C(k,2).  The floor f(m) = (1 + sqrt(8m+1))/2 is concave with f(0) > 0,
+    hence subadditive, and f(C(j,2)) = j, so any partition of m >= 1 scores
+    at least f(m): mu(m) >= f(m) for m >= 1 (not for m = 0, where f(0) =
+    1).  A score of at most U then needs f(m) <= U - k, that is m <=
+    C(U-k,2); for m = 0 that holds anyway.  Either way C(k,2) + C(U-k,2) >=
+    n >= lo, so every k with C(k,2) + C(U-k,2) < lo is ruled out.  The left
+    side steps by 2k + 1 - U from k to k + 1, so it increases once 2k >= U:
+    from such a k_min the ruled-out indices are a prefix, and k_min steps
+    past them.  The steps stop by k = U at the latest, where the left side
+    is C(U,2) > lo because U >= i + 2 (mu(1) = 2), so U - k never goes
+    negative.  `_second_bound` jumps most of the way (see there).  U comes
+    from the table, never from the analytic bounds, which keeps those
+    independently testable; the second bound uses f only through integer
+    triangular numbers and isqrt.
 
-    A second bound raises k_min further.  A partition of n >= lo whose
-    largest index is k scores k + mu(r) at best, r = n - C(k,2).  The floor
-    f(m) = (1 + sqrt(8m+1))/2 is concave with f(0) > 0, hence subadditive,
-    and f(C(i,2)) = i, so any partition of m >= 1 scores at least f(m):
-    mu(m) >= f(m) for m >= 1 (not for m = 0, where f(0) = 1).  A score of
-    at most U then needs f(r) <= U - k, that is r <= C(U-k,2); for r = 0
-    that holds anyway.  Either way C(k,2) + C(U-k,2) >= n >= lo, so every
-    k with C(k,2) + C(U-k,2) < lo is ruled out.  The left side steps by
-    2k + 1 - U from k to k + 1, so it increases once 2k >= U: from such a
-    k_min the ruled-out indices are a prefix, and k_min steps past them.
-    The steps stop by k = U at the latest, where the left side is
-    C(U,2) > end because U >= j + 2 (mu(1) = 2, and j >= 2), so U - k never
-    goes negative.  `_second_bound` jumps most of the way: the left side is
-    k^2 - Uk + C(U,2), so no index below the larger real root of
-    k^2 - Uk + C(U,2) = lo passes, and the steps start from its integer
-    floor, which never overshoots.  Near the top of the table at C(2000,2)
-    and 10**7 this leaves 10 and 5 part indices per chunk, where the first
-    bound alone leaves 93 and 119; the whole fill makes 2,696 passes over
-    163 chunks and 6,010 over 651.
+    So mu(n) is the least mu(n - C(i-d,2)) + i - d over the depths
+    0 <= d <= i - k_min, and the source is n - C(i-d,2) = r + d*i -
+    C(d+1,2): for one d its offset is linear in i.  `_fill_block` therefore
+    fills a block of consecutive levels i0..i1-1 with one strided 2-D view
+    per d, row i - i0 starting at d*i0 - C(d+1,2) + d*(i - i0) and as wide
+    as the widest level (the shorter rows' extra columns are read, never
+    written), takes the minimum over d, and writes the rows back with one
+    np.concatenate.  A block uses the largest depth D of its levels; the
+    extra d of the shallower ones are real partitions, so the minimum is
+    still mu.
 
-    So mu(n) is the least mu(n - C(i,2)) + i over k_min <= i with
-    C(i,2) <= n.  The chunk is cut to end - lo < C(k_min,2), so every such
-    source lies below lo and is final: one np.minimum per part index fills
-    the chunk, and a chunk of one entry is the same step.  U comes from the
-    table, never from the analytic bounds, which keeps those independently
-    testable; the second bound uses the floor f only through integer
-    triangular numbers and isqrt.  `_chunks` yields each chunk with its
-    k_min.  The fill steps C(i,2) up by i - 1 per part index, stops past
-    the chunk's end, and forms every sum but the first part index's in one
-    chunk-wide buffer, made once per fill.
+    `_blocks` ends each block at `_FILL_BLOCK` entries (one level at least)
+    and where its last level i = i1 - 1 would read at or past its first
+    entry, start: that level's last entry reads g(D) = (D+1)*i - 1 -
+    C(D+1,2) at depth D.  Every depth is at most i - 2 on its own level
+    (k_min >= 2), so D <= i - 2, where g increases with D; and D >= i0 - 1
+    would give g(D) >= i0*i - 1 - C(i0,2) >= C(i0+1,2) - 1 >= start.  So
+    in a block that ends at that cut D <= i0 - 2, every part index i - d is
+    at least 2, every source r + d*i - C(d+1,2) (r < i, extra columns
+    included) grows with r, d and the row's level up to g(D) < start, and
+    all of them are final: one pass per d fills the block.  A block of one
+    level i0 >= 8 is not cut; every such level up to
+    largest_index(TABLE_LIMIT) fits alone, g(depth) < C(i0,2), which the
+    tests check.  Below C(8,2) = 28 levels 2, 3, 4, 5 and 7 read their own
+    entries, so mu(0..27) is copied from `_HEAD`.
 
-    Entries are uint16, and no sum the fill forms can wrap.  Each is
-    mu(m) + i with m < n <= TABLE_LIMIT and a part index
-    i <= largest_index(TABLE_LIMIT) = 14,142.  By Gauss every m is a sum
-    of three triangular numbers C(i,2), and since inverse_triangular is
-    concave their indices add up to at most gauss_bound(m); parts C(1,2)
-    = 0 are dropped, which only lowers the score.  So
-    mu(m) <= gauss_bound(TABLE_LIMIT) < 24,497, and every sum is at most
-    24,497 + 14,142 = 38,639 < 65,535.
+    Up to C(2000,2) the depth is at most 1 at 1,457 of the levels 8..2000,
+    2 at 449, and at most 10 everywhere; past level 744 it is 1, up to
+    TABLE_LIMIT.  The fill of certify's table walks 47 blocks and 167
+    passes; 10**7 walks 171 and 407, and 10**8 walks 1,669 and 3,394.
+
+    Entries are uint16, and no sum the fill forms can wrap.  Each is at most
+    mu(m) + i with m < n <= TABLE_LIMIT and a part index i <=
+    largest_index(TABLE_LIMIT) = 14,142; the extra columns read final
+    entries too.  By Gauss every m is a sum of three triangular numbers
+    C(i,2), and since inverse_triangular is concave their indices add up to
+    at most gauss_bound(m); parts C(1,2) = 0 are dropped, which only lowers
+    the score.  So mu(m) <= gauss_bound(TABLE_LIMIT) < 24,497, and every
+    sum is at most 24,497 + 14,142 = 38,639 < 65,535.
     """
 
     def __init__(self, n_max: int = 0):
@@ -199,49 +216,97 @@ class MuTable:
 
     def _fill(self, lo: int, hi: int) -> None:
         dp = self._values
-        buf = np.empty(min(_CHUNK, hi - lo + 1), dtype=np.uint16)
-        for lo, end, k_min in _chunks(dp, lo, hi):
-            t = triangular(k_min)
-            np.add(dp[lo - t : end + 1 - t], k_min, out=dp[lo : end + 1])
-            i, t = k_min + 1, t + k_min
-            while t <= end:
-                start = max(lo, t)
-                part = dp[start : end + 1]
-                src = np.add(dp[start - t : end + 1 - t], i, out=buf[: end + 1 - start])
-                np.minimum(part, src, out=part)
-                i, t = i + 1, t + i
+        head = _HEAD[lo : hi + 1]
+        dp[lo : lo + len(head)] = head
+        for start, end, depth in _blocks(dp, max(lo, len(_HEAD)), hi):
+            _fill_block(dp, start, end, depth)
 
 
-def _chunks(dp: np.ndarray, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
-    """The chunks (lo, end, k_min) that fill dp[lo..hi], in order.
+def _fill_block(dp: np.ndarray, start: int, end: int, depth: int) -> None:
+    """Write mu(start..end) into dp, every source below start (see `MuTable`)."""
+    i0, i1 = largest_index(start), largest_index(end) + 1
+    rows, width = i1 - i0, i1 - 1
 
-    Each chunk's window is taken from dp[:lo] only (see `MuTable`), so the
-    next chunk is computed once the caller has filled this one.
+    def sources(d: int) -> np.ndarray:
+        # Row i - i0, column r: dp[C(i,2) + r - C(i-d,2)].
+        offset = d * i0 - triangular(d + 1)
+        return np.ndarray((rows, width), np.uint16, dp, 2 * offset, (2 * d, 2))
+
+    # best = min over d' <= d of mu(source d') + d - d', one d at a time.
+    best = sources(0).copy()
+    for d in range(1, depth + 1):
+        best += 1
+        np.minimum(best, sources(d), out=best)
+    best += np.arange(i0 - depth, i1 - depth, dtype=np.uint16)[:, None]
+    levels = [best[j, : i0 + j] for j in range(rows)]
+    levels[-1] = levels[-1][: end + 1 - triangular(i1 - 1)]
+    levels[0] = levels[0][start - triangular(i0) :]
+    np.concatenate(levels, out=dp[start : end + 1])
+
+
+def _blocks(dp: np.ndarray, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+    """The blocks (start, end, depth) that fill dp[lo..hi], lo >= 28, in order.
+
+    A block is the n of whole levels, but for its first and last ones when
+    lo or hi cuts them; depth is the largest window depth of its levels
+    (see `MuTable`).  The windows read max mu(0..i-1) for every level i up
+    to largest_index(hi), so where that passes lo the levels below it are
+    yielded first; the rest are worked out once the caller has filled
+    those, and a block is yielded only once every entry below it is.
     """
-    while lo <= hi:
-        end = min(lo + min(_CHUNK, lo // 4 + 1) - 1, hi)
-        j = largest_index(end)
-        ub = j + (int(dp[:j].max()) if j <= lo else 2 * (j - 1))
-        k_min = max(2, 1 + -(-(2 * lo) // ub))
-        if 2 * k_min >= ub:
-            k_min = _second_bound(lo, ub, k_min)
-        end = min(end, lo + triangular(k_min) - 1)
-        yield lo, end, k_min
-        lo = end + 1
+    if lo > hi:
+        return
+    top = largest_index(hi)
+    if top > lo:
+        yield from _blocks(dp, lo, top - 1)
+        lo = top
+    first = largest_index(lo)
+    depths = _depths(dp, first, top).tolist()
+    start = lo
+    while start <= hi:
+        i0 = largest_index(start)
+        i1 = max(i0 + 1, min(largest_index(start + _FILL_BLOCK), top + 1))
+        depth = max(depths[i0 - first : i1 - first])
+        # The last level i's last entry reads dp[(d+1)*i - 1 - C(d+1,2)] at
+        # depth d, which must lie below start.
+        fit = (start + triangular(depth + 1)) // (depth + 1)
+        if fit < i1 - 1:
+            i1 = max(i0 + 1, fit + 1)
+            depth = max(depths[i0 - first : i1 - first])
+        end = min(hi, triangular(i1) - 1)
+        yield start, end, depth
+        start = end + 1
 
 
-def _second_bound(lo: int, ub: int, k: int) -> int:
+def _depths(dp: np.ndarray, first: int, top: int) -> np.ndarray:
+    """Window depth i - k_min of each level i in first..top, from mu(0..top-1)."""
+    i = np.arange(first, top + 1, dtype=np.int64)
+    lo = i * (i - 1) // 2
+    ub = i + np.maximum.accumulate(dp[:top])[first - 1 :]
+    k = np.maximum(2, 1 - (-2 * lo // ub))
+    steep = 2 * k >= ub
+    k[steep] = _second_bound(lo[steep], ub[steep], k[steep])
+    return i - k
+
+
+def _second_bound(lo: np.ndarray, ub: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Least i >= k with C(i,2) + C(ub-i,2) >= lo, for 2k >= ub and C(ub,2) >= lo.
 
-    The left side is i^2 - ub*i + C(ub,2), nondecreasing for i >= ub/2, and
-    below lo exactly between the real roots of i^2 - ub*i + C(ub,2) = lo.
-    So no answer lies below the larger root (ub + sqrt(4*lo + 2*ub - ub^2))/2
-    or, with no real root, below k.  The steps start from the floor of the
-    root, at most one short of the answer, rather than from k.
+    Elementwise over int64 arrays.  The left side is i^2 - ub*i + C(ub,2),
+    nondecreasing for i >= ub/2, and below lo exactly between the real
+    roots of i^2 - ub*i + C(ub,2) = lo.  So no answer lies below the larger
+    root (ub + sqrt(4*lo + 2*ub - ub^2))/2 or, with no real root, below k.
+    The steps start from the floor of the root, at most one short of the
+    answer, rather than from k.  The float square root is floored and then
+    lowered where it squares past its argument, so the floor never
+    overshoots.
     """
-    k = max(k, (ub + math.isqrt(max(0, 4 * lo + 2 * ub - ub * ub))) // 2)
-    while triangular(k) + triangular(ub - k) < lo:
-        k += 1
+    disc = np.maximum(0, 4 * lo + 2 * ub - ub * ub)
+    root = np.sqrt(disc).astype(np.int64)
+    root -= root * root > disc
+    k = np.maximum(k, (ub + root) // 2)
+    while (short := k * (k - 1) // 2 + (ub - k) * (ub - k - 1) // 2 < lo).any():
+        k += short
     return k
 
 
@@ -359,7 +424,7 @@ def _envelope(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _bounds_columns(n_max: int) -> Iterator[list[list]]:
     """The bound profiles of n = 1..n_max as columns n, mu, lower, gauss, combined.
 
-    One list of Python lists per block of at most `_CHUNK` rows.  Each
+    One list of Python lists per block of at most `_BOUNDS_ROWS` rows.  Each
     block grows the table to its own last n (`_grow`, whose doubling steps
     end exactly at n_max), so the first rows come at once however long the
     full fill takes.  An n_max out of range is refused at the call, before
@@ -373,7 +438,7 @@ def _bounds_columns(n_max: int) -> Iterator[list[list]]:
     def blocks() -> Iterator[list[list]]:
         lo = 1
         while lo <= n_max:
-            hi = min(lo + _CHUNK, n_max + 1)
+            hi = min(lo + _BOUNDS_ROWS, n_max + 1)
             values = _grow(hi - 1, n_max).values
             n = np.arange(lo, hi)
             yield [column.tolist() for column in (n, values[lo:hi], *_envelope(n))]

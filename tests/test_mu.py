@@ -1,5 +1,6 @@
 """mu values, the growable table, the fold oracle and bounds."""
 
+import hashlib
 import importlib
 import math
 import random
@@ -18,6 +19,19 @@ mu_module = importlib.import_module("quadsg.mu")
 
 PLAIN_LIMIT = 3000
 GROWTH_LIMIT = 3 * 10**5
+
+# sha256 of MuTable(n).values.tobytes(), taken from the chunked fill that
+# came before the level blocks; the level blocks must write the same bytes.
+TABLE_SHA256 = {
+    400: "91e1fb719d04da647ca83622e895a23defd58fe078655dab16873ecc78b25f16",
+    4950: "2b6d03b32aaba8f7b560b382856e1f95a95fdededaf9c23789aa00aba9246cb6",
+    1_999_000: "553eedac45410c590c1a6a17238107d454bf7b6ca0f6e8892119390cb5c88f6d",
+    10**7: "3efc41da00e095bda517377232701618c285bafc8dde9378d7c2a03cf080cf6b",
+}
+# The same for one table grown by ensure to each of these n in turn.
+GROWTH_STEPS = (1, 2, 3, 100, 2015, 2016, 2017, 5000, 70_000, 1_999_000, 1 << 22)
+GROWN_SHA256 = "ec4fd833ec032815cb46ddada111fb4c4306d0259e1a7dfa9b4ef849d5268ab5"
+LIMIT_SHA256 = "f594d3d5cd6a176d14a0fafeb1c344a6e4dd5658670e494df08a8b163cc05df3"
 
 # Hand-enumerable small cases (every partition written out by hand) and
 # the eight larger arguments the exceptional pairs hinge on; all are
@@ -70,6 +84,21 @@ def test_frozen_values(table, plain):
 
 def test_table_matches_plain_dp(table, plain):
     assert np.array_equal(table.values, np.array(plain))
+    # The head the fill copies rather than computes.
+    assert list(mu_module._HEAD) == plain[: len(mu_module._HEAD)]
+
+
+def _sha256(values):
+    return hashlib.sha256(values.tobytes()).hexdigest()
+
+
+def test_table_bytes_are_pinned():
+    for n, digest in TABLE_SHA256.items():
+        assert _sha256(q.MuTable(n).values) == digest, n
+    grown = q.MuTable()
+    for n in GROWTH_STEPS:
+        grown.ensure(n)
+    assert _sha256(grown.values) == GROWN_SHA256
 
 
 def test_matches_exhaustive_oracle(table, fold):
@@ -125,13 +154,15 @@ def test_extension_matches_fresh_build():
 def test_growth_in_random_steps_matches_fold(fold):
     # Each pass grows one table by seeded random ensure steps and ends a
     # fill exactly at every mark, so the next fill starts right after it:
-    # C(j,2) - 1, C(j,2) and C(j,2) + 1, and the chunk width -1, 0 and +1.
+    # level starts C(j,2) - 1, C(j,2) and C(j,2) + 1, two of them the
+    # starts of blocks of a fresh fill, the first past 2**14 and 2**17.
     # The random steps stop at a quarter of each mark, so the fill that
-    # ends at the mark spans many chunks.
+    # ends at the mark spans many blocks, and most fills start mid-level.
+    starts = [start for start, _, _ in mu_module._blocks(fold, 28, GROWTH_LIMIT)]
+    block_starts = [next(s for s in starts if s > m) for m in (1 << 14, 1 << 17)]
     rng = random.Random(8)
     for d in (-1, 0, 1):
-        marks = [q.triangular(j) + d for j in (10, 100)]
-        marks += [mu_module._CHUNK + d] + [q.triangular(j) + d for j in (400, 774)]
+        marks = sorted([q.triangular(j) + d for j in (10, 100, 400, 774)] + [s + d for s in block_starts])
         grown = q.MuTable()
         for mark in marks:
             while grown.n_max < mark // 4:
@@ -145,34 +176,44 @@ def test_growth_in_random_steps_matches_fold(fold):
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 def test_fill_at_many_chunk_boundaries(chunk, fold, monkeypatch):
-    # A narrow chunk puts a chunk boundary every few n, so the window
-    # bounds are taken afresh at thousands of places, each checked
-    # against the unwindowed fold.
-    monkeypatch.setattr(mu_module, "_CHUNK", chunk)
+    # Blocks capped at `chunk` entries: one level per block, or a few
+    # where the block cut allows, so the block depth and the cut are taken
+    # afresh at every level, each entry checked against the unwindowed
+    # fold.
+    monkeypatch.setattr(mu_module, "_FILL_BLOCK", chunk)
     n_max = 4000
+    for start, end, _ in mu_module._blocks(fold, 28, n_max):
+        assert end - start < chunk or q.largest_index(start) == q.largest_index(end)
     mismatches = np.flatnonzero(q.MuTable(n_max).values != fold[: n_max + 1])
     assert mismatches.size == 0, (chunk, mismatches[:5])
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_fill_window_keeps_an_optimal_partition(chunk, fold, monkeypatch):
-    # Every n of every chunk has an optimal partition, read off the
-    # unwindowed fold, whose largest index is at least the chunk's k_min,
-    # so no window cuts off every optimum.  The chunks are walked again on
-    # the filled table: `_chunks` reads only entries below each chunk,
-    # which are final by then.
+    # Every n >= 28 has an optimal partition, read off the unwindowed fold,
+    # whose largest index lies in its level's window i - depth..i, so no
+    # window cuts off every optimum; nor does the depth of the block the
+    # fill puts the level in, with blocks capped at `chunk` entries.  The
+    # windows are worked out again on the filled table: they read only
+    # entries below each level, which are final by then.
     if chunk is not None:
-        monkeypatch.setattr(mu_module, "_CHUNK", chunk)
+        monkeypatch.setattr(mu_module, "_FILL_BLOCK", chunk)
     n_max = 2 * 10**5
-    k_min = np.zeros(n_max + 1, dtype=np.int64)
-    for lo, end, k in mu_module._chunks(q.MuTable(n_max).values, 1, n_max):
-        k_min[lo : end + 1] = k
+    values = q.MuTable(n_max).values
     ref = fold[: n_max + 1]
     top = np.zeros(n_max + 1, dtype=np.int64)  # largest index of an optimal partition
     for i in range(2, q.largest_index(n_max) + 1):
         t = q.triangular(i)
         top[t:][ref[: n_max + 1 - t] + i == ref[t:]] = i
-    short = np.flatnonzero(top < k_min)
+    n = np.arange(28, n_max + 1)
+    level = np.array([q.largest_index(m) for m in range(28, n_max + 1)])
+    depths = mu_module._depths(values, 8, q.largest_index(n_max))
+    outside = n[(top[28:] < level - depths[level - 8]) | (top[28:] > level)]
+    assert outside.size == 0, outside[:5]
+    block_k = np.zeros(n_max + 1, dtype=np.int64)
+    for start, end, depth in mu_module._blocks(values, 28, n_max):
+        block_k[start : end + 1] = level[start - 28 : end - 27] - depth
+    short = np.flatnonzero(top[28:] < block_k[28:]) + 28
     assert short.size == 0, (chunk, short[:5])
 
 
@@ -181,6 +222,12 @@ def _stepped_bound(lo, ub, k):
     while q.triangular(k) + q.triangular(ub - k) < lo:
         k += 1
     return k
+
+
+def _second_bound_misses(posed):
+    # The rows (lo, U, k, answer) where `_second_bound` gives another answer.
+    posed = np.array(posed, dtype=np.int64)
+    return posed[mu_module._second_bound(*posed[:, :3].T) != posed[:, 3]]
 
 
 def test_second_bound_matches_stepping_loop():
@@ -200,29 +247,66 @@ def test_second_bound_matches_stepping_loop():
             if want < ub:
                 posed.append((lo, ub, want + 1, want + 1))
     assert len(posed) > 8 * 10**5, len(posed)
-    wrong = [p for p in posed if mu_module._second_bound(*p[:3]) != p[3]]
-    assert not wrong, wrong[:5]
-    # A seeded sample up to lo = 10**8, with U and k_min as `_chunks` forms
+    wrong = _second_bound_misses(posed)
+    assert wrong.size == 0, wrong[:5]
+    # A seeded sample up to lo = 10**8, with U and k_min as `_depths` forms
     # them: U at least largest_index(lo) + 2, a few hundred above it.
     rng = random.Random(14)
+    sample = []
     for _ in range(3000):
         lo = rng.randint(1, 10**8)
         j = q.largest_index(lo)
         ub = rng.randint(j + 2, j + 3 * math.isqrt(2 * j) + 50)
         k = max(2, 1 + -(-(2 * lo) // ub))
         if 2 * k >= ub:
-            assert mu_module._second_bound(lo, ub, k) == _stepped_bound(lo, ub, k), (lo, ub, k)
+            sample.append((lo, ub, k, _stepped_bound(lo, ub, k)))
+    assert len(sample) > 1000, len(sample)
+    wrong = _second_bound_misses(sample)
+    assert wrong.size == 0, wrong[:5]
+
+
+def _walk(values, steps):
+    # The blocks the fill wrote, for a table grown to each of steps in
+    # turn: the walk reads only entries below each block, final by then.
+    lo = 1
+    for hi in steps:
+        yield from mu_module._blocks(values, max(lo, 28), hi)
+        lo = hi + 1
+
+
+@pytest.mark.parametrize(
+    "steps", [(q.triangular(2000),), (10**7,), GROWTH_STEPS], ids=["c2000", "1e7", "grown"]
+)
+def test_every_block_reads_only_entries_below_it(steps):
+    # The whole rectangle each block reads, extra columns included: rows
+    # i0..i, columns 0..i-1, depths 0..D.  Every source is below the
+    # block's first entry, every part index is at least 2, and the blocks
+    # tile 28..n_max with at most _FILL_BLOCK entries or one level each.
+    table = q.MuTable()
+    for n in steps:
+        table.ensure(n)
+    last = 27
+    for start, end, depth in _walk(table.values, steps):
+        assert start == last + 1
+        last = end
+        i0, i = q.largest_index(start), q.largest_index(end)
+        assert end + 1 - start <= mu_module._FILL_BLOCK or i == i0, (start, end)
+        assert i0 - depth >= 2, (start, depth)
+        rows = np.arange(i0, i + 1)[:, None, None]
+        r = np.arange(i)[None, :, None]
+        d = np.arange(depth + 1)[None, None, :]
+        sources = r + d * rows - d * (d + 1) // 2
+        assert sources.min() >= 0 and sources.max() < start, (start, end, depth)
+    assert last == steps[-1]
 
 
 def test_fill_work_counts_at_c_2000():
-    # certify's fill: the tentative chunk end at most a quarter past lo
-    # keeps the head of the table from splitting into one-entry chunks.
-    # Before it, the fill walked 389 chunks and 7,200 part-index passes.
+    # certify's fill.  The chunked fill before the level blocks walked 163
+    # chunks and 2,696 part-index passes.
     n_max = q.triangular(2000)
-    chunks = list(mu_module._chunks(q.MuTable(n_max).values, 1, n_max))
-    passes = sum(q.largest_index(end) - k + 1 for _, end, k in chunks)
-    assert len(chunks) <= 170, len(chunks)
-    assert passes <= 2800, passes
+    blocks = list(mu_module._blocks(q.MuTable(n_max).values, 28, n_max))
+    assert len(blocks) == 47
+    assert sum(depth + 1 for *_, depth in blocks) == 167
 
 
 def test_table_is_uint16_within_its_bound():
@@ -252,8 +336,9 @@ def test_fill_speed_at_c_2000():
 
 
 def test_fill_speed_at_ten_million():
-    # The two-part bound leaves a few part indices per chunk; the linear
-    # bound alone left about U - j and took about 1.1 s on a 2-vCPU machine.
+    # The two-part bound leaves one or two part indices per level near the
+    # top; the linear bound alone, in the chunked fill before the level
+    # blocks, took about 1.1 s on a 2-vCPU machine.
     times = []
     for _ in range(3):
         start = time.perf_counter()
@@ -266,6 +351,13 @@ def test_fill_speed_at_ten_million():
 @pytest.mark.slow
 def test_full_table_at_limit():
     values = q.MuTable(q.TABLE_LIMIT).values
+    assert _sha256(values) == LIMIT_SHA256
+    # Every level from 8 up fits in a block of its own (see `MuTable`).
+    top = q.largest_index(q.TABLE_LIMIT)
+    i = np.arange(8, top + 1)
+    depth = mu_module._depths(values, 8, top)
+    assert ((depth + 1) * i - 1 - depth * (depth + 1) // 2 < i * (i - 1) // 2).all()
+    assert depth.max() == 10
     i = np.arange(2, q.largest_index(q.TABLE_LIMIT) + 1, dtype=np.int64)
     assert np.array_equal(values[i * (i - 1) // 2], i)
     # The envelope at every n, a block of 2**20 at a time.
@@ -417,11 +509,13 @@ def test_bound_profiles_grow_table_to_n_max(monkeypatch):
 
 
 def test_bound_profiles_come_in_full_chunks(monkeypatch):
-    # Blocks are cut at `_CHUNK` rows and n_max alone; the table grows to
-    # each block's last n, so its doubling steps cut no block short.
+    # Blocks are cut at `_BOUNDS_ROWS` rows and n_max alone; the table
+    # grows to each block's last n, so its doubling steps cut no block short.
     monkeypatch.setattr(mu_module, "_shared", q.MuTable())
     sizes = [len(block[0]) for block in mu_module._bounds_columns(100_000)]
-    assert sizes == [mu_module._CHUNK] * 6 + [100_000 - 6 * mu_module._CHUNK]
+    rows = mu_module._BOUNDS_ROWS
+    assert rows == 1 << 14
+    assert sizes == [rows] * 6 + [100_000 - 6 * rows]
 
 
 def test_bounds_csv(monkeypatch, capsys):

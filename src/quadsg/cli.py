@@ -9,7 +9,6 @@ command), 2 verification failure (a certify run found a mismatch, or
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import os
@@ -52,11 +51,12 @@ class _Record(NamedTuple):
     `json.dump` takes as they are (so a named tuple would print as an
     array), or an iterator of str, which prints as an array one item at a
     time, each item json text already rendered at the array's indent.
-    `header` and `rows` are the csv table, and `lines` the plain output, by
-    default the csv rows joined by spaces.  Large parts are generators, or
-    are built only for the format asked for.  A format the record has
-    nothing for prints its plain lines, so a table rendered from row
-    templates (`_stream`) gives its csv as `lines` and no header.
+    `header` and `rows` are the csv table, printed comma-joined since every
+    cell is an int or a string with no comma, quote or newline, and `lines`
+    the plain output, by default the csv rows joined by spaces.  Large parts
+    are generators, or are built only for the format asked for.  A format
+    the record has nothing for prints its plain lines, so a table rendered
+    from row templates (`_stream`) gives its csv as `lines` and no header.
     """
 
     doc: object = None
@@ -76,9 +76,8 @@ def _render(fmt: str, record: _Record) -> None:
             json.dump(record.doc, out, indent=2)
         out.write("\n")
     elif fmt == "csv" and record.header is not None:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(record.header)
-        writer.writerows(record.rows)
+        for row in itertools.chain([record.header], record.rows):
+            out.write(",".join(map(str, row)) + "\n")
     else:
         lines = record.lines
         if lines is None:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mu import TABLE_LIMIT, _grow, largest_index, mu, triangular
+from .mu import _BLOCK, TABLE_LIMIT, _grow, largest_index, mu, triangular
 
 __all__ = [
     "AperySet",
@@ -101,18 +101,6 @@ EXCEPTIONAL_PAIRS: frozenset[tuple[int, int]] = frozenset(_EXCEPTIONAL)
 # Most Python ints a closed form returns in one tuple: 10**7 of them take
 # about 360 MB, and the list they are built from as much again.
 _TUPLE_LIMIT = 10**7
-
-# Most int64 entries in one temporary: 2**16 of them are 512 KiB, so memory
-# stays flat however large a is.  Three readers share it: `frobenius` takes
-# the lifts in blocks of this many n, search's `_pairs` yields this many
-# pairs at a time, and an eighth of it caps a block of the sweep's grid
-# (`_scan`), whose eight columns, once Python lists, then hold at most 2**16
-# entries; the CLI prints each block as one string, in every format.
-# Without a cap, a grid that the size check allows would allocate
-# a * b_max entries at once (800 MB at a = 2, b_max = 5*10**7) before its
-# first row, and F at a = 10**8 - 1 would widen the whole lift array
-# (several GB); with it, both stream.
-_BLOCK = 1 << 16
 
 
 def make_semigroup(a: int, b: int) -> QuadraticSemigroup:

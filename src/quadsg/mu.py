@@ -47,20 +47,25 @@ ORACLE_LIMIT = 10**6
 # Largest n a MuTable grows to: 10**8 entries of uint16 is 200 MB.
 TABLE_LIMIT = 10**8
 
-# Most entries MuTable fills in one block of levels.  The block's one work
-# array grows with it: of the powers 2**14..2**18, each doubling filled
-# mu(0..C(2000,2)) a little faster on a 2-vCPU machine (3.5 -> 2.8 -> 2.5
-# ms at 2**14, 2**16 and 2**18), and 2**16 keeps that fill's peak within
-# 0.3 MB of the table itself.
-_FILL_BLOCK = 1 << 16
+# Most entries in one working array: the one block size of the package.
+# The fill takes blocks of levels of at most this many entries: of the
+# powers 2**14..2**18, each doubling filled mu(0..C(2000,2)) a little
+# faster on a 2-vCPU machine (3.5 -> 2.8 -> 2.5 ms at 2**14, 2**16 and
+# 2**18), and 2**16 keeps that fill's peak within 0.3 MB of the table
+# itself.  As int64, 2**16 entries are 512 KiB, so a temporary cut to it
+# keeps memory flat however large the input: `frobenius` takes its lifts
+# and search's `_pairs` their pairs in blocks of 2**16, and `bounds` (five
+# columns) and the sweep (`invariants._scan`, eight) take a quarter and an
+# eighth as many rows, about 2**16 cells a block, which the CLI prints as
+# one string.  Uncut, the sweep would allocate a * b_max entries before its
+# first row (800 MB at a = 2, b_max = 5*10**7) and F at a = 10**8 - 1 would
+# widen the whole lift array (several GB).
+_BLOCK = 1 << 16
 
 # mu(0..27), which the fill copies: below C(8,2) = 28 some levels read
 # their own entries, so the level blocks start at 28.  The tests check these
 # against the recursion.
 _HEAD = (0, 2, 4, 3, 5, 7, 4, 6, 8, 7, 5, 7, 8, 8, 10, 6, 8, 10, 9, 11, 10, 7, 9, 11, 10, 11, 13, 11)
-
-# Rows per block of `bounds` profiles.
-_BOUNDS_ROWS = 1 << 14
 
 
 def triangular(i: int) -> int:
@@ -130,7 +135,7 @@ class MuTable:
     extra d of the shallower ones are real partitions, so the minimum is
     still mu.
 
-    `_blocks` ends each block at `_FILL_BLOCK` entries (one level at least)
+    `_blocks` ends each block at `_BLOCK` entries (one level at least)
     and where its last level i = i1 - 1 would read at or past its first
     entry, start: that level's last entry reads g(D) = (D+1)*i - 1 -
     C(D+1,2) at depth D.  Every depth is at most i - 2 on its own level
@@ -265,7 +270,7 @@ def _blocks(dp: np.ndarray, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
     start = lo
     while start <= hi:
         i0 = largest_index(start)
-        i1 = max(i0 + 1, min(largest_index(start + _FILL_BLOCK), top + 1))
+        i1 = max(i0 + 1, min(largest_index(start + _BLOCK), top + 1))
         depth = max(depths[i0 - first : i1 - first])
         # The last level i's last entry reads dp[(d+1)*i - 1 - C(d+1,2)] at
         # depth d, which must lie below start.
@@ -424,7 +429,7 @@ def _envelope(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _bounds_columns(n_max: int) -> Iterator[list[list]]:
     """The bound profiles of n = 1..n_max as columns n, mu, lower, gauss, combined.
 
-    One list of Python lists per block of at most `_BOUNDS_ROWS` rows.  Each
+    One list of Python lists per block of at most `_BLOCK // 4` rows.  Each
     block grows the table to its own last n (`_grow`, whose doubling steps
     end exactly at n_max), so the first rows come at once however long the
     full fill takes.  An n_max out of range is refused at the call, before
@@ -438,7 +443,7 @@ def _bounds_columns(n_max: int) -> Iterator[list[list]]:
     def blocks() -> Iterator[list[list]]:
         lo = 1
         while lo <= n_max:
-            hi = min(lo + _BOUNDS_ROWS, n_max + 1)
+            hi = min(lo + _BLOCK // 4, n_max + 1)
             values = _grow(hi - 1, n_max).values
             n = np.arange(lo, hi)
             yield [column.tolist() for column in (n, values[lo:hi], *_envelope(n))]

@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .invariants import (
-    _BLOCK,
     EXCEPTIONAL_CASES,
     contains,
     generator,
@@ -30,7 +29,7 @@ from .invariants import (
     mu_ab_oracle,
     verify_decomposition,
 )
-from .mu import inverse_triangular, largest_index, mu, shared_table
+from .mu import _BLOCK, inverse_triangular, largest_index, mu, shared_table
 
 __all__ = [
     "EMBED_DECOMPOSITIONS",
@@ -253,8 +252,13 @@ class GAnalysis(NamedTuple):
 def g_analysis() -> GAnalysis:
     """g peaks under 5 and decays through 2 and 1; these numbers say where.
 
-    Past root_at_2 no further drop pairs can appear, and past root_at_1 no
-    further residue hits; that is what makes both searches complete.
+    `certify` runs the drop search to root_at_2 and the residue search to
+    root_at_1, on the reading that no drop pair lies past the first and no
+    residue hit past the second.  That reading is a measurement, not a
+    proof: g is a float built on `combined_bound`, which is not proven to
+    be a ceiling on mu, and it speaks of the shift t = 1 only.  Run to
+    10**5, both searches still find only the eight and the thirty known
+    pairs (the default test run checks this).
     """
     location, value = g_local_max((10.0, 200.0))
     return GAnalysis(

@@ -346,7 +346,8 @@ def test_invariants_sweep(capsys):
 
 
 def csv_writer_text(header, rows):
-    # How the csv tables were written before their rows had line templates.
+    # What csv.writer prints for a table: the reference for every csv table
+    # the CLI prints, from row templates or from comma-joined cells.
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
@@ -381,6 +382,53 @@ def test_single_pair_csv_matches_csv_writer(capsys):
     for a, b in [(29, 1), (29, 2), (10**6 + 1, 7)]:
         expected = csv_writer_text(SWEEP_HEADER, [sweep_row(a, b)])
         assert run_cli(capsys, "invariants", "--a", str(a), "--b", str(b)) == (0, expected, "")
+
+
+def apery_rows(form):
+    return lambda: enumerate(form(q.make_semigroup(29, 1)).elements)
+
+
+# The record tables, each with the header and rows csv.writer printed them
+# from before the renderer joined cells with commas itself.
+RECORD_TABLES = {
+    "mu": (("mu", "--n", "26"), ["n", "mu"], lambda: [[26, q.mu(26)]]),
+    "apery": (("apery", "--a", "29", "--b", "1"), ["residue", "element"], apery_rows(q.apery_closed)),
+    "apery-oracle": (
+        ("apery", "--a", "29", "--b", "1", "--oracle"),
+        ["residue", "element"],
+        apery_rows(q.apery_oracle),
+    ),
+    "mu-drop": (
+        ("search", "mu-drop", "--a-max", "485"),
+        ["a", "n", "mu_n", "mu_n_plus_a", "drop"],
+        lambda: [[h.a, h.n, h.mu_n, h.mu_shifted, h.drop] for h in q.search_mu_drop(485).hits],
+    ),
+    "embedding-eq": (
+        ("search", "embedding-eq", "--a-max", "655"),
+        ["a", "n", "binom", "residue", "mu_residue"],
+        lambda: [
+            [h.a, h.n, h.binom, h.residue, h.mu_residue] for h in q.search_embedding_eq(655).hits
+        ],
+    ),
+    "g-analysis": (
+        ("g-analysis",),
+        ["quantity", "value"],
+        lambda: [[k, format(v, ".9g")] for k, v in q.g_analysis()._asdict().items()],
+    ),
+    "tgrid": (
+        ("tgrid", "--m-max", "30", "--n-max", "40"),
+        ["m", "n", "member"],
+        lambda: [[m, n, int(q.mu(n) <= m)] for n in range(41) for m in range(31)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORD_TABLES))
+def test_record_tables_match_csv_writer(name, capsys):
+    argv, header, rows = RECORD_TABLES[name]
+    expected = csv_writer_text(header, rows())
+    assert expected.count("\n") > 1
+    assert run_cli(capsys, *argv, "--format", "csv") == (0, expected, "")
 
 
 def bound_profile(n):

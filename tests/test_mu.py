@@ -180,7 +180,7 @@ def test_fill_at_many_chunk_boundaries(chunk, fold, monkeypatch):
     # where the block cut allows, so the block depth and the cut are taken
     # afresh at every level, each entry checked against the unwindowed
     # fold.
-    monkeypatch.setattr(mu_module, "_FILL_BLOCK", chunk)
+    monkeypatch.setattr(mu_module, "_BLOCK", chunk)
     n_max = 4000
     for start, end, _ in mu_module._blocks(fold, 28, n_max):
         assert end - start < chunk or q.largest_index(start) == q.largest_index(end)
@@ -197,7 +197,7 @@ def test_fill_window_keeps_an_optimal_partition(chunk, fold, monkeypatch):
     # windows are worked out again on the filled table: they read only
     # entries below each level, which are final by then.
     if chunk is not None:
-        monkeypatch.setattr(mu_module, "_FILL_BLOCK", chunk)
+        monkeypatch.setattr(mu_module, "_BLOCK", chunk)
     n_max = 2 * 10**5
     values = q.MuTable(n_max).values
     ref = fold[: n_max + 1]
@@ -281,7 +281,7 @@ def test_every_block_reads_only_entries_below_it(steps):
     # The whole rectangle each block reads, extra columns included: rows
     # i0..i, columns 0..i-1, depths 0..D.  Every source is below the
     # block's first entry, every part index is at least 2, and the blocks
-    # tile 28..n_max with at most _FILL_BLOCK entries or one level each.
+    # tile 28..n_max with at most _BLOCK entries or one level each.
     table = q.MuTable()
     for n in steps:
         table.ensure(n)
@@ -290,7 +290,7 @@ def test_every_block_reads_only_entries_below_it(steps):
         assert start == last + 1
         last = end
         i0, i = q.largest_index(start), q.largest_index(end)
-        assert end + 1 - start <= mu_module._FILL_BLOCK or i == i0, (start, end)
+        assert end + 1 - start <= mu_module._BLOCK or i == i0, (start, end)
         assert i0 - depth >= 2, (start, depth)
         rows = np.arange(i0, i + 1)[:, None, None]
         r = np.arange(i)[None, :, None]
@@ -307,6 +307,22 @@ def test_fill_work_counts_at_c_2000():
     blocks = list(mu_module._blocks(q.MuTable(n_max).values, 28, n_max))
     assert len(blocks) == 47
     assert sum(depth + 1 for *_, depth in blocks) == 167
+
+
+def test_greedy_identity_past_level_417():
+    # On certify's table, mu(C(i,2) + r) = i + mu(r) for every r < i on
+    # every level i from 418 to 2000 (level 2000 holds only r = 0 here),
+    # and it fails on exactly 107 of the levels 8..417, the last at 417.
+    n_max = q.triangular(2000)
+    values = q.MuTable(n_max).values.astype(np.int64)
+    levels = np.arange(8, 2001)
+    n = np.arange(q.triangular(8), n_max + 1)
+    i = np.repeat(levels, levels)[: len(n)]
+    r = n - i * (i - 1) // 2
+    assert (r >= 0).all() and (r < i).all()
+    failing = np.unique(i[values[n] != i + values[r]])
+    assert len(failing) == 107
+    assert failing.max() == 417
 
 
 def test_table_is_uint16_within_its_bound():
@@ -509,11 +525,11 @@ def test_bound_profiles_grow_table_to_n_max(monkeypatch):
 
 
 def test_bound_profiles_come_in_full_chunks(monkeypatch):
-    # Blocks are cut at `_BOUNDS_ROWS` rows and n_max alone; the table
+    # Blocks are cut at `_BLOCK // 4` rows and n_max alone; the table
     # grows to each block's last n, so its doubling steps cut no block short.
     monkeypatch.setattr(mu_module, "_shared", q.MuTable())
     sizes = [len(block[0]) for block in mu_module._bounds_columns(100_000)]
-    rows = mu_module._BOUNDS_ROWS
+    rows = mu_module._BLOCK // 4
     assert rows == 1 << 14
     assert sizes == [rows] * 6 + [100_000 - 6 * rows]
 

@@ -174,7 +174,7 @@ def test_cross_module_private_names():
             shared[path.stem] = private
     assert shared == {
         "cli": {"_bounds_columns", "_sweep_columns"},
-        "invariants": {"_grow"},
+        "invariants": {"_BLOCK", "_grow"},
         "search": {"_BLOCK"},
     }
 

@@ -53,16 +53,16 @@ class _Record(NamedTuple):
     time, each item json text already rendered at the array's indent.
     `header` and `rows` are the csv table, printed comma-joined since every
     cell is an int or a string with no comma, quote or newline, and `lines`
-    the plain output, by default the csv rows joined by spaces.  Large parts
-    are generators, or are built only for the format asked for.  A format
-    the record has nothing for prints its plain lines, so a table rendered
-    from row templates (`_stream`) gives its csv as `lines` and no header.
+    the plain output.  Large parts are generators, or are built only for
+    the format asked for.  A format the record has nothing for prints its
+    plain lines, so a table rendered from row templates (`_stream`) gives
+    its csv as `lines` and no header.
     """
 
     doc: object = None
     header: list | None = None
     rows: Iterable = ()
-    lines: Iterable | None = None
+    lines: Iterable = ()
     code: int = 0
 
 
@@ -79,10 +79,7 @@ def _render(fmt: str, record: _Record) -> None:
         for row in itertools.chain([record.header], record.rows):
             out.write(",".join(map(str, row)) + "\n")
     else:
-        lines = record.lines
-        if lines is None:
-            lines = (" ".join(map(str, row)) for row in record.rows)
-        for line in lines:
+        for line in record.lines:
             out.write(f"{line}\n")
 
 
@@ -241,7 +238,8 @@ def _cmd_search_eq(ns) -> _Record:
 
 def _cmd_g_analysis(ns) -> _Record:
     doc = search_mod.g_analysis()._asdict()
-    return _Record(doc, ["quantity", "value"], [[k, _fmt(v)] for k, v in doc.items()])
+    rows = [[k, _fmt(v)] for k, v in doc.items()]
+    return _Record(doc, ["quantity", "value"], rows, [" ".join(row) for row in rows])
 
 
 def _cmd_certify(ns) -> _Record:
@@ -423,9 +421,8 @@ def run(argv: list[str] | None = None) -> int:
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
-        if exc.code is None:
-            return 0
-        return exc.code if isinstance(exc.code, int) else USAGE_EXIT
+        # Only _Parser.error (64) and parser.exit (0) leave parse_args.
+        return exc.code
 
     try:
         record = ns.func(ns)

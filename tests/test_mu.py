@@ -1,7 +1,9 @@
 """mu values, the growable table, the fold oracle and bounds."""
 
+import ast
 import hashlib
 import importlib
+import inspect
 import math
 import random
 import time
@@ -113,6 +115,16 @@ def test_matches_exhaustive_oracle_to_limit():
     n = q.ORACLE_LIMIT
     mismatches = np.flatnonzero(q.MuTable(n).values != mu_module._mu_fold(n))
     assert mismatches.size == 0, mismatches[:5]
+
+
+def test_fold_shares_nothing_with_the_fill():
+    # The oracle checks the table only if it does not read it: the fold's
+    # body names no MuTable state and none of the windowed fill's helpers.
+    tree = ast.parse(inspect.getsource(mu_module._mu_fold))
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    loaded |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    fill = {"MuTable", "_blocks", "_depths", "_fill_block", "_second_bound", "_HEAD", "_shared"}
+    assert loaded & fill == set()
 
 
 @pytest.mark.parametrize("n_max", [10**6, pytest.param(10**7, marks=pytest.mark.slow)])

@@ -129,13 +129,13 @@ def generator(s: QuadraticSemigroup, n: int) -> int:
 
 
 # Largest a the Apery-set oracle serves.  The round robin folds about
-# sqrt(2a) generators, each in a few doubling steps of O(a) (2,169 steps
-# for 631 folds at a = 199,999, 18 of them in the first), so its cost
-# grows about as a**1.5: on one 2-vCPU box (medians of ten fresh
-# processes) it took 0.038 s at a = 50,021 (0.037-0.042 s for b = 1, 7,
-# 1,000 and 10**6 + 1), 0.11 s at 100,003 and 0.54 s at 199,999, all at
-# b = 1.  The int64 guard alone admits a up to about 1.3*10**6, where it
-# took 10 s (one run at a = 1,321,122, b = 1).
+# sqrt(2a) generators, each in a few doubling steps of O(a) (2,151 steps
+# for 630 folds at a = 199,999), so its cost grows about as a**1.5: on
+# one 2-vCPU box (medians of ten fresh processes) it took 0.031 s at
+# a = 50,021 (0.030-0.031 s for b = 1, 7, 1,000 and 10**6 + 1), 0.097 s
+# at 100,003 and 0.51 s at 199,999, all at b = 1.  The int64 guard alone
+# admits a up to about 1.3*10**6, where it took 10 s (one run at
+# a = 1,321,122, b = 1).
 _APERY_LIMIT = 2 * 10**5
 
 
@@ -143,46 +143,43 @@ _APERY_LIMIT = 2 * 10**5
 def _apery(a: int, b: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Read-only Apery set of nontrivial S(a,b) w.r.t. a, and the indices it folds.
 
-    Starts from the span of y_1 = a (only class 0 reached) and folds in
-    y_2, y_3, ... (Boecker & Liptak, Algorithmica 48, 2007).  Folding y,
-    with r = y mod a, makes entry x the least of Ap[(x - k*r) mod a] + k*y
-    over k >= 0.  A term with k*y > max(Ap) lowers nothing, and one with
-    k >= a repeats k - a at a higher cost, so k <= K = min(max(Ap) // y,
-    a - 1) suffices.  The fold doubles: step s rotates Ap by 2**s * r
-    into one reused buffer, adds 2**s * y and takes the elementwise
-    minimum, so after step s entry x holds the least term over
-    k < 2**(s+1); K.bit_length() steps cover every k <= K.  A y with
-    y >= Ap[y mod a] is skipped: y = Ap[y mod a] + k*a already lies in
-    the span folded so far, so it lowers nothing.  Generators grow with
-    n, so once one exceeds every entry no later one can lower any: the
-    stop is exact.
-    No int64 wraps: the guard keeps a*a*y_2 below 2**62.  The first fold
-    (y_2, coprime to a) adds at most 2**s * y_2 <= (a-1)*y_2 to entries
-    at most the `unreached` marker 2**62 - 1, and leaves every entry at
-    most (a-1)*y_2; later folds add at most K*y <= max(Ap), so the
-    buffer stays at most 2*max(Ap).  The minimum never passes the marker.
-    The indices are 1 (y_1 = a) and every n whose y_n was folded, in
-    order; `minimal_generators_oracle` returns them.  Uses only the
-    generators; never mu or a closed form.
+    Starts from the span of y_1 = a and y_2 = 2a + b, which is coprime to
+    a, so its Apery set is Ap[x] = y_2 * (x * y_2**-1 mod a) in closed
+    form, and folds in y_3, y_4, ... (Boecker & Liptak, Algorithmica 48,
+    2007).  Folding y, with r = y mod a, makes entry x the least of
+    Ap[(x - k*r) mod a] + k*y over k >= 0; a term with k*y > max(Ap)
+    lowers nothing, so k <= K = max(Ap) // y suffices.  The fold doubles:
+    step s rotates Ap by 2**s * r into one reused buffer, adds 2**s * y
+    and takes the elementwise minimum, so after step s entry x holds the
+    least term over k < 2**(s+1); K.bit_length() steps cover every k <= K.
+    A y with y >= Ap[y mod a] is skipped: y = Ap[y mod a] + k*a already
+    lies in the span folded so far, so it lowers nothing.  Generators grow
+    with n, so once one exceeds every entry no later one can lower any:
+    the stop is exact.
+    No int64 wraps: the start is at most (a-1)*y_2 < 2**62 by the guard,
+    and a fold adds at most K*y <= max(Ap), so the buffer stays at most
+    2*max(Ap).
+    The indices are 1, 2 and every n whose y_n was folded, in order;
+    `minimal_generators_oracle` returns them.  Uses only the generators;
+    never mu or a closed form.
 
     Raises ValueError, before allocating, past a = _APERY_LIMIT.
     """
     if a > _APERY_LIMIT:
         raise ValueError(f"Apery-set oracle is limited to a <= {_APERY_LIMIT}, S({a},{b}) has {a}")
-    if a * a * (2 * a + b) >= 1 << 62:
+    y2 = 2 * a + b
+    if a * a * y2 >= 1 << 62:
         raise ValueError(f"S({a},{b}) is too large for the Apery-set oracle")
-    unreached = (1 << 62) - 1
-    ap = np.full(a, unreached, dtype=np.int64)
-    ap[0] = 0
+    ap = np.arange(a, dtype=np.int64) * pow(y2, -1, a) % a * y2
     rotated = np.empty_like(ap)
-    indices = [1]
-    n, y, top = 2, 2 * a + b, unreached
+    indices = [1, 2]
+    n, y, top = 3, 3 * (a + b), (a - 1) * y2
     while y <= top:
         r = y % a
         if y < ap[r]:
             indices.append(n)
             shift, step = r, y
-            for _ in range(min(top // y, a - 1).bit_length()):
+            for _ in range((top // y).bit_length()):
                 np.add(ap[: a - shift], step, out=rotated[shift:])
                 np.add(ap[a - shift :], step, out=rotated[:shift])
                 np.minimum(ap, rotated, out=ap)
@@ -403,7 +400,9 @@ def minimal_generators_oracle(s: QuadraticSemigroup) -> MinimalGeneratorSet:
     2. So y_n is minimal exactly when y_1..y_{n-1} do not span it, that
        is, when y_n < Ap[y_n mod a] over them.  When y_n comes up, the
        fold holds that Ap (a skipped generator lies in the span already),
-       so it folds y_n exactly when y_n is minimal; y_1 = a always is.
+       so it folds y_n exactly when y_n is minimal.  y_1 = a always is,
+       and so is y_2, coprime to a: the span of a holds only multiples
+       of a.  Both form the start.
     3. The fold stops once y_n > max Ap, and every later generator, larger
        still, lies in the span from then on.
 

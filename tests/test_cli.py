@@ -186,13 +186,13 @@ def test_oracles_past_limit_are_domain_errors(capsys, command):
     assert err.count("\n") == 1 and err.startswith("error: ") and "limited" in err, err
 
 
-def cli_process(argv):
+def cli_process(argv, **popen):
     """A CLI subprocess on this source tree, its stdout piped as text."""
     src_dir = str(Path(q.__file__).resolve().parents[1])
     path = os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.Popen(
-        [sys.executable, "-m", "quadsg.cli", *argv], stdout=subprocess.PIPE, text=True, env=env
+        [sys.executable, "-m", "quadsg.cli", *argv], stdout=subprocess.PIPE, text=True, env=env, **popen
     )
 
 
@@ -243,6 +243,24 @@ def test_bounds_streams_rows():
         "1,2,2,4.37228132,5\n",
         "2,4,2.56155281,5.27491722,6.43206265\n",
     ]
+
+
+def test_closed_pipe_exits_1_with_empty_stderr():
+    # A consumer that stops reading (`| head -1`) closes the pipe while the
+    # table is still being written: main exits 1 and prints no traceback.
+    proc = cli_process(["bounds", "--n-max", "300000"], stderr=subprocess.PIPE)
+    watchdog = threading.Timer(10, proc.kill)
+    watchdog.start()
+    try:
+        assert proc.stdout.readline() == "n,mu,lower,gauss,combined\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=10), err) == (1, "")
+    finally:
+        watchdog.cancel()
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stderr.close()
 
 
 @pytest.mark.slow

@@ -175,6 +175,15 @@ def test_g_solve(table):
         q.g_solve(10.0, (100, 600))
 
 
+def test_g_solve_refuses_a_sign_change_without_a_root(monkeypatch):
+    # g - target jumps from -1 to +1 at 300.5 and is never within tolerance
+    # of 0, so the bisection runs out of steps.
+    search = importlib.import_module("quadsg.search")
+    monkeypatch.setattr(search, "g_of", lambda x: -1.0 if x < 300.5 else 1.0)
+    with pytest.raises(ArithmeticError):
+        search.g_solve(0.0, (100.0, 600.0))
+
+
 def test_g_local_max():
     x1, v1 = q.g_local_max((10, 200))
     x2, v2 = q.g_local_max((40, 60))

@@ -151,17 +151,19 @@ def test_apery_matches_round_robin_reference():
     pairs += sorted(q.EXCEPTIONAL_PAIRS)
     pairs += [(a, _largest_b_under_guard(a)) for a in (3, 100, 1999)]
     grid = [(a, b) for a in range(2, 61) for b in range(1, 6) if math.gcd(a, b) == 1]
-    # The grid must fold some y_n along gcd(y_n, a) > 1 cycles, so the
-    # multi-row path of the fold is checked whatever the random pairs are.
-    # Index 1 is y_1 = a itself, the starting span, not a fold.
+    # The grid must fold some y_n with gcd(y_n, a) > 1, whose rotations
+    # stay within the classes of one residue mod the gcd, so that case is
+    # checked whatever the random pairs are.  Indices 1 and 2 are y_1 = a
+    # and y_2, the starting span, not folds.
     assert any(
         math.gcd(q.generator(q.make_semigroup(a, b), n), a) > 1
         for a, b in grid
-        for n in invariants_module._apery(a, b)[1][1:]
+        for n in invariants_module._apery(a, b)[1][2:]
     )
     for a, b in pairs + grid:
-        got = invariants_module._apery(a, b)[0]
-        assert np.array_equal(got, _round_robin_apery(a, b)[0]), (a, b)
+        ap, indices = invariants_module._apery(a, b)
+        ref, ref_indices = _round_robin_apery(a, b)
+        assert np.array_equal(ap, ref) and indices == ref_indices, (a, b)
 
 
 @pytest.mark.slow

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mu import _BLOCK, TABLE_LIMIT, _grow, largest_index, mu, triangular
+from .mu import _BLOCK, TABLE_LIMIT, _grow, largest_index, mu, shared_table, triangular
 
 __all__ = [
     "AperySet",
@@ -246,7 +246,7 @@ def _lifts(a: int) -> np.ndarray:
     copy it a logarithmic number of times.  It fills, or refuses past
     TABLE_LIMIT, before anything of size a is allocated.
     """
-    return _grow(a - 1, TABLE_LIMIT).values[:a]
+    return _grow(a - 1).values[:a]
 
 
 def _lifted(a: int, b: int, width: int) -> Iterator[np.ndarray]:
@@ -516,25 +516,24 @@ def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     and g come from the single-pair `frobenius` and `genus`.  The drop
     moves F at a = 29, 47 and 79.
 
-    a runs in blocks of at most `width` values, and each block grows the
-    table to its own last n (`_grow`), so the first rows come at once.  M,
-    the last n of every level and the running sum carry from block to
-    block.  Within a block, last_m(a) is one binary search per d into the
-    block's mu values sorted by (mu, n); the carried last n answers the
-    levels that the block has not reached by a.  Everything fits in int64
-    under `_sweep_columns`' size check: M*a <= 2*a**2 since mu(n) <= 2n,
-    and (a-1)*b <= 10**8.
+    The table is filled to a_max - 1 before the first row, and a runs in
+    blocks of at most `width` values.  M, the last n of every level and
+    the running sum carry from block to block.  Within a block, last_m(a)
+    is one binary search per d into the block's mu values sorted by (mu,
+    n); the carried last n answers the levels that the block has not
+    reached by a.  Everything fits in int64 under `_sweep_columns`' size
+    check: M*a <= 2*a**2 since mu(n) <= 2n, and (a-1)*b <= 10**8.
     """
     if a_max < 2 or b_max < 1:
         return
-    cap = max(1, _BLOCK // 8)
+    values = shared_table().ensure(a_max - 1).values
+    cap = _BLOCK // 8
     width = max(1, cap // b_max)
     last = np.full(min(1 << 16, 2 * a_max), -1, dtype=np.int64)  # one slot per level
     top = total = 0
     a0 = 2
     while a0 <= a_max:
         a1 = min(a0 + width, a_max + 1)
-        values = _grow(a1 - 2, a_max - 1).values
         lo, size = a0 - 1, a1 - a0  # block of n = a - 1
         mus = values[lo : a1 - 1].astype(np.int64)
         tops = np.maximum(np.maximum.accumulate(mus), top)

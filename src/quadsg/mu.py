@@ -323,17 +323,16 @@ def shared_table() -> MuTable:
     return _shared
 
 
-def _grow(n: int, cap: int) -> MuTable:
+def _grow(n: int) -> MuTable:
     """The process-wide table, grown to cover n if it does not yet.
 
-    For callers that step n upward: each growth at least doubles the table,
-    so growing it n by n stays linear overall, but stops at cap, the
-    caller's last n.  A caller that streams blocks passes each block's own
-    last n, so its blocks, not the table's size, set where they end.  A
-    caller that knows its size calls `ensure` instead.
+    For callers that step n upward (`mu`, the closed forms): each growth
+    at least doubles the table, up to TABLE_LIMIT, so growing it n by n
+    stays linear overall.  A caller that knows its size calls `ensure`
+    instead.
     """
     if n > _shared.n_max:
-        _shared.ensure(max(n, min(2 * _shared.n_max, cap)))
+        _shared.ensure(max(n, min(2 * _shared.n_max, TABLE_LIMIT)))
     return _shared
 
 
@@ -341,7 +340,7 @@ def mu(n: int) -> int:
     """mu(n), extending the process-wide table on demand."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _grow(n, TABLE_LIMIT)[n]
+    return _grow(n)[n]
 
 
 def _mu_fold(n: int) -> np.ndarray:
@@ -423,24 +422,12 @@ def _envelope(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _bounds_columns(n_max: int) -> Iterator[list[list]]:
     """The bound profiles of n = 1..n_max as columns n, mu, lower, gauss, combined.
 
-    One list of Python lists per block of at most `_BLOCK // 4` rows.  Each
-    block grows the table to its own last n (`_grow`, whose doubling steps
-    end exactly at n_max), so the first rows come at once however long the
-    full fill takes.  An n_max out of range is refused at the call, before
-    any row.
+    One list of Python lists per block of at most `_BLOCK // 4` rows.  The
+    call fills the process-wide table to n_max, or refuses an n_max out of
+    range, before any row.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if n_max > TABLE_LIMIT:
-        raise ValueError(f"mu table is limited to n <= {TABLE_LIMIT}, asked for {n_max}")
-
-    def blocks() -> Iterator[list[list]]:
-        lo = 1
-        while lo <= n_max:
-            hi = min(lo + _BLOCK // 4, n_max + 1)
-            values = _grow(hi - 1, n_max).values
-            n = np.arange(lo, hi)
-            yield [column.tolist() for column in (n, values[lo:hi], *_envelope(n))]
-            lo = hi
-
-    return blocks()
+    values = _shared.ensure(n_max).values
+    ns = (np.arange(lo, min(lo + _BLOCK // 4, n_max + 1)) for lo in range(1, n_max + 1, _BLOCK // 4))
+    return ([column.tolist() for column in (n, values[n], *_envelope(n))] for n in ns)

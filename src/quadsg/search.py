@@ -178,7 +178,9 @@ def g_of(a: float) -> float:
     """Bound-gap margin at scale a; positive means drops can still occur.
 
     Defined for a >= 2 as the amount by which the combined ceiling at the
-    largest base argument exceeds the floor one shift later.
+    largest base argument exceeds the floor one shift later: g(a) is
+    combined_bound(a - 1) - lower_bound(2a - 1), spelled out here with
+    the terms in the order that fixes the printed g-analysis digits.
     """
     if a < 2:
         raise ValueError("defined for a >= 2")

@@ -168,6 +168,43 @@ def test_closed_forms_past_limit_are_domain_errors(capsys):
     assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
+def test_bounds_domain_errors_byte_for_byte(capsys, monkeypatch):
+    # Both are refused before any row and leave the shared table as it was.
+    monkeypatch.setattr(mu_module, "_shared", mu_module.MuTable(10))
+    assert run_cli(capsys, "bounds", "--n-max", "0") == (1, "", "error: n_max must be at least 1\n")
+    assert run_cli(capsys, "bounds", "--n-max", "100000001") == (
+        1,
+        "",
+        "error: mu table is limited to n <= 100000000, asked for 100000001\n",
+    )
+    assert q.shared_table().n_max == 10
+
+
+@pytest.mark.parametrize(
+    "argv, n_max",
+    [
+        (("bounds", "--n-max", "100000"), 100_000),
+        (("invariants", "--sweep", "--a-max", "3000", "--b-max", "17"), 2999),
+    ],
+)
+def test_streams_grow_the_table_in_one_call(capsys, monkeypatch, argv, n_max):
+    # `bounds` and the sweep fill a fresh table to their last n with one
+    # growing `ensure`, not block by block.
+    grown = []
+    ensure = mu_module.MuTable.ensure
+
+    def counted(table, n):
+        if n > table.n_max:
+            grown.append(n)
+        return ensure(table, n)
+
+    monkeypatch.setattr(mu_module.MuTable, "ensure", counted)
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert grown == [n_max]
+    assert q.shared_table().n_max == n_max
+
+
 def test_sweep_past_limit_is_domain_error(capsys):
     for a_max, b_max in [(10**11, 1), (10**11, 0), (2, 10**11)]:
         start = time.perf_counter()
@@ -214,7 +251,8 @@ def first_lines(argv, count):
 
 
 def test_sweep_streams_rows():
-    # A sweep too large to finish prints its first rows at once.
+    # A sweep too large to finish prints its first rows once its table
+    # (a_max - 1 = 10**8, the largest there is) is filled.
     argv = ["invariants", "--sweep", "--a-max", "100000001", "--b-max", "1", "--format", "csv"]
     lines = first_lines(argv, 3)
     assert lines == [
@@ -236,7 +274,8 @@ def test_sweep_streams_wide_b_range():
 
 
 def test_bounds_streams_rows():
-    # A table that takes seconds to fill: the first rows still come at once.
+    # The largest table there is: the first rows come once it is filled,
+    # long before the 10**8 rows are printed.
     lines = first_lines(["bounds", "--n-max", "100000000"], 3)
     assert lines == [
         "n,mu,lower,gauss,combined\n",

@@ -200,8 +200,7 @@ def test_invariant_summary(capsys):
 
 
 def test_sweep_matches_pair_by_pair(monkeypatch):
-    # The benchmark's grid.  The table grows with the scan's blocks of a
-    # and ends at a_max - 1.
+    # The benchmark's grid.  The scan fills the table once, to a_max - 1.
     monkeypatch.setattr(mu_module, "_shared", q.MuTable())
     assert list(sweep_rows(400, 10)) == summaries_pair_by_pair(400, 10)
     assert q.shared_table().n_max == 399
@@ -296,9 +295,8 @@ def test_sweep_streams_in_bounded_memory(monkeypatch):
 
 
 def test_sweep_block_is_not_cut_by_table_growth(monkeypatch):
-    # Each block grows a fresh table to the block's own last n, so a grid
-    # within one block's cap comes in one block, not in one block per
-    # doubling of the table (10 of them here).
+    # The scan fills a fresh table to a_max - 1 before its first block, so
+    # a grid within one block's cap comes in one block.
     monkeypatch.setattr(mu_module, "_shared", q.MuTable())
     blocks = list(invariants_module._sweep_columns(400, 10))
     assert len(blocks) == 1

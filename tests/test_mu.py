@@ -321,6 +321,17 @@ def test_fill_work_counts_at_c_2000():
     assert sum(depth + 1 for *_, depth in blocks) == 167
 
 
+def test_depth_census_at_c_2000():
+    # The census in `MuTable`'s docstring, on certify's table: of the 1,993
+    # levels 8..2000, depth is at most 1 at 1,457 and 2 at 449; it is
+    # between 1 and 10 everywhere, and 1 on every level past 744.
+    depth = mu_module._depths(q.MuTable(q.triangular(2000)).values, 8, 2000)
+    assert len(depth) == 1993
+    assert ((depth <= 1).sum(), (depth == 2).sum()) == (1457, 449)
+    assert (depth.min(), depth.max()) == (1, 10)
+    assert np.flatnonzero(depth > 1).max() + 8 == 744
+
+
 def test_greedy_identity_past_level_417():
     # On certify's table, mu(C(i,2) + r) = i + mu(r) for every r < i on
     # every level i from 418 to 2000 (level 2000 holds only r = 0 here),
@@ -386,6 +397,10 @@ def test_full_table_at_limit():
     depth = mu_module._depths(values, 8, top)
     assert ((depth + 1) * i - 1 - depth * (depth + 1) // 2 < i * (i - 1) // 2).all()
     assert depth.max() == 10
+    # The census in `MuTable`'s docstring: depth 1 on every level from 745
+    # to the last, 14,142.
+    assert top == 14_142
+    assert (depth[745 - 8 :] == 1).all()
     i = np.arange(2, q.largest_index(q.TABLE_LIMIT) + 1, dtype=np.int64)
     assert np.array_equal(values[i * (i - 1) // 2], i)
     # The envelope at every n, a block of 2**20 at a time.
@@ -527,8 +542,8 @@ def test_bound_profiles_shape(monkeypatch):
 
 
 def test_bound_profiles_grow_table_to_n_max(monkeypatch):
-    # Rows stream with the table growing in doubling steps, and the last
-    # step ends at n_max: doubling past it would end the table at n = 2**20.
+    # The call fills the table to exactly n_max: growing it by doubling
+    # from n = 1 would end it at n = 2**20.
     monkeypatch.setattr(mu_module, "_shared", q.MuTable())
     assert len(bound_rows(600_000)) == 600_000
     assert q.shared_table().n_max == 600_000
@@ -537,8 +552,7 @@ def test_bound_profiles_grow_table_to_n_max(monkeypatch):
 
 
 def test_bound_profiles_come_in_full_chunks(monkeypatch):
-    # Blocks are cut at `_BLOCK // 4` rows and n_max alone; the table
-    # grows to each block's last n, so its doubling steps cut no block short.
+    # Blocks are cut at `_BLOCK // 4` rows and n_max alone.
     monkeypatch.setattr(mu_module, "_shared", q.MuTable())
     sizes = [len(block[0]) for block in mu_module._bounds_columns(100_000)]
     rows = mu_module._BLOCK // 4

@@ -3,7 +3,11 @@
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import quadsg as q
 
@@ -212,3 +216,18 @@ def test_only_the_search_records_are_dataclasses():
             if "dataclass" in ast.unparse(decorator)
         }
     assert found == {("search.py", "DropHit"), ("search.py", "ResidueHit"), ("search.py", "SearchReport")}
+
+
+def test_benchmark_selftest_passes():
+    # perfbench reads public names of the package (`AperySet.elements`,
+    # `MinimalGeneratorSet.indices`, the search records, `MuTable(n).values`);
+    # its self-test, run from the repository root, checks that they still
+    # serve it.
+    root = Path(__file__).resolve().parent.parent
+    if not (root / "perfbench" / "selftest.py").exists():
+        pytest.skip("perfbench/selftest.py is absent")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=root, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "selftest: ok"

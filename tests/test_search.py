@@ -156,6 +156,15 @@ def test_g_values():
     assert abs(q.g_of(52.15) - 4.59) <= 0.02
 
 
+def test_g_is_the_combined_ceiling_less_the_shifted_floor():
+    # g_of spells out combined_bound(a - 1) - lower_bound(2a - 1) in its own
+    # float order, which the pinned g-analysis output depends on; the two
+    # agree to rounding (the largest gap on this grid is about 3e-14).
+    grid = [*range(2, 2001), *np.geomspace(2.0, 1e5, 3001).tolist()]
+    for a in grid:
+        assert abs(q.g_of(a) - (q.combined_bound(a - 1) - q.lower_bound(2 * a - 1))) <= 1e-12, a
+
+
 def test_g_solve(table):
     root = q.g_solve(2.0, (100, 600))
     assert abs(root - 485.935675) < 1e-4

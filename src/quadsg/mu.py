@@ -12,12 +12,12 @@ Allowing i = 1 would add the useless option mu(n) + 1 and is skipped.
 
 The module provides a growable bottom-up table (`MuTable`), filled by
 blocks of triangular levels (the n from C(i,2) to C(i+1,2) - 1) with one
-strided pass per window depth, over the few part indices that two exact
-bounds on the largest index of an optimal partition leave, an oracle
-(`mu_oracle`) that folds in one part at a time with no window, checked
-against the table up to n = 10**6, the analytic envelope around mu
-(`lower_bound`, `gauss_bound`, `combined_bound`).  `mu` and everything
-built on it read one process-wide table.
+strided pass per part index: the four largest below level 418, the
+largest alone from there on, an oracle (`mu_oracle`) that folds in one
+part at a time with no such rule, checked against the table up to
+n = 10**6, the analytic envelope around mu (`lower_bound`, `gauss_bound`,
+`combined_bound`).  `mu` and everything built on it read one process-wide
+table.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ TABLE_LIMIT = 10**8
 
 # Most entries in one working array: the one block size of the package.
 # The fill takes blocks of levels of at most this many entries: of the
-# powers 2**14..2**18, each doubling filled mu(0..C(2000,2)) a little
-# faster on a 2-vCPU machine (3.5 -> 2.8 -> 2.5 ms at 2**14, 2**16 and
-# 2**18), and 2**16 keeps that fill's peak within 0.3 MB of the table
+# powers 2**14, 2**16 and 2**18, the middle one filled mu(0..C(2000,2))
+# fastest on a 2-vCPU machine (4.4, 3.9 and 4.4 ms, medians of nine fresh
+# processes), and it keeps that fill's peak within 0.3 MB of the table
 # itself.  As int64, 2**16 entries are 512 KiB, so a temporary cut to it
 # keeps memory flat however large the input: `frobenius` takes its lifts
 # and search's `_pairs` their pairs in blocks of 2**16, and `bounds` (five
@@ -66,6 +66,10 @@ _BLOCK = 1 << 16
 # their own entries, so the level blocks start at 28.  The tests check these
 # against the recursion.
 _HEAD = (0, 2, 4, 3, 5, 7, 4, 6, 8, 7, 5, 7, 8, 8, 10, 6, 8, 10, 9, 11, 10, 7, 9, 11, 10, 11, 13, 11)
+
+# The fill's rule (see `MuTable`): the levels below _GREEDY take part
+# indices i - _DEPTH..i, and from _GREEDY on part i alone.
+_GREEDY, _DEPTH = 418, 3
 
 
 def triangular(i: int) -> int:
@@ -100,60 +104,59 @@ class MuTable:
     Only `ensure` writes; `values` exposes a read-only view.
 
     The fill works by levels: level i holds the i entries n = C(i,2) + r,
-    0 <= r < i, and C(i,2) is the largest part that fits each of them.
-    Taking that part leaves r < i, so U = i + max mu(0..i-1) bounds mu on
-    the whole level.  Two exact bounds then confine the largest index k of
-    an optimal partition of every n on the level to a window k_min..i.
+    0 <= r < i, and C(i,2) is the largest part that fits each of them.  It
+    takes mu(n) as the least mu(n - C(i-d,2)) + i - d over the depths
+    0 <= d <= D, by one fixed rule: D = `_DEPTH` = 3 on the levels below
+    `_GREEDY` = 418, and D = 0 from there on, where each level is the greedy
+    copy i + mu(0..i-1).  Every depth is a real partition, so the rule can
+    only err by cutting off every optimal largest index of some n.
 
-    First, any partition counted by mu uses parts C(j,2) <= j(k-1)/2 when
-    every index is at most k, so n <= mu(n)(k-1)/2 and k >= 1 + 2n/U:
-    k_min = max(2, 1 + ceil(2*lo/U)) with lo = C(i,2).  Second, a partition
-    of n >= lo whose largest index is k scores k + mu(m) at best, m = n -
-    C(k,2).  The floor f(m) = (1 + sqrt(8m+1))/2 is concave with f(0) > 0,
-    hence subadditive, and f(C(j,2)) = j, so any partition of m >= 1 scores
-    at least f(m): mu(m) >= f(m) for m >= 1 (not for m = 0, where f(0) =
-    1).  A score of at most U then needs f(m) <= U - k, that is m <=
-    C(U-k,2); for m = 0 that holds anyway.  Either way C(k,2) + C(U-k,2) >=
-    n >= lo, so every k with C(k,2) + C(U-k,2) < lo is ruled out.  The left
-    side steps by 2k + 1 - U from k to k + 1, so it increases once 2k >= U:
-    from such a k_min the ruled-out indices are a prefix, and k_min steps
-    past them.  The steps stop by k = U at the latest, where the left side
-    is C(U,2) > lo because U >= i + 2 (mu(1) = 2), so U - k never goes
-    negative.  `_second_bound` jumps most of the way (see there).  U comes
-    from the table, never from the analytic bounds, which keeps those
-    independently testable; the second bound uses f only through integer
-    triangular numbers and isqrt.
+    Below level 418 (n < C(418,2) = 87,153) the rule is checked on its whole
+    domain: the tests compare the fill with the fold of `mu_oracle` to
+    3*10**5.  Read off the fold, the least depth that keeps an optimal
+    partition is 0, 1, 2 and 3 on 303, 97, 9 and 1 of the levels 8..417;
+    the 107 that need more than 0 are the levels where greedy fails.
 
-    So mu(n) is the least mu(n - C(i-d,2)) + i - d over the depths
-    0 <= d <= i - k_min, and the source is n - C(i-d,2) = r + d*i -
-    C(d+1,2): for one d its offset is linear in i.  `_fill_block` therefore
-    fills a block of consecutive levels i0..i1-1 with one strided 2-D view
-    per d, row i - i0 starting at d*i0 - C(d+1,2) + d*(i - i0) and as wide
-    as the widest level (the shorter rows' extra columns are read, never
-    written), takes the minimum over d, and writes the rows back with one
-    np.concatenate.  A block uses the largest depth D of its levels; the
-    extra d of the shallower ones are real partitions, so the minimum is
+    From level 418 on the rule is the greedy identity mu(C(i,2) + r) = i +
+    mu(r), r < i; the fold checks it directly on levels 418..774.  On each
+    level i from 745 on, U = i + max mu(0..i-1) bounds mu: take C(i,2) and
+    an optimal partition of r.  Let k be the largest index of an optimal
+    partition of n on the level and lo = C(i,2).  First, a partition whose
+    indices are all at most k uses parts C(j,2) <= j(k-1)/2, so n <=
+    mu(n)(k-1)/2 and k >= k1 = max(2, 1 + ceil(2*lo/U)).  Second, the rest
+    m = n - C(k,2) scores mu(m) <= U - k, and mu(m) >= f(m) for m >= 1 (see
+    `lower_bound`), so m <= C(U-k,2), for m = 0 too: C(k,2) + C(U-k,2) >= lo.
+    The left side steps by 2k + 1 - U from k to k + 1, so where 2*k1 >= U
+    it does not decrease from k1 on, and C(i-2,2) + C(U-i+2,2) < lo rules
+    out every k <= i - 2.  Then k is i - 1 or i; part i - 1 leaves r + i - 1,
+    and mu(r+i-1) - mu(r) >= 1 for every r < i means i - 1 never beats i.
+    These three checks hold on every level from 745 to
+    largest_index(TABLE_LIMIT) = 14,142; they read only mu(0..2*14,142),
+    which the tests take from the fold.  A raised TABLE_LIMIT needs them to
+    its own top level.
+
+    The source of depth d is n - C(i-d,2) = r + d*i - C(d+1,2): for one d
+    its offset is linear in i.  `_fill_block` therefore fills a block of
+    consecutive levels i0..i1-1 with one strided 2-D view per d, row i - i0
+    starting at d*i0 - C(d+1,2) + d*(i - i0) and as wide as the widest
+    level (the shorter rows' extra columns are read, never written), takes
+    the minimum over d, and writes the rows back with one np.concatenate.
+    A block takes the depth of its first level; where it reaches past
+    level 418 the extra depths are real partitions, so the minimum is
     still mu.
 
     `_blocks` ends each block at `_BLOCK` entries (one level at least)
     and where its last level i = i1 - 1 would read at or past its first
-    entry, start: that level's last entry reads g(D) = (D+1)*i - 1 -
-    C(D+1,2) at depth D.  Every depth is at most i - 2 on its own level
-    (k_min >= 2), so D <= i - 2, where g increases with D; and D >= i0 - 1
-    would give g(D) >= i0*i - 1 - C(i0,2) >= C(i0+1,2) - 1 >= start.  So
-    in a block that ends at that cut D <= i0 - 2, every part index i - d is
-    at least 2, every source r + d*i - C(d+1,2) (r < i, extra columns
-    included) grows with r, d and the row's level up to g(D) < start, and
-    all of them are final: one pass per d fills the block.  A block of one
-    level i0 >= 8 is not cut; every such level up to
-    largest_index(TABLE_LIMIT) fits alone, g(depth) < C(i0,2), which the
-    tests check.  Below C(8,2) = 28 levels 2, 3, 4, 5 and 7 read their own
-    entries, so mu(0..27) is copied from `_HEAD`.
-
-    Up to C(2000,2) the depth is at most 1 at 1,457 of the levels 8..2000,
-    2 at 449, and at most 10 everywhere; past level 744 it is 1, up to
-    TABLE_LIMIT.  The fill of certify's table walks 47 blocks and 167
-    passes; 10**7 walks 171 and 407, and 10**8 walks 1,669 and 3,394.
+    entry, start: that level's last entry reads (D+1)*i - 1 - C(D+1,2) at
+    depth D.  Blocks start at level 8, so D <= 3 <= i0 - 2: every part
+    index i - d is at least 2, every source r + d*i - C(d+1,2) (r < i,
+    extra columns included) grows with r, d and the row's level, stays
+    below start, and is final: one pass per d fills the block.  A block of
+    one level i0 >= 8 is not cut: at D = 3 its last entry reads 4*i0 - 7 <
+    C(i0,2), and less at D = 0.  Below C(8,2) = 28
+    levels 2, 3, 4, 5 and 7 read their own entries, so mu(0..27) is copied
+    from `_HEAD`.  The fill of certify's table walks 36 blocks and 57
+    passes; 10**7 walks 162 and 183, and 10**8 walks 1,662 and 1,683.
 
     Entries are uint16, and no sum the fill forms can wrap.  Each is at most
     mu(m) + i with m < n <= TABLE_LIMIT and a part index i <=
@@ -223,7 +226,7 @@ class MuTable:
         dp = self._values
         head = _HEAD[lo : hi + 1]
         dp[lo : lo + len(head)] = head
-        for start, end, depth in _blocks(dp, max(lo, len(_HEAD)), hi):
+        for start, end, depth in _blocks(max(lo, len(_HEAD)), hi):
             _fill_block(dp, start, end, depth)
 
 
@@ -249,70 +252,25 @@ def _fill_block(dp: np.ndarray, start: int, end: int, depth: int) -> None:
     np.concatenate(levels, out=dp[start : end + 1])
 
 
-def _blocks(dp: np.ndarray, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
-    """The blocks (start, end, depth) that fill dp[lo..hi], lo >= 28, in order.
+def _blocks(lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+    """The blocks (start, end, depth) that fill mu(lo..hi), lo >= 28, in order.
 
     A block is the n of whole levels, but for its first and last ones when
-    lo or hi cuts them; depth is the largest window depth of its levels
-    (see `MuTable`).  The windows read max mu(0..i-1) for every level i up
-    to largest_index(hi), so where that passes lo the levels below it are
-    yielded first; the rest are worked out once the caller has filled
-    those, and a block is yielded only once every entry below it is.
+    lo or hi cuts them; depth is the rule's depth at its first level (see
+    `MuTable`).
     """
-    if lo > hi:
-        return
     top = largest_index(hi)
-    if top > lo:
-        yield from _blocks(dp, lo, top - 1)
-        lo = top
-    first = largest_index(lo)
-    depths = _depths(dp, first, top).tolist()
     start = lo
     while start <= hi:
         i0 = largest_index(start)
-        i1 = max(i0 + 1, min(largest_index(start + _BLOCK), top + 1))
-        depth = max(depths[i0 - first : i1 - first])
+        depth = _DEPTH if i0 < _GREEDY else 0
         # The last level i's last entry reads dp[(d+1)*i - 1 - C(d+1,2)] at
         # depth d, which must lie below start.
         fit = (start + triangular(depth + 1)) // (depth + 1)
-        if fit < i1 - 1:
-            i1 = max(i0 + 1, fit + 1)
-            depth = max(depths[i0 - first : i1 - first])
+        i1 = max(i0 + 1, min(largest_index(start + _BLOCK), top + 1, fit + 1))
         end = min(hi, triangular(i1) - 1)
         yield start, end, depth
         start = end + 1
-
-
-def _depths(dp: np.ndarray, first: int, top: int) -> np.ndarray:
-    """Window depth i - k_min of each level i in first..top, from mu(0..top-1)."""
-    i = np.arange(first, top + 1, dtype=np.int64)
-    lo = i * (i - 1) // 2
-    ub = i + np.maximum.accumulate(dp[:top])[first - 1 :]
-    k = np.maximum(2, 1 - (-2 * lo // ub))
-    steep = 2 * k >= ub
-    k[steep] = _second_bound(lo[steep], ub[steep], k[steep])
-    return i - k
-
-
-def _second_bound(lo: np.ndarray, ub: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Least i >= k with C(i,2) + C(ub-i,2) >= lo, for 2k >= ub and C(ub,2) >= lo.
-
-    Elementwise over int64 arrays.  The left side is i^2 - ub*i + C(ub,2),
-    nondecreasing for i >= ub/2, and below lo exactly between the real
-    roots of i^2 - ub*i + C(ub,2) = lo.  So no answer lies below the larger
-    root (ub + sqrt(4*lo + 2*ub - ub^2))/2 or, with no real root, below k.
-    The steps start from the floor of the root, at most one short of the
-    answer, rather than from k.  The float square root is floored and then
-    lowered where it squares past its argument, so the floor never
-    overshoots.
-    """
-    disc = np.maximum(0, 4 * lo + 2 * ub - ub * ub)
-    root = np.sqrt(disc).astype(np.int64)
-    root -= root * root > disc
-    k = np.maximum(k, (ub + root) // 2)
-    while (short := k * (k - 1) // 2 + (ub - k) * (ub - k - 1) // 2 < lo).any():
-        k += short
-    return k
 
 
 _shared = MuTable()
@@ -357,7 +315,7 @@ def _mu_fold(n: int) -> np.ndarray:
     The steps run while 2**S*w <= n, so the last leaves 2**(S+1)*w > n and
     every r <= n // w is covered.  No int64 sum wraps: entries stay at most
     2n, and 2**S*w <= n bounds each cost 2**S*i by 2n/(i-1).  Shares
-    nothing with the windowed `MuTable` fill.
+    nothing with the `MuTable` fill.
     """
     values = 2 * np.arange(n + 1, dtype=np.int64)
     for i in range(3, largest_index(n) + 1):
@@ -382,7 +340,13 @@ def mu_oracle(n: int) -> int:
 
 
 def lower_bound(n: int) -> float:
-    """Envelope floor: inverse_triangular(n).  Defined for n >= 1."""
+    """Envelope floor: inverse_triangular(n).  Defined for n >= 1.
+
+    mu(n) >= f(n) = inverse_triangular(n) for n >= 1: f is concave with
+    f(0) > 0, hence subadditive, and f(C(j,2)) = j, so any partition of n
+    into parts C(j,2) >= 1 scores at least f(n).  Not for n = 0, where
+    f(0) = 1 > mu(0).
+    """
     if n < 1:
         raise ValueError("lower bound needs n >= 1")
     return inverse_triangular(n)

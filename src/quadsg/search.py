@@ -9,7 +9,7 @@ measurement, not a proof (see `g_analysis`): run to 10**5, the searches
 find only the 8 and the 30 known pairs.  Both come with certificate replay:
 exact arithmetic witnesses for each hit, verifiable without trusting either
 search.  Each search lists only the (a, n) pairs that the floor
-mu(m) >= f(m) of `MuTable` leaves and tests them against the mu table in
+mu(m) >= f(m) of `lower_bound` leaves and tests them against the mu table in
 vectorised blocks; only the hits are examined one by one.
 """
 
@@ -122,7 +122,7 @@ def search_mu_drop(a_max: int) -> SearchReport:
 
     Only pairs with n + a <= C(mu(n) - 2, 2) are read.  A drop of at
     least 2 needs mu(n+a) <= mu(n) - 2 = k, and mu(m) >= f(m) =
-    (1 + sqrt(8m+1))/2 for m >= 1 (see `MuTable`).  For an integer k >= 1,
+    (1 + sqrt(8m+1))/2 for m >= 1 (see `lower_bound`).  For an integer k >= 1,
     f(m) <= k exactly when 8m + 1 <= (2k-1)^2, that is m <= C(k,2); and
     k >= 1 here, since mu(n) >= f(n) >= f(3) = 3.  So for each n the
     candidate a form the interval n < a <= min(a_max, C(mu(n) - 2, 2) - n),

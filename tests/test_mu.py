@@ -74,8 +74,26 @@ def table():
 
 @pytest.fixture(scope="module")
 def fold():
-    # The fold is the unwindowed oracle; mu_oracle returns its last entry.
+    # The fold is the oracle, which shares nothing with the fill;
+    # mu_oracle returns its last entry.
     return mu_module._mu_fold(GROWTH_LIMIT)
+
+
+@pytest.fixture(scope="module")
+def largest_optimal(fold):
+    # The largest index of an optimal partition of each n, read off the
+    # fold: the largest i with mu(n - C(i,2)) + i = mu(n).
+    top = np.zeros(len(fold), dtype=np.int64)
+    for i in range(2, q.largest_index(GROWTH_LIMIT) + 1):
+        t = q.triangular(i)
+        top[t:][fold[: len(fold) - t] + i == fold[t:]] = i
+    return top
+
+
+def _levels(n_max):
+    # largest_index(n) for n = 0..n_max: level i holds i entries.
+    i = np.arange(1, q.largest_index(n_max) + 1)
+    return np.repeat(i, i)[: n_max + 1]
 
 
 def test_frozen_values(table, plain):
@@ -119,17 +137,17 @@ def test_matches_exhaustive_oracle_to_limit():
 
 def test_fold_shares_nothing_with_the_fill():
     # The oracle checks the table only if it does not read it: the fold's
-    # body names no MuTable state and none of the windowed fill's helpers.
+    # body names no MuTable state and none of the fill's helpers or rule.
     tree = ast.parse(inspect.getsource(mu_module._mu_fold))
     loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     loaded |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    fill = {"MuTable", "_blocks", "_depths", "_fill_block", "_second_bound", "_HEAD", "_shared"}
+    fill = {"MuTable", "_blocks", "_fill_block", "_DEPTH", "_GREEDY", "_HEAD", "_shared"}
     assert loaded & fill == set()
 
 
 @pytest.mark.parametrize("n_max", [10**6, pytest.param(10**7, marks=pytest.mark.slow)])
 def test_table_is_the_recursion_fixpoint(n_max):
-    # Every entry, checked against mu's recursion rather than the window proof.
+    # Every entry, checked against mu's recursion rather than the fill's rule.
     mismatches = mu_fixpoint_mismatches(q.MuTable(n_max).values)
     assert mismatches.size == 0, mismatches[:5]
 
@@ -170,7 +188,7 @@ def test_growth_in_random_steps_matches_fold(fold):
     # starts of blocks of a fresh fill, the first past 2**14 and 2**17.
     # The random steps stop at a quarter of each mark, so the fill that
     # ends at the mark spans many blocks, and most fills start mid-level.
-    starts = [start for start, _, _ in mu_module._blocks(fold, 28, GROWTH_LIMIT)]
+    starts = [start for start, _, _ in mu_module._blocks(28, GROWTH_LIMIT)]
     block_starts = [next(s for s in starts if s > m) for m in (1 << 14, 1 << 17)]
     rng = random.Random(8)
     for d in (-1, 0, 1):
@@ -190,99 +208,43 @@ def test_growth_in_random_steps_matches_fold(fold):
 def test_fill_at_many_chunk_boundaries(chunk, fold, monkeypatch):
     # Blocks capped at `chunk` entries: one level per block, or a few
     # where the block cut allows, so the block depth and the cut are taken
-    # afresh at every level, each entry checked against the unwindowed
-    # fold.
+    # afresh at every level, each entry checked against the fold.
     monkeypatch.setattr(mu_module, "_BLOCK", chunk)
     n_max = 4000
-    for start, end, _ in mu_module._blocks(fold, 28, n_max):
+    for start, end, _ in mu_module._blocks(28, n_max):
         assert end - start < chunk or q.largest_index(start) == q.largest_index(end)
     mismatches = np.flatnonzero(q.MuTable(n_max).values != fold[: n_max + 1])
     assert mismatches.size == 0, (chunk, mismatches[:5])
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
-def test_fill_window_keeps_an_optimal_partition(chunk, fold, monkeypatch):
-    # Every n >= 28 has an optimal partition, read off the unwindowed fold,
-    # whose largest index lies in its level's window i - depth..i, so no
-    # window cuts off every optimum; nor does the depth of the block the
-    # fill puts the level in, with blocks capped at `chunk` entries.  The
-    # windows are worked out again on the filled table: they read only
-    # entries below each level, which are final by then.
+def test_fill_window_keeps_an_optimal_partition(chunk, largest_optimal, monkeypatch):
+    # Every n from 28 to 2*10**5 has an optimal partition, read off the
+    # fold, whose largest index lies in its level's window i - depth..i
+    # under the fill's rule, so the rule cuts off no optimum; nor does the
+    # depth of the block the fill puts the level in, with blocks capped at
+    # `chunk` entries.
     if chunk is not None:
         monkeypatch.setattr(mu_module, "_BLOCK", chunk)
     n_max = 2 * 10**5
-    values = q.MuTable(n_max).values
-    ref = fold[: n_max + 1]
-    top = np.zeros(n_max + 1, dtype=np.int64)  # largest index of an optimal partition
-    for i in range(2, q.largest_index(n_max) + 1):
-        t = q.triangular(i)
-        top[t:][ref[: n_max + 1 - t] + i == ref[t:]] = i
+    top = largest_optimal[: n_max + 1]
+    level = _levels(n_max)
+    depth = np.where(level < mu_module._GREEDY, mu_module._DEPTH, 0)
     n = np.arange(28, n_max + 1)
-    level = np.array([q.largest_index(m) for m in range(28, n_max + 1)])
-    depths = mu_module._depths(values, 8, q.largest_index(n_max))
-    outside = n[(top[28:] < level - depths[level - 8]) | (top[28:] > level)]
+    outside = n[(top[28:] < (level - depth)[28:]) | (top[28:] > level[28:])]
     assert outside.size == 0, outside[:5]
     block_k = np.zeros(n_max + 1, dtype=np.int64)
-    for start, end, depth in mu_module._blocks(values, 28, n_max):
-        block_k[start : end + 1] = level[start - 28 : end - 27] - depth
+    for start, end, d in mu_module._blocks(28, n_max):
+        block_k[start : end + 1] = level[start : end + 1] - d
     short = np.flatnonzero(top[28:] < block_k[28:]) + 28
     assert short.size == 0, (chunk, short[:5])
 
 
-def _stepped_bound(lo, ub, k):
-    # The second bound as first written: step k up from the first bound.
-    while q.triangular(k) + q.triangular(ub - k) < lo:
-        k += 1
-    return k
-
-
-def _second_bound_misses(posed):
-    # The rows (lo, U, k, answer) where `_second_bound` gives another answer.
-    posed = np.array(posed, dtype=np.int64)
-    return posed[mu_module._second_bound(*posed[:, :3].T) != posed[:, 3]]
-
-
-def test_second_bound_matches_stepping_loop():
-    # Every (lo, U) with lo < 3000 and U < 200 that the fill can pose
-    # (C(U,2) >= lo), from the least k with 2k >= U, which leaves the jump
-    # all the work, and from one past the stepped answer, which the jump
-    # must not lower.  From any other k >= U/2 both give max(k, answer),
-    # because the left side is nondecreasing there.  The answer only grows
-    # with lo, so the stepping loop carries its k from one lo to the next.
-    posed = []
-    for ub in range(2, 200):
-        half = max(2, (ub + 1) // 2)
-        want = half
-        for lo in range(min(3000, q.triangular(ub) + 1)):
-            want = _stepped_bound(lo, ub, want)
-            posed.append((lo, ub, half, want))
-            if want < ub:
-                posed.append((lo, ub, want + 1, want + 1))
-    assert len(posed) > 8 * 10**5, len(posed)
-    wrong = _second_bound_misses(posed)
-    assert wrong.size == 0, wrong[:5]
-    # A seeded sample up to lo = 10**8, with U and k_min as `_depths` forms
-    # them: U at least largest_index(lo) + 2, a few hundred above it.
-    rng = random.Random(14)
-    sample = []
-    for _ in range(3000):
-        lo = rng.randint(1, 10**8)
-        j = q.largest_index(lo)
-        ub = rng.randint(j + 2, j + 3 * math.isqrt(2 * j) + 50)
-        k = max(2, 1 + -(-(2 * lo) // ub))
-        if 2 * k >= ub:
-            sample.append((lo, ub, k, _stepped_bound(lo, ub, k)))
-    assert len(sample) > 1000, len(sample)
-    wrong = _second_bound_misses(sample)
-    assert wrong.size == 0, wrong[:5]
-
-
-def _walk(values, steps):
-    # The blocks the fill wrote, for a table grown to each of steps in
-    # turn: the walk reads only entries below each block, final by then.
+def _walk(steps):
+    # The blocks the fill writes for a table grown to each of steps in turn.
     lo = 1
     for hi in steps:
-        yield from mu_module._blocks(values, max(lo, 28), hi)
+        yield from mu_module._blocks(max(lo, 28), hi)
         lo = hi + 1
 
 
@@ -294,11 +256,8 @@ def test_every_block_reads_only_entries_below_it(steps):
     # i0..i, columns 0..i-1, depths 0..D.  Every source is below the
     # block's first entry, every part index is at least 2, and the blocks
     # tile 28..n_max with at most _BLOCK entries or one level each.
-    table = q.MuTable()
-    for n in steps:
-        table.ensure(n)
     last = 27
-    for start, end, depth in _walk(table.values, steps):
+    for start, end, depth in _walk(steps):
         assert start == last + 1
         last = end
         i0, i = q.largest_index(start), q.largest_index(end)
@@ -315,37 +274,62 @@ def test_every_block_reads_only_entries_below_it(steps):
 def test_fill_work_counts_at_c_2000():
     # certify's fill.  The chunked fill before the level blocks walked 163
     # chunks and 2,696 part-index passes.
-    n_max = q.triangular(2000)
-    blocks = list(mu_module._blocks(q.MuTable(n_max).values, 28, n_max))
-    assert len(blocks) == 47
-    assert sum(depth + 1 for *_, depth in blocks) == 167
+    blocks = list(mu_module._blocks(28, q.triangular(2000)))
+    assert len(blocks) == 36
+    assert sum(depth + 1 for *_, depth in blocks) == 57
 
 
-def test_depth_census_at_c_2000():
-    # The census in `MuTable`'s docstring, on certify's table: of the 1,993
-    # levels 8..2000, depth is at most 1 at 1,457 and 2 at 449; it is
-    # between 1 and 10 everywhere, and 1 on every level past 744.
-    depth = mu_module._depths(q.MuTable(q.triangular(2000)).values, 8, 2000)
-    assert len(depth) == 1993
-    assert ((depth <= 1).sum(), (depth == 2).sum()) == (1457, 449)
-    assert (depth.min(), depth.max()) == (1, 10)
-    assert np.flatnonzero(depth > 1).max() + 8 == 744
+def test_depth_census_from_the_fold(largest_optimal):
+    # The census in `MuTable`'s docstring: the least depth that keeps an
+    # optimal partition of every n on the level, read off the fold, is 0,
+    # 1, 2 and 3 on 303, 97, 9 and 1 of the levels 8..417, and 0 on every
+    # level from 418 to 774, the last whole level below 3*10**5.
+    i = np.arange(8, 775)
+    n = np.arange(q.triangular(8), q.triangular(775))
+    need = np.maximum.reduceat(np.repeat(i, i) - largest_optimal[n], i * (i - 1) // 2 - 28)
+    assert np.bincount(need[i < 418]).tolist() == [303, 97, 9, 1]
+    assert (need[i >= 418] == 0).all()
 
 
-def test_greedy_identity_past_level_417():
-    # On certify's table, mu(C(i,2) + r) = i + mu(r) for every r < i on
-    # every level i from 418 to 2000 (level 2000 holds only r = 0 here),
-    # and it fails on exactly 107 of the levels 8..417, the last at 417.
-    n_max = q.triangular(2000)
-    values = q.MuTable(n_max).values.astype(np.int64)
-    levels = np.arange(8, 2001)
-    n = np.arange(q.triangular(8), n_max + 1)
-    i = np.repeat(levels, levels)[: len(n)]
+def _greedy_failing_levels(fold, first, last):
+    # The levels i in first..last with mu(C(i,2) + r) != i + mu(r) for some
+    # r < i, read off the fold.
+    levels = np.arange(first, last + 1)
+    n = np.arange(q.triangular(first), q.triangular(last + 1))
+    i = np.repeat(levels, levels)
     r = n - i * (i - 1) // 2
     assert (r >= 0).all() and (r < i).all()
-    failing = np.unique(i[values[n] != i + values[r]])
+    return np.unique(i[fold[n] != i + fold[r]])
+
+
+def test_greedy_identity_past_level_417(fold):
+    # On the fold, mu(C(i,2) + r) = i + mu(r) for every r < i on every
+    # level i from 418 to 774, the last whole level below 3*10**5, and it
+    # fails on exactly 107 of the levels 8..417, the last at 417.
+    failing = _greedy_failing_levels(fold, 8, 774)
     assert len(failing) == 107
     assert failing.max() == 417
+
+
+def test_greedy_identity_to_the_table_limit(fold):
+    # The fill's rule from level _GREEDY to the table's top, from the fold
+    # alone, never the table.  Levels _GREEDY..774 are checked directly;
+    # on every level i from 745 to largest_index(TABLE_LIMIT) the proof in
+    # `MuTable`'s docstring needs, with U = i + max mu(0..i-1), lo = C(i,2)
+    # and k1 = max(2, 1 + ceil(2*lo/U)), that 2*k1 >= U, that C(i-2,2) +
+    # C(U-i+2,2) < lo, and that mu(r+i-1) - mu(r) >= 1 for every r < i.
+    assert _greedy_failing_levels(fold, mu_module._GREEDY, 774).size == 0
+    top = q.largest_index(q.TABLE_LIMIT)
+    assert top == 14_142
+    values = fold[: 2 * top + 1]
+    i = np.arange(745, top + 1)
+    ub = i + np.maximum.accumulate(values)[i - 1]
+    lo = i * (i - 1) // 2
+    k1 = np.maximum(2, 1 - (-2 * lo // ub))
+    assert (2 * k1 >= ub).all()
+    assert ((i - 2) * (i - 3) // 2 + (ub - i + 2) * (ub - i + 1) // 2 < lo).all()
+    drop = min(int((values[j - 1 : 2 * j - 1] - values[:j]).min()) for j in range(745, top + 1))
+    assert drop >= 1, drop
 
 
 def test_table_is_uint16_within_its_bound():
@@ -375,9 +359,9 @@ def test_fill_speed_at_c_2000():
 
 
 def test_fill_speed_at_ten_million():
-    # The two-part bound leaves one or two part indices per level near the
-    # top; the linear bound alone, in the chunked fill before the level
-    # blocks, took about 1.1 s on a 2-vCPU machine.
+    # Past level 417 every level takes one part index, one pass per block;
+    # the linear bound alone, in the chunked fill before the level blocks,
+    # took about 1.1 s on a 2-vCPU machine.
     times = []
     for _ in range(3):
         start = time.perf_counter()
@@ -391,16 +375,13 @@ def test_fill_speed_at_ten_million():
 def test_full_table_at_limit():
     values = q.MuTable(q.TABLE_LIMIT).values
     assert _sha256(values) == LIMIT_SHA256
-    # Every level from 8 up fits in a block of its own (see `MuTable`).
+    # Every level from 8 to the last, 14,142, fits in a block of its own
+    # at the depth of the fill's rule (see `MuTable`).
     top = q.largest_index(q.TABLE_LIMIT)
-    i = np.arange(8, top + 1)
-    depth = mu_module._depths(values, 8, top)
-    assert ((depth + 1) * i - 1 - depth * (depth + 1) // 2 < i * (i - 1) // 2).all()
-    assert depth.max() == 10
-    # The census in `MuTable`'s docstring: depth 1 on every level from 745
-    # to the last, 14,142.
     assert top == 14_142
-    assert (depth[745 - 8 :] == 1).all()
+    i = np.arange(8, top + 1)
+    depth = np.where(i < mu_module._GREEDY, mu_module._DEPTH, 0)
+    assert ((depth + 1) * i - 1 - depth * (depth + 1) // 2 < i * (i - 1) // 2).all()
     i = np.arange(2, q.largest_index(q.TABLE_LIMIT) + 1, dtype=np.int64)
     assert np.array_equal(values[i * (i - 1) // 2], i)
     # The envelope at every n, a block of 2**20 at a time.

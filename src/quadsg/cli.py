@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import invariants as invariants_mod
-from .mu import _bounds_columns, mu, shared_table, triangular
+from .mu import _bounds_columns, _mu_gather, _mu_span, mu
 from . import search as search_mod
 
 __all__ = ["USAGE_EXIT", "FAILURE_EXIT", "build_parser", "main", "run"]
@@ -243,10 +243,10 @@ def _cmd_g_analysis(ns) -> _Record:
 
 
 def _cmd_certify(ns) -> _Record:
-    table = shared_table().ensure(triangular(2000))
-    anchors = table[0] == 0 and table[1] == 2 and table[2] == 4
-    i = np.arange(2, 2001)
-    exact = np.array_equal(table.values[i * (i - 1) // 2], i)
+    anchors = _mu_span(0, 2).tolist() == [0, 2, 4]
+    # From level 418 on, mu(C(i,2)) = i + mu(0) = i holds by construction.
+    i = np.arange(2, 2001, dtype=np.int64)
+    exact = np.array_equal(_mu_gather(i, np.zeros_like(i)), i)
     checks = [("mu anchors and exact triangular values to index 2000", anchors and exact)]
 
     for c in search_mod.exception_certificates():
@@ -298,7 +298,7 @@ def _cmd_tgrid(ns) -> _Record:
         raise ValueError("grid extents are limited to 500")
     if ns.m_max < 0 or ns.n_max < 0:
         raise ValueError("grid extents must be nonnegative")
-    mus = [mu(n) for n in range(ns.n_max + 1)]
+    mus = _mu_span(0, ns.n_max).tolist()
     columns = range(ns.m_max + 1)
     lines = ("".join("#" if v <= m else "." for m in columns) for v in mus)
     rows = ([m, n, 1 if v <= m else 0] for n, v in enumerate(mus) for m in columns)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mu import _BLOCK, TABLE_LIMIT, _grow, largest_index, mu, shared_table, triangular
+from .mu import _BLOCK, TABLE_LIMIT, _check_limit, _mu_span, _mu_sum, largest_index, mu, triangular
 
 __all__ = [
     "AperySet",
@@ -239,34 +239,25 @@ class AperySet(NamedTuple):
     elements: tuple[int, ...]
 
 
-def _lifts(a: int) -> np.ndarray:
-    """mu(0..a-1) from the shared table: a read-only uint16 view.
-
-    The table grows in doubling steps (`_grow`), so calls at ascending a
-    copy it a logarithmic number of times.  It fills, or refuses past
-    TABLE_LIMIT, before anything of size a is allocated.
-    """
-    return _grow(a - 1).values[:a]
-
-
 def _lifted(a: int, b: int, width: int) -> Iterator[np.ndarray]:
     """mu_{a,b}(n)*a + n*b over n = 0..a-1, in 1-D blocks of `width` n.
 
-    The last block may be shorter, and each block widens only its own
-    slice of the uint16 table.  mu_{a,b}(n) is mu(n) from the table, less
-    one at the exceptional n of (a, b): the values `mu_ab_closed` gives
-    one n at a time.  Exact for every b: int64 while the largest value,
-    at most max(mu)*a + (a-1)*b, stays below 2**63; Python ints (object
-    arrays) past that.
+    The last block may be shorter, and each block reads and widens only
+    its own span of mu.  mu_{a,b}(n) is mu(n), less one at the exceptional
+    n of (a, b): the values `mu_ab_closed` gives one n at a time.  Exact
+    for every b: a block is int64 while its largest value, at most
+    max(mu)*a + (hi-1)*b over its n < hi, stays below 2**63, and Python
+    ints (object arrays) past that.  An a - 1 past TABLE_LIMIT is refused
+    before the first block.
     """
-    lifts = _lifts(a)
-    big = int(lifts.max()) * a + (a - 1) * b >= 1 << 63
-    dtype = object if big else np.int64
+    _check_limit(a - 1)
     case = _EXCEPTIONAL.get((a, b))
     for lo in range(0, a, width):
         hi = min(lo + width, a)
+        lifts = _mu_span(lo, hi - 1)
+        dtype = object if int(lifts.max()) * a + (hi - 1) * b >= 1 << 63 else np.int64
         values = np.arange(lo, hi, dtype=dtype) * b
-        values += np.multiply(lifts[lo:hi], a, dtype=dtype)
+        values += np.multiply(lifts, a, dtype=dtype)
         if case is not None and lo <= case.n < hi:
             values[case.n - lo] -= a
         yield values
@@ -277,13 +268,13 @@ def apery_closed(s: QuadraticSemigroup) -> AperySet:
 
     The element in the class of n*b mod a is mu_{a,b}(n)*a + n*b; as n
     runs over 0..a-1 the classes are hit exactly once since gcd(a,b) = 1.
-    All a lifts come from the mu table in one array, and one scatter puts
-    each element at its class (n*(b mod a)) mod a.  Tests check it against
-    the scalar definition, `mu_ab_closed` called once per n.
+    All a lifts come in one array, and one scatter puts each element at
+    its class (n*(b mod a)) mod a.  Tests check it against the scalar
+    definition, `mu_ab_closed` called once per n.
 
-    Raises ValueError, before the table grows, past a = _TUPLE_LIMIT =
-    10**7: its arrays, list and tuple take about 1.2 GB there.  `frobenius`
-    and `genus` still serve every a the table holds.  A trivial S gets
+    Raises ValueError, before reading mu, past a = _TUPLE_LIMIT = 10**7:
+    its arrays, list and tuple take about 1.2 GB there.  `frobenius` and
+    `genus` still serve every a up to TABLE_LIMIT + 1.  A trivial S gets
     `apery_oracle`'s answer.
     """
     if s.trivial:
@@ -331,18 +322,16 @@ def genus(s: QuadraticSemigroup) -> int:
     """Number of gaps, via the integer lift-sum formula.
 
     g = sum of mu_{a,b}(n) over 0 <= n < a, plus (a-1)(b-1)/2: one sum of
-    mu(0..a-1), less one for an exceptional (a, b) and its lowered lift.
-    The sum accumulates in int64 straight off the uint16 table; every
-    mu(n) is at most 2n, so it stays below 2*a**2 < 2**63.  The division
-    is exact: a and b cannot both be even (they are coprime), so a-1 or
-    b-1 is even.  Tests check it against the scalar definition,
-    `mu_ab_closed` called once per n, and the sweep's scans against it.
+    mu(0..a-1) from level sums (`_mu_sum`), less one for an exceptional
+    (a, b) and its lowered lift.  The division is exact: a and b cannot
+    both be even (they are coprime), so a-1 or b-1 is even.  Tests check
+    it against the scalar definition, `mu_ab_closed` called once per n,
+    and the sweep's scans against it.
     """
     if s.trivial:
         return 0
     a, b = s.a, s.b
-    total = int(_lifts(a).sum(dtype=np.int64))
-    return total - ((a, b) in _EXCEPTIONAL) + (a - 1) * (b - 1) // 2
+    return _mu_sum(a) - ((a, b) in _EXCEPTIONAL) + (a - 1) * (b - 1) // 2
 
 
 def genus_oracle(s: QuadraticSemigroup) -> int:
@@ -493,8 +482,8 @@ def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     """(a, b, F, g) of every coprime pair 2 <= a <= a_max, 1 <= b <= b_max.
 
     Rows come a ascending, then b ascending, in int64 arrays of at most
-    `_BLOCK // 8` pairs.  F and g for every a come from scans of the mu
-    table, not from one lift array per a.
+    `_BLOCK // 8` pairs.  F and g for every a come from scans of mu, not
+    from one lift array per a.
 
     Let M(a) = max mu(0..a-1), and let last_m(a) be the largest n < a with
     mu(n) = m.  F(a, b) + a is the largest lift mu(n)*a + n*b over n < a,
@@ -516,9 +505,9 @@ def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     and g come from the single-pair `frobenius` and `genus`.  The drop
     moves F at a = 29, 47 and 79.
 
-    The table is filled to a_max - 1 before the first row, and a runs in
-    blocks of at most `width` values.  M, the last n of every level and
-    the running sum carry from block to block.  Within a block, last_m(a)
+    a runs in blocks of at most `width` values, each reading its own span
+    of mu.  M, the last n of every level and the running sum carry from
+    block to block.  Within a block, last_m(a)
     is one binary search per d into the block's mu values sorted by (mu,
     n); the carried last n answers the levels that the block has not
     reached by a.  Everything fits in int64 under `_sweep_columns`' size
@@ -526,7 +515,6 @@ def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     """
     if a_max < 2 or b_max < 1:
         return
-    values = shared_table().ensure(a_max - 1).values
     cap = _BLOCK // 8
     width = max(1, cap // b_max)
     last = np.full(min(1 << 16, 2 * a_max), -1, dtype=np.int64)  # one slot per level
@@ -535,7 +523,7 @@ def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     while a0 <= a_max:
         a1 = min(a0 + width, a_max + 1)
         lo, size = a0 - 1, a1 - a0  # block of n = a - 1
-        mus = values[lo : a1 - 1].astype(np.int64)
+        mus = _mu_span(lo, a1 - 2).astype(np.int64)
         tops = np.maximum(np.maximum.accumulate(mus), top)
         sums = np.cumsum(mus) + total
         at = np.arange(size)
@@ -580,7 +568,7 @@ def _sweep_columns(a_max: int, b_max: int) -> Iterator[list[list]]:
     terms in a alone once per a and add the terms in b over the whole
     block through `_with_b`, so every float equals the single-pair one.
     An oversized grid is refused at the call, before any row; this also
-    keeps a_max - 1 within what the mu table holds.
+    keeps a_max - 1 within TABLE_LIMIT.
     """
     if (a_max - 1) * max(b_max, 1) > TABLE_LIMIT:
         raise ValueError(f"sweep needs (a_max - 1) * b_max <= {TABLE_LIMIT}")

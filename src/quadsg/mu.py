@@ -10,14 +10,17 @@ C(2,2) = 1.  Values satisfy
 
 Allowing i = 1 would add the useless option mu(n) + 1 and is skipped.
 
-The module provides a growable bottom-up table (`MuTable`), filled by
-blocks of triangular levels (the n from C(i,2) to C(i+1,2) - 1) with one
-strided pass per part index: the four largest below level 418, the
-largest alone from there on, an oracle (`mu_oracle`) that folds in one
-part at a time with no such rule, checked against the table up to
-n = 10**6, the analytic envelope around mu (`lower_bound`, `gauss_bound`,
-`combined_bound`).  `mu` and everything built on it read one process-wide
-table.
+Level i holds the i numbers n = C(i,2) + r, 0 <= r < i.  From level 418 on,
+up to `TABLE_LIMIT`, mu follows the greedy rule mu(n) = i + mu(r) (proven
+at `_mu_span`), so every mu the package serves is one read of a fixed head,
+mu(0..C(418,2) - 1) = mu(0..87,152) in 87,153 uint16 entries (174 KB).
+The head fills forward as far as callers read, by blocks of levels with
+one strided pass per part index (`_head_to`).  Readers: `_mu_span` (a range
+of n), `mu` (one n), `_mu_gather` (points given by level) and `_mu_sum`
+(sum of mu(0..a-1) from level sums); `MuTable` is a read-only snapshot.
+An oracle (`mu_oracle`) folds in one part at a time with no such rule and
+checks the head and the level rule up to n = 10**6.  The analytic
+envelope around mu: `lower_bound`, `gauss_bound`, `combined_bound`.
 """
 
 from __future__ import annotations
@@ -38,37 +41,35 @@ __all__ = [
     "lower_bound",
     "mu",
     "mu_oracle",
-    "shared_table",
     "triangular",
 ]
 
 ORACLE_LIMIT = 10**6
 
-# Largest n a MuTable grows to: 10**8 entries of uint16 is 200 MB.
+# Largest n served: the greedy rule is proven on every level up to
+# largest_index(TABLE_LIMIT) = 14,142 (see `_mu_span`).
 TABLE_LIMIT = 10**8
 
 # Most entries in one working array: the one block size of the package.
-# The fill takes blocks of levels of at most this many entries: of the
-# powers 2**14, 2**16 and 2**18, the middle one filled mu(0..C(2000,2))
-# fastest on a 2-vCPU machine (4.4, 3.9 and 4.4 ms, medians of nine fresh
-# processes), and it keeps that fill's peak within 0.3 MB of the table
-# itself.  As int64, 2**16 entries are 512 KiB, so a temporary cut to it
-# keeps memory flat however large the input: `frobenius` takes its lifts
-# and search's `_pairs` their pairs in blocks of 2**16, and `bounds` (five
-# columns) and the sweep (`invariants._scan`, eight) take a quarter and an
-# eighth as many rows, about 2**16 cells a block, which the CLI prints as
-# one string.  Uncut, the sweep would allocate a * b_max entries before its
-# first row (800 MB at a = 2, b_max = 5*10**7) and F at a = 10**8 - 1 would
-# widen the whole lift array (several GB).
+# As int64, 2**16 entries are 512 KiB, so a temporary cut to it keeps
+# memory flat however large the input: the head fills, and `_mu_span`
+# builds the levels past it, in blocks of at most this many entries,
+# `frobenius` takes its lifts and search's `_pairs` their pairs in blocks
+# of 2**16, and `bounds` (five columns) and the sweep (`invariants._scan`,
+# eight) take a quarter and an eighth as many rows, about 2**16 cells a
+# block, which the CLI prints as one string.  Uncut, the sweep would
+# allocate a * b_max entries before its first row (800 MB at a = 2,
+# b_max = 5*10**7) and F at a = 10**8 - 1 would widen the whole lift array
+# (several GB).
 _BLOCK = 1 << 16
 
-# mu(0..27), which the fill copies: below C(8,2) = 28 some levels read
+# mu(0..27), which the head fill copies: below C(8,2) = 28 some levels read
 # their own entries, so the level blocks start at 28.  The tests check these
 # against the recursion.
-_HEAD = (0, 2, 4, 3, 5, 7, 4, 6, 8, 7, 5, 7, 8, 8, 10, 6, 8, 10, 9, 11, 10, 7, 9, 11, 10, 11, 13, 11)
+_BASE = (0, 2, 4, 3, 5, 7, 4, 6, 8, 7, 5, 7, 8, 8, 10, 6, 8, 10, 9, 11, 10, 7, 9, 11, 10, 11, 13, 11)
 
-# The fill's rule (see `MuTable`): the levels below _GREEDY take part
-# indices i - _DEPTH..i, and from _GREEDY on part i alone.
+# The levels below _GREEDY fill from part indices i - _DEPTH..i; from
+# _GREEDY on, mu is the greedy copy of the head.
 _GREEDY, _DEPTH = 418, 3
 
 
@@ -98,42 +99,26 @@ def largest_index(n: int) -> int:
     return (1 + math.isqrt(8 * n + 1)) // 2
 
 
-class MuTable:
-    """Bottom-up table of mu values on 0..n_max, growable in place.
+# mu(0..C(_GREEDY,2) - 1), valid on 0.._filled, the end of a level: see `_head_to`.
+_head = np.zeros(triangular(_GREEDY), dtype=np.uint16)
+_filled = -1
 
-    Only `ensure` writes; `values` exposes a read-only view.
 
-    The fill works by levels: level i holds the i entries n = C(i,2) + r,
-    0 <= r < i, and C(i,2) is the largest part that fits each of them.  It
-    takes mu(n) as the least mu(n - C(i-d,2)) + i - d over the depths
-    0 <= d <= D, by one fixed rule: D = `_DEPTH` = 3 on the levels below
-    `_GREEDY` = 418, and D = 0 from there on, where each level is the greedy
-    copy i + mu(0..i-1).  Every depth is a real partition, so the rule can
-    only err by cutting off every optimal largest index of some n.
+def _head_to(n: int) -> np.ndarray:
+    """The head, filled forward to cover mu(0..n) at least, 0 <= n < len(_head).
 
-    Below level 418 (n < C(418,2) = 87,153) the rule is checked on its whole
-    domain: the tests compare the fill with the fold of `mu_oracle` to
-    3*10**5.  Read off the fold, the least depth that keeps an optimal
+    A fill takes the head to the end of n's level, so it always stops at a
+    level's end, and a caller that steps n upward fills it at most once a
+    level.  The buffer is allocated once, at import, and never grows.
+
+    The fill works by levels.  It takes mu(n) as the least mu(n - C(i-d,2))
+    + i - d over the depths 0 <= d <= `_DEPTH` = 3: the part indices
+    i-3..i.  Every depth is a real partition, so the rule can only err by
+    cutting off every optimal largest index of some n.  It is checked on
+    the whole head: the tests compare the fill with the fold of
+    `mu_oracle`.  Read off the fold, the least depth that keeps an optimal
     partition is 0, 1, 2 and 3 on 303, 97, 9 and 1 of the levels 8..417;
     the 107 that need more than 0 are the levels where greedy fails.
-
-    From level 418 on the rule is the greedy identity mu(C(i,2) + r) = i +
-    mu(r), r < i; the fold checks it directly on levels 418..774.  On each
-    level i from 745 on, U = i + max mu(0..i-1) bounds mu: take C(i,2) and
-    an optimal partition of r.  Let k be the largest index of an optimal
-    partition of n on the level and lo = C(i,2).  First, a partition whose
-    indices are all at most k uses parts C(j,2) <= j(k-1)/2, so n <=
-    mu(n)(k-1)/2 and k >= k1 = max(2, 1 + ceil(2*lo/U)).  Second, the rest
-    m = n - C(k,2) scores mu(m) <= U - k, and mu(m) >= f(m) for m >= 1 (see
-    `lower_bound`), so m <= C(U-k,2), for m = 0 too: C(k,2) + C(U-k,2) >= lo.
-    The left side steps by 2k + 1 - U from k to k + 1, so where 2*k1 >= U
-    it does not decrease from k1 on, and C(i-2,2) + C(U-i+2,2) < lo rules
-    out every k <= i - 2.  Then k is i - 1 or i; part i - 1 leaves r + i - 1,
-    and mu(r+i-1) - mu(r) >= 1 for every r < i means i - 1 never beats i.
-    These three checks hold on every level from 745 to
-    largest_index(TABLE_LIMIT) = 14,142; they read only mu(0..2*14,142),
-    which the tests take from the fold.  A raised TABLE_LIMIT needs them to
-    its own top level.
 
     The source of depth d is n - C(i-d,2) = r + d*i - C(d+1,2): for one d
     its offset is linear in i.  `_fill_block` therefore fills a block of
@@ -141,97 +126,39 @@ class MuTable:
     starting at d*i0 - C(d+1,2) + d*(i - i0) and as wide as the widest
     level (the shorter rows' extra columns are read, never written), takes
     the minimum over d, and writes the rows back with one np.concatenate.
-    A block takes the depth of its first level; where it reaches past
-    level 418 the extra depths are real partitions, so the minimum is
-    still mu.
 
     `_blocks` ends each block at `_BLOCK` entries (one level at least)
     and where its last level i = i1 - 1 would read at or past its first
-    entry, start: that level's last entry reads (D+1)*i - 1 - C(D+1,2) at
-    depth D.  Blocks start at level 8, so D <= 3 <= i0 - 2: every part
-    index i - d is at least 2, every source r + d*i - C(d+1,2) (r < i,
-    extra columns included) grows with r, d and the row's level, stays
-    below start, and is final: one pass per d fills the block.  A block of
-    one level i0 >= 8 is not cut: at D = 3 its last entry reads 4*i0 - 7 <
-    C(i0,2), and less at D = 0.  Below C(8,2) = 28
-    levels 2, 3, 4, 5 and 7 read their own entries, so mu(0..27) is copied
-    from `_HEAD`.  The fill of certify's table walks 36 blocks and 57
-    passes; 10**7 walks 162 and 183, and 10**8 walks 1,662 and 1,683.
+    entry, start: that level's last entry reads 4*i - 7 at depth 3.
+    Blocks start at level 8, so 3 <= i0 - 2: every part index i - d is at
+    least 2, every source r + d*i - C(d+1,2) (r < i, extra columns
+    included) grows with r, d and the row's level, stays below start, and
+    is final: one pass per d fills the block.  A block of one level
+    i0 >= 8 is not cut: its last entry reads 4*i0 - 7 < C(i0,2).  Below
+    C(8,2) = 28 levels 2, 3, 4, 5 and 7 read their own entries, so
+    mu(0..27) is copied from `_BASE`.  The whole head is 7 blocks and 28
+    passes.
 
-    Entries are uint16, and no sum the fill forms can wrap.  Each is at most
-    mu(m) + i with m < n <= TABLE_LIMIT and a part index i <=
-    largest_index(TABLE_LIMIT) = 14,142; the extra columns read final
-    entries too.  By Gauss every m is a sum of three triangular numbers
-    C(i,2), and since inverse_triangular is concave their indices add up to
-    at most gauss_bound(m); parts C(1,2) = 0 are dropped, which only lowers
-    the score.  So mu(m) <= gauss_bound(TABLE_LIMIT) < 24,497, and every
-    sum is at most 24,497 + 14,142 = 38,639 < 65,535.
+    No uint16 sum wraps: each is at most mu(m) + 417 with m < 87,153, and
+    mu(m) <= gauss_bound(87,152) < 725 (see `_mu_span`).
     """
-
-    def __init__(self, n_max: int = 0):
-        if n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-        self._values = np.zeros(1, dtype=np.uint16)
-        self._n_max = 0
-        if n_max > 0:
-            self.ensure(n_max)
-
-    @property
-    def n_max(self) -> int:
-        return self._n_max
-
-    @property
-    def values(self) -> np.ndarray:
-        """Read-only uint16 view of mu(0..n_max).
-
-        Widen before arithmetic, with astype(np.int64) or a dtype=np.int64
-        argument: numpy keeps uint16 when a uint16 array meets a Python int
-        or another uint16 array, so a difference or a product wraps
-        silently.
-        """
-        view = self._values[: self._n_max + 1].view()
-        view.flags.writeable = False
-        return view
-
-    def __getitem__(self, n: int) -> int:
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if n > self._n_max:
-            raise IndexError(f"table holds 0..{self._n_max}, asked for {n}")
-        return int(self._values[n])
-
-    def ensure(self, n_max: int) -> "MuTable":
-        """Grow the table to cover exactly 0..n_max; values already present are kept.
-
-        Each growth copies the table, so a caller that grows it n by n
-        should step geometrically.  Inside the library a caller that knows
-        the size it needs grows the process-wide table here, and one that
-        steps n upward goes through `_grow`, which doubles.  Raises
-        ValueError, before allocating, past TABLE_LIMIT.
-        """
-        if n_max < 0:
-            raise ValueError("n_max must be nonnegative")
-        if n_max <= self._n_max:
-            return self
-        if n_max > TABLE_LIMIT:
-            raise ValueError(f"mu table is limited to n <= {TABLE_LIMIT}, asked for {n_max}")
-        grown = np.zeros(n_max + 1, dtype=np.uint16)
-        grown[: self._n_max + 1] = self._values[: self._n_max + 1]
-        self._values = grown
-        self._fill(self._n_max + 1, n_max)
-        self._n_max = n_max
-        return self
-
-    def _fill(self, lo: int, hi: int) -> None:
-        dp = self._values
-        head = _HEAD[lo : hi + 1]
-        dp[lo : lo + len(head)] = head
-        for start, end, depth in _blocks(max(lo, len(_HEAD)), hi):
-            _fill_block(dp, start, end, depth)
+    global _filled
+    if n > _filled:
+        lo, hi = _filled + 1, triangular(largest_index(n) + 1) - 1
+        base = _BASE[lo : hi + 1]
+        _head[lo : lo + len(base)] = base
+        for start, end in _blocks(max(lo, len(_BASE)), hi):
+            _fill_block(_head, start, end, _DEPTH, _head[start : end + 1])
+        _filled = hi
+    return _head
 
 
-def _fill_block(dp: np.ndarray, start: int, end: int, depth: int) -> None:
-    """Write mu(start..end) into dp, every source below start (see `MuTable`)."""
+def _fill_block(dp: np.ndarray, start: int, end: int, depth: int, out: np.ndarray) -> None:
+    """Write mu(start..end) into out from the part indices i-depth..i, sources read from dp.
+
+    The head fill writes into dp itself at depth 3, every source below start
+    (see `_head_to`); `_mu_span` takes depth 0, the greedy copy i + dp[r].
+    """
     i0, i1 = largest_index(start), largest_index(end) + 1
     rows, width = i1 - i0, i1 - 1
 
@@ -249,56 +176,161 @@ def _fill_block(dp: np.ndarray, start: int, end: int, depth: int) -> None:
     levels = [best[j, : i0 + j] for j in range(rows)]
     levels[-1] = levels[-1][: end + 1 - triangular(i1 - 1)]
     levels[0] = levels[0][start - triangular(i0) :]
-    np.concatenate(levels, out=dp[start : end + 1])
+    np.concatenate(levels, out=out)
 
 
-def _blocks(lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
-    """The blocks (start, end, depth) that fill mu(lo..hi), lo >= 28, in order.
+def _blocks(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """The blocks (start, end) that cover mu(lo..hi), lo >= 28, in order.
 
     A block is the n of whole levels, but for its first and last ones when
-    lo or hi cuts them; depth is the rule's depth at its first level (see
-    `MuTable`).
+    lo or hi cuts them, at most `_BLOCK` entries or one level, and cut
+    where the head fill would read its own entries (see `_head_to`).  Past
+    the head that cut, at least (start + 6) // 4 > 14,142, never binds.
     """
     top = largest_index(hi)
     start = lo
     while start <= hi:
         i0 = largest_index(start)
-        depth = _DEPTH if i0 < _GREEDY else 0
-        # The last level i's last entry reads dp[(d+1)*i - 1 - C(d+1,2)] at
-        # depth d, which must lie below start.
-        fit = (start + triangular(depth + 1)) // (depth + 1)
+        # The last level i's last entry reads dp[(D+1)*i - 1 - C(D+1,2)] at
+        # depth D = _DEPTH, which must lie below start.
+        fit = (start + triangular(_DEPTH + 1)) // (_DEPTH + 1)
         i1 = max(i0 + 1, min(largest_index(start + _BLOCK), top + 1, fit + 1))
         end = min(hi, triangular(i1) - 1)
-        yield start, end, depth
+        yield start, end
         start = end + 1
 
 
-_shared = MuTable()
+def _check_limit(n: int) -> None:
+    """Refuse an n past TABLE_LIMIT, before anything of its size is allocated."""
+    if n > TABLE_LIMIT:
+        raise ValueError(f"mu table is limited to n <= {TABLE_LIMIT}, asked for {n}")
 
 
-def shared_table() -> MuTable:
-    """The process-wide table that `mu`, the closed forms and the searches read."""
-    return _shared
+def _mu_span(lo: int, hi: int) -> np.ndarray:
+    """mu(lo..hi) as uint16, 0 <= lo <= hi <= TABLE_LIMIT; read-only where it is the head's.
 
+    Below the head's end it is a slice of the head.  Past it, level i
+    holds mu(C(i,2) + r) = i + mu(r), r < i, built by `_fill_block` at depth
+    0 from the head over blocks of whole levels (`_blocks`), never one n at
+    a time: a per-element form with np.sqrt and np.where was 10-40 times
+    slower.
 
-def _grow(n: int) -> MuTable:
-    """The process-wide table, grown to cover n if it does not yet.
+    The greedy rule holds on every level from 418 to largest_index(
+    TABLE_LIMIT) = 14,142.  The fold checks it directly on levels 418..774.
+    On each level i from 745 on, U = i + max mu(0..i-1) bounds mu: take
+    C(i,2) and an optimal partition of r.  Let k be the largest index of an
+    optimal partition of n on the level and lo = C(i,2).  First, a
+    partition whose indices are all at most k uses parts C(j,2) <=
+    j(k-1)/2, so n <= mu(n)(k-1)/2 and k >= k1 = max(2, 1 + ceil(2*lo/U)).
+    Second, the rest m = n - C(k,2) scores mu(m) <= U - k, and mu(m) >=
+    f(m) for m >= 1 (see `lower_bound`), so m <= C(U-k,2), for m = 0 too:
+    C(k,2) + C(U-k,2) >= lo.  The left side steps by 2k + 1 - U from k to
+    k + 1, so where 2*k1 >= U it does not decrease from k1 on, and
+    C(i-2,2) + C(U-i+2,2) < lo rules out every k <= i - 2.  Then k is i - 1
+    or i; part i - 1 leaves r + i - 1, and mu(r+i-1) - mu(r) >= 1 for every
+    r < i means i - 1 never beats i.  These three checks hold on every
+    level from 745 to 14,142; they read only mu(0..2*14,142), which the
+    tests take from the fold.  A raised TABLE_LIMIT needs them to its own
+    top level.
 
-    For callers that step n upward (`mu`, the closed forms): each growth
-    at least doubles the table, up to TABLE_LIMIT, so growing it n by n
-    stays linear overall.  A caller that knows its size calls `ensure`
-    instead.
+    No uint16 entry wraps.  By Gauss every m is a sum of three triangular
+    numbers C(i,2), and since inverse_triangular is concave their indices
+    add up to at most gauss_bound(m); parts C(1,2) = 0 are dropped, which
+    only lowers the score.  So mu(r) <= gauss_bound(14,141) < 293 for
+    r < i <= 14,142, and every entry past the head, i + mu(r), is below
+    14,142 + 293 = 14,435.
     """
-    if n > _shared.n_max:
-        _shared.ensure(max(n, min(2 * _shared.n_max, TABLE_LIMIT)))
-    return _shared
+    _check_limit(hi)
+    size = len(_head)
+    head = _head_to(min(hi, size - 1))
+    if hi < size:
+        view = head[lo : hi + 1]
+        view.flags.writeable = False
+        return view
+    out = np.empty(hi + 1 - lo, dtype=np.uint16)
+    out[: max(0, size - lo)] = head[lo:]
+    for start, end in _blocks(max(lo, size), hi):
+        _fill_block(head, start, end, 0, out[start - lo : end + 1 - lo])
+    return out
 
 
 def mu(n: int) -> int:
-    """mu(n), extending the process-wide table on demand."""
+    """mu(n) by the level rule: the head below level 418, i + mu(r) from there on."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _grow(n)[n]
+    if n < len(_head):
+        return int(_head_to(n)[n])
+    _check_limit(n)
+    i = largest_index(n)
+    r = n - triangular(i)
+    return i + int(_head_to(r)[r])
+
+
+def _mu_gather(i: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """mu(C(i,2) + r) as int64 for int64 arrays of levels 2 <= i <= 14,142 and offsets 0 <= r < i.
+
+    One gather by the level rule: the head at C(i,2) + r below level 418,
+    i plus the head at r from there on.
+    """
+    greedy = i >= _GREEDY
+    at = np.where(greedy, r, i * (i - 1) // 2 + r)
+    return _head_to(int(at.max()))[at] + np.where(greedy, i, 0)
+
+
+def _mu_sum(a: int) -> int:
+    """The sum of mu(0..a-1), a >= 1, from level sums of the head.
+
+    With S(r) = mu(0) + ... + mu(r-1), the int64 prefix sums of the head,
+    the n below min(a, 87,153) sum to S(min(a, 87,153)).  Each whole level
+    i >= 418 below a sums i + mu(r) over r < i, that is i*i + S(i), and the
+    level k holding a sums its first a - C(k,2) = t entries to t*k + S(t).
+    No int64 sum wraps: mu(n) <= 2n, so the total is below a**2.
+    """
+    _check_limit(a - 1)
+    size = len(_head)
+    head = _head_to(min(a, size) - 1)
+    sums = np.concatenate(([0], np.cumsum(head[: min(a, size)], dtype=np.int64)))
+    if a <= size:
+        return int(sums[a])
+    k = largest_index(a)
+    i = np.arange(_GREEDY, k, dtype=np.int64)
+    t = a - triangular(k)
+    return int(sums[size]) + int((i * i + sums[i]).sum()) + t * k + int(sums[t])
+
+
+class MuTable:
+    """Read-only snapshot of mu(0..n_max), read off the head by `_mu_span`.
+
+    Raises ValueError past TABLE_LIMIT, before allocating.
+    """
+
+    def __init__(self, n_max: int = 0):
+        if n_max < 0:
+            raise ValueError("n_max must be nonnegative")
+        self._values = _mu_span(0, n_max)
+        self._values.flags.writeable = False
+
+    @property
+    def n_max(self) -> int:
+        return len(self._values) - 1
+
+    @property
+    def values(self) -> np.ndarray:
+        """Read-only uint16 array of mu(0..n_max).
+
+        Widen before arithmetic, with astype(np.int64) or a dtype=np.int64
+        argument: numpy keeps uint16 when a uint16 array meets a Python int
+        or another uint16 array, so a difference or a product wraps
+        silently.
+        """
+        return self._values
+
+    def __getitem__(self, n: int) -> int:
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        if n > self.n_max:
+            raise IndexError(f"table holds 0..{self.n_max}, asked for {n}")
+        return int(self._values[n])
 
 
 def _mu_fold(n: int) -> np.ndarray:
@@ -315,7 +347,7 @@ def _mu_fold(n: int) -> np.ndarray:
     The steps run while 2**S*w <= n, so the last leaves 2**(S+1)*w > n and
     every r <= n // w is covered.  No int64 sum wraps: entries stay at most
     2n, and 2**S*w <= n bounds each cost 2**S*i by 2n/(i-1).  Shares
-    nothing with the `MuTable` fill.
+    nothing with the head fill.
     """
     values = 2 * np.arange(n + 1, dtype=np.int64)
     for i in range(3, largest_index(n) + 1):
@@ -327,7 +359,7 @@ def _mu_fold(n: int) -> np.ndarray:
 
 
 def mu_oracle(n: int) -> int:
-    """mu(n) by the unwindowed fold of `_mu_fold`, independent of `MuTable`.
+    """mu(n) by the unwindowed fold of `_mu_fold`, independent of the head.
 
     Refuses n past ORACLE_LIMIT before allocating; the fold takes about
     4.5 s and 16 MB at that limit on a 2-vCPU machine.
@@ -386,12 +418,18 @@ def _envelope(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _bounds_columns(n_max: int) -> Iterator[list[list]]:
     """The bound profiles of n = 1..n_max as columns n, mu, lower, gauss, combined.
 
-    One list of Python lists per block of at most `_BLOCK // 4` rows.  The
-    call fills the process-wide table to n_max, or refuses an n_max out of
-    range, before any row.
+    One list of Python lists per block of at most `_BLOCK // 4` rows, each
+    reading its own span of mu.  An n_max out of range is refused at the
+    call, before any row.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    values = _shared.ensure(n_max).values
-    ns = (np.arange(lo, min(lo + _BLOCK // 4, n_max + 1)) for lo in range(1, n_max + 1, _BLOCK // 4))
-    return ([column.tolist() for column in (n, values[n], *_envelope(n))] for n in ns)
+    _check_limit(n_max)
+
+    def blocks() -> Iterator[list[list]]:
+        for lo in range(1, n_max + 1, _BLOCK // 4):
+            hi = min(lo + _BLOCK // 4, n_max + 1) - 1
+            n = np.arange(lo, hi + 1)
+            yield [column.tolist() for column in (n, _mu_span(lo, hi), *_envelope(n))]
+
+    return blocks()

@@ -9,7 +9,7 @@ measurement, not a proof (see `g_analysis`): run to 10**5, the searches
 find only the 8 and the 30 known pairs.  Both come with certificate replay:
 exact arithmetic witnesses for each hit, verifiable without trusting either
 search.  Each search lists only the (a, n) pairs that the floor
-mu(m) >= f(m) of `lower_bound` leaves and tests them against the mu table in
+mu(m) >= f(m) of `lower_bound` leaves and tests them against mu in
 vectorised blocks; only the hits are examined one by one.
 """
 
@@ -31,7 +31,7 @@ from .invariants import (
     mu_ab_oracle,
     verify_decomposition,
 )
-from .mu import _BLOCK, inverse_triangular, largest_index, mu, shared_table
+from .mu import _BLOCK, _mu_span, inverse_triangular, largest_index, mu
 
 __all__ = [
     "EMBED_DECOMPOSITIONS",
@@ -130,7 +130,7 @@ def search_mu_drop(a_max: int) -> SearchReport:
     """
     if not 4 <= a_max <= _SEARCH_CAP:
         raise ValueError(f"a_max must be in 4..{_SEARCH_CAP}")
-    values = shared_table().ensure(2 * a_max).values
+    values = _mu_span(0, 2 * a_max)
     ns = np.arange(3, a_max, dtype=np.int64)
     k = values[3:a_max].astype(np.int64) - 2
     hits = []
@@ -155,12 +155,12 @@ def search_embedding_eq(a_max: int) -> SearchReport:
     So a hit has C(n,2) > a, that is n > largest_index(a).  Its residue
     lies in 0..a-1, so n + 1 = mu(residue) <= M(a) = max mu(0..a-1).
     Only n with largest_index(a) < n <= min(a, M(a) - 1) are read: M comes
-    from one running maximum over the table, largest_index from a binary
+    from one running maximum over mu, largest_index from a binary
     search over exact integer triangular numbers.
     """
     if not 2 <= a_max <= _SEARCH_CAP:
         raise ValueError(f"a_max must be in 2..{_SEARCH_CAP}")
-    values = shared_table().ensure(a_max).values
+    values = _mu_span(0, a_max)
     a_all = np.arange(2, a_max + 1, dtype=np.int64)
     top = np.maximum.accumulate(values[:a_max]).astype(np.int64)[1:]
     i = np.arange(largest_index(a_max) + 2, dtype=np.int64)

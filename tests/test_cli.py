@@ -29,12 +29,6 @@ mu_module = importlib.import_module("quadsg.mu")
 invariants_module = importlib.import_module("quadsg.invariants")
 
 
-@pytest.fixture(autouse=True)
-def fresh_shared_table(monkeypatch):
-    # Keep the module-level memo isolated so tests cannot see each other.
-    monkeypatch.setattr(mu_module, "_shared", mu_module.MuTable())
-
-
 def run_cli(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
@@ -168,16 +162,16 @@ def test_closed_forms_past_limit_are_domain_errors(capsys):
     assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
-def test_bounds_domain_errors_byte_for_byte(capsys, monkeypatch):
-    # Both are refused before any row and leave the shared table as it was.
-    monkeypatch.setattr(mu_module, "_shared", mu_module.MuTable(10))
+def test_bounds_domain_errors_byte_for_byte(capsys, fresh_head):
+    # Both are refused before any row and leave the head as it was.
+    mu_module._head_to(10)
     assert run_cli(capsys, "bounds", "--n-max", "0") == (1, "", "error: n_max must be at least 1\n")
     assert run_cli(capsys, "bounds", "--n-max", "100000001") == (
         1,
         "",
         "error: mu table is limited to n <= 100000000, asked for 100000001\n",
     )
-    assert q.shared_table().n_max == 10
+    assert mu_module._filled == q.triangular(q.largest_index(10) + 1) - 1
 
 
 @pytest.mark.parametrize(
@@ -187,22 +181,28 @@ def test_bounds_domain_errors_byte_for_byte(capsys, monkeypatch):
         (("invariants", "--sweep", "--a-max", "3000", "--b-max", "17"), 2999),
     ],
 )
-def test_streams_grow_the_table_in_one_call(capsys, monkeypatch, argv, n_max):
-    # `bounds` and the sweep fill a fresh table to their last n with one
-    # growing `ensure`, not block by block.
-    grown = []
-    ensure = mu_module.MuTable.ensure
+def test_streams_read_mu_block_by_block(capsys, monkeypatch, fresh_head, argv, n_max):
+    # `bounds` and the sweep read mu one span per block, together exactly
+    # the n they print, and fill the head no further than their last n's
+    # level.
+    spans = []
+    span = mu_module._mu_span
 
-    def counted(table, n):
-        if n > table.n_max:
-            grown.append(n)
-        return ensure(table, n)
+    def counted(lo, hi):
+        spans.append((lo, hi))
+        return span(lo, hi)
 
-    monkeypatch.setattr(mu_module.MuTable, "ensure", counted)
+    monkeypatch.setattr(mu_module, "_mu_span", counted)
+    monkeypatch.setattr(invariants_module, "_mu_span", counted)
     code, _, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
-    assert grown == [n_max]
-    assert q.shared_table().n_max == n_max
+    # The sweep's exceptional pairs take F from `frobenius`, which reads mu(0..a-1).
+    spans = [(lo, hi) for lo, hi in spans if lo > 0]
+    assert len(spans) > 1
+    assert [lo for lo, _ in spans] == [1] + [hi + 1 for _, hi in spans[:-1]]
+    assert spans[-1][1] == n_max
+    size = len(mu_module._head)
+    assert mu_module._filled == min(size, q.triangular(q.largest_index(n_max) + 1)) - 1
 
 
 def test_sweep_past_limit_is_domain_error(capsys):

@@ -199,17 +199,17 @@ def test_invariant_summary(capsys):
     assert invariants(1, 1) == (1, "", "error: S(1,1) is trivial; operation needs a >= 2 and b >= 1\n")
 
 
-def test_sweep_matches_pair_by_pair(monkeypatch):
-    # The benchmark's grid.  The scan fills the table once, to a_max - 1.
-    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
+def test_sweep_matches_pair_by_pair(fresh_head):
+    # The benchmark's grid.  The scan fills the head only to the end of the
+    # level of a_max - 1, in the four blocks of the head fill to 405.
     assert list(sweep_rows(400, 10)) == summaries_pair_by_pair(400, 10)
-    assert q.shared_table().n_max == 399
+    assert mu_module._filled == q.triangular(q.largest_index(399) + 1) - 1 == 405
+    assert len(list(mu_module._blocks(28, 405))) == 4
 
 
-def test_bounds_floats_equal_the_scalar_expressions(monkeypatch):
+def test_bounds_floats_equal_the_scalar_expressions():
     # The sweep takes the terms in a alone once per a; every float must
     # still be the one the pair-by-pair expressions give, not merely close.
-    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
     for a, b, *_, f_low, f_high, g_low, g_high in sweep_rows(400, 10):
         assert (f_low, f_high, g_low, g_high) == invariant_bounds_plain(a, b), (a, b)
     a = 10**6 + 1
@@ -266,7 +266,6 @@ def per_a_reference():
 def test_scan_matches_per_a_reference(block, monkeypatch):
     # With a 64-entry cap a block holds at most 8 pairs, so M, the last n
     # of each level and the sum carry across hundreds of block edges.
-    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
     expected = per_a_reference()
     if block is not None:
         monkeypatch.setattr(invariants_module, "_BLOCK", block)
@@ -279,10 +278,9 @@ def test_scan_matches_per_a_reference(block, monkeypatch):
     }
 
 
-def test_sweep_streams_in_bounded_memory(monkeypatch):
+def test_sweep_streams_in_bounded_memory():
     # The size check allows a = 2 with 5*10**7 values of b; its first rows
     # come from one capped block, not from a 2 x b_max array.
-    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
     tracemalloc.start()
     try:
         rows = list(itertools.islice(sweep_rows(3, 50_000_000), 1000))
@@ -294,50 +292,38 @@ def test_sweep_streams_in_bounded_memory(monkeypatch):
     assert peak < 8 << 20, peak
 
 
-def test_sweep_block_is_not_cut_by_table_growth(monkeypatch):
-    # The scan fills a fresh table to a_max - 1 before its first block, so
-    # a grid within one block's cap comes in one block.
-    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
+def test_sweep_block_is_not_cut_by_table_growth(fresh_head):
+    # A grid within one block's cap comes in one block, read off one span
+    # of mu from a fresh head.
     blocks = list(invariants_module._sweep_columns(400, 10))
     assert len(blocks) == 1
-    assert blocks[0][0][-1] == 400 and q.shared_table().n_max == 399
+    assert blocks[0][0][-1] == 400 and mu_module._filled == 405
 
 
-def test_closed_forms_refuse_oversized_a_before_allocating(monkeypatch):
+def test_closed_forms_refuse_oversized_a_before_allocating(fresh_head):
     s = q.make_semigroup(10**11, 1)
-    monkeypatch.setattr(mu_module, "_shared", q.MuTable(10))
+    mu_module._head_to(10)
     tracemalloc.start()
     try:
         for closed_form in (q.apery_closed, q.frobenius, q.genus):
             with pytest.raises(ValueError, match="limited"):
                 closed_form(s)
-        # The table holds a = 10**7 + 1, but its Apery set is over the
-        # 10**7 elements a closed form returns in one tuple.
+        # mu serves a = 10**7 + 1, but its Apery set is over the 10**7
+        # elements a closed form returns in one tuple.
         with pytest.raises(ValueError, match="limited to 10000000 elements"):
             q.apery_closed(q.make_semigroup(10**7 + 1, 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert q.shared_table().n_max == 10
+    assert mu_module._filled == q.triangular(q.largest_index(10) + 1) - 1
 
 
-def test_closed_forms_grow_the_table_geometrically(monkeypatch):
-    # Per-pair calls at ascending a double the table rather than copy it at
-    # every a: one step past a = 1000 grows it to twice what it held.
-    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
-    q.genus(q.make_semigroup(1000, 1))
-    assert q.shared_table().n_max == 999
-    q.genus(q.make_semigroup(1001, 1))
-    assert len(q.shared_table().values) >= 1998
-
-
-def test_closed_forms_exact_past_int64(monkeypatch):
+def test_closed_forms_exact_past_int64():
     # The benchmark's sweep grid, the exceptional pairs, and two pairs whose
     # Apery elements pass 2**63, where an int64 computation would wrap.
     pairs = [(a, b) for a in range(2, 401) for b in range(1, 11) if math.gcd(a, b) == 1]
     pairs += sorted(q.EXCEPTIONAL_PAIRS) + [(5, 10**20 + 1), (1001, 2**62 + 1)]
-    monkeypatch.setattr(mu_module, "_shared", q.MuTable(1000))
     for a, b in pairs:
         s = q.make_semigroup(a, b)
         plain = apery_closed_plain(s)
@@ -358,9 +344,8 @@ def edge_of_oracle_guard(a):
 
 
 @pytest.mark.parametrize("a", [2, 29, 64, 1000, 1999])
-def test_closed_forms_match_oracle_at_int64_guard(a, monkeypatch):
+def test_closed_forms_match_oracle_at_int64_guard(a):
     below, past = edge_of_oracle_guard(a)
-    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
     s = q.make_semigroup(a, below)
     assert q.apery_closed(s).elements == q.apery_oracle(s).elements
     assert q.frobenius(s) == q.frobenius_oracle(s)
@@ -369,8 +354,7 @@ def test_closed_forms_match_oracle_at_int64_guard(a, monkeypatch):
         q.apery_oracle(q.make_semigroup(a, past))
 
 
-def test_frobenius_genus_speed_at_a_million(monkeypatch):
-    monkeypatch.setattr(mu_module, "_shared", q.MuTable(10**6))
+def test_frobenius_genus_speed_at_a_million():
     s = q.make_semigroup(10**6 + 1, 1)
     start = time.perf_counter()
     q.frobenius(s)
@@ -378,10 +362,10 @@ def test_frobenius_genus_speed_at_a_million(monkeypatch):
     assert time.perf_counter() - start < 0.5
 
 
-def test_frobenius_and_genus_read_the_table_in_blocks(monkeypatch):
-    # F widens one fixed-size block of the uint16 table at a time and g sums
-    # it in place; a lift array widened whole would take about 228 MiB here.
-    monkeypatch.setattr(mu_module, "_shared", q.MuTable(10**7))
+def test_frobenius_and_genus_read_the_table_in_blocks(fresh_head):
+    # F reads and widens one fixed-size block of mu at a time and g sums
+    # levels off the head; a lift array widened whole would take about
+    # 228 MiB here.
     s = q.make_semigroup(10**7 + 1, 1)
     tracemalloc.start()
     try:
@@ -395,8 +379,7 @@ def test_frobenius_and_genus_read_the_table_in_blocks(monkeypatch):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("b", [1, 2])
-def test_closed_vs_oracle_at_a_100001(b, monkeypatch):
-    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
+def test_closed_vs_oracle_at_a_100001(b):
     s = q.make_semigroup(10**5 + 1, b)
     assert q.apery_closed(s).elements == q.apery_oracle(s).elements
     assert q.minimal_generators_oracle(s).indices == q.minimal_generators_closed(s).indices
@@ -404,11 +387,11 @@ def test_closed_vs_oracle_at_a_100001(b, monkeypatch):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("a", sorted(AT_SCALE))
-def test_invariants_inside_bounds_at_scale(a, capsys, monkeypatch):
-    # The table fills inside the trace at 2 bytes per entry, and F and g add
-    # only their fixed-size blocks; at a = 10**8 - 1 a lift array widened
-    # whole would take several GB.
-    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
+def test_invariants_inside_bounds_at_scale(a, capsys, fresh_head):
+    # F streams a fixed-size block of mu at a time and g sums levels off
+    # the head, so neither holds anything of size a: at a = 10**8 - 1 F
+    # streams 10**8 entries, and a lift array widened whole would take
+    # several GB.
     s = q.make_semigroup(a, 1)
     tracemalloc.start()
     try:
@@ -423,15 +406,14 @@ def test_invariants_inside_bounds_at_scale(a, capsys, monkeypatch):
     assert (f, g) == AT_SCALE[a]
     assert f_low <= f <= f_high
     assert g_low <= g <= g_high
-    assert peak < 2 * a + (8 << 20), peak
+    assert peak < 8 << 20, peak
 
 
 @pytest.mark.slow
-def test_closed_vs_oracle_to_a_1000_b_50(monkeypatch):
+def test_closed_vs_oracle_to_a_1000_b_50():
     # Every coprime pair with a <= 1000 and b <= 50 (30,637 of them): the
     # closed Apery set against the oracle, and the sweep's row against F
     # and g (Selmer's formula) read off that same oracle array.
-    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
     rows = sweep_rows(1000, 50)
     pairs = [(a, b) for a in range(2, 1001) for b in range(1, 51) if math.gcd(a, b) == 1]
     for (a, b), row in zip(pairs, rows, strict=True):
@@ -444,18 +426,15 @@ def test_closed_vs_oracle_to_a_1000_b_50(monkeypatch):
 
 
 @pytest.mark.slow
-def test_decade_profile_to_a_hundred_million(capsys, monkeypatch):
+def test_decade_profile_to_a_hundred_million(capsys):
     # F/a^1.5 and g/a^1.5 at b = 1 for every a < 10**8, from the sweep's
     # block scan, reported per decade: the least and largest ratio over the
-    # decade and the ratio at its last a.  Beside the table, only the
-    # scan's blocks are held.
+    # decade and the ratio at its last a.  Only the scan's blocks are held.
     a_max = 10**8 - 1
-    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
     edges = 10 ** np.arange(10)
     decades, pinned = {}, {}
     tracemalloc.start()
     try:
-        q.shared_table().ensure(a_max - 1)
         for a, _, f, g in invariants_module._scan(a_max, 1):
             first, ratios = int(a[0]), np.stack([f, g]) / a**1.5
             for k in range(len(str(first)) - 1, len(str(int(a[-1])))):
@@ -472,7 +451,7 @@ def test_decade_profile_to_a_hundred_million(capsys, monkeypatch):
     finally:
         tracemalloc.stop()
     assert pinned == AT_SCALE
-    assert peak < 2 * a_max + (8 << 20), peak
+    assert peak < 8 << 20, peak
     limits = np.array([math.sqrt(2.0), 2.0 * math.sqrt(2.0) / 3.0])
     ends = np.array([decades[k][2] for k in range(3, 8)])
     fit = np.polyfit(np.log(edges[4:9] - 1.0), np.log(ends - limits), 1)[0]

@@ -1,4 +1,4 @@
-"""mu values, the growable table, the fold oracle and bounds."""
+"""mu values, the head and its level rule, the fold oracle and bounds."""
 
 import ast
 import hashlib
@@ -22,17 +22,18 @@ mu_module = importlib.import_module("quadsg.mu")
 PLAIN_LIMIT = 3000
 GROWTH_LIMIT = 3 * 10**5
 
-# sha256 of MuTable(n).values.tobytes(), taken from the chunked fill that
-# came before the level blocks; the level blocks must write the same bytes.
+# sha256 of the bytes of mu(0..n) as uint16, taken from the chunked fill of
+# an earlier table; the head and the level rule must give the same bytes.
 TABLE_SHA256 = {
     400: "91e1fb719d04da647ca83622e895a23defd58fe078655dab16873ecc78b25f16",
     4950: "2b6d03b32aaba8f7b560b382856e1f95a95fdededaf9c23789aa00aba9246cb6",
     1_999_000: "553eedac45410c590c1a6a17238107d454bf7b6ca0f6e8892119390cb5c88f6d",
     10**7: "3efc41da00e095bda517377232701618c285bafc8dde9378d7c2a03cf080cf6b",
 }
-# The same for one table grown by ensure to each of these n in turn.
-GROWTH_STEPS = (1, 2, 3, 100, 2015, 2016, 2017, 5000, 70_000, 1_999_000, 1 << 22)
-GROWN_SHA256 = "ec4fd833ec032815cb46ddada111fb4c4306d0259e1a7dfa9b4ef849d5268ab5"
+# The same for mu(0..2**22), read after the head filled forward to each of
+# these n in turn.
+HEAD_STEPS = (1, 2, 3, 100, 2015, 2016, 2017, 5000, 70_000)
+STEPPED_SHA256 = "ec4fd833ec032815cb46ddada111fb4c4306d0259e1a7dfa9b4ef849d5268ab5"
 LIMIT_SHA256 = "f594d3d5cd6a176d14a0fafeb1c344a6e4dd5658670e494df08a8b163cc05df3"
 
 # Hand-enumerable small cases (every partition written out by hand) and
@@ -104,21 +105,29 @@ def test_frozen_values(table, plain):
 
 def test_table_matches_plain_dp(table, plain):
     assert np.array_equal(table.values, np.array(plain))
-    # The head the fill copies rather than computes.
-    assert list(mu_module._HEAD) == plain[: len(mu_module._HEAD)]
+    # The entries the fill copies rather than computes.
+    assert list(mu_module._BASE) == plain[: len(mu_module._BASE)]
 
 
 def _sha256(values):
     return hashlib.sha256(values.tobytes()).hexdigest()
 
 
-def test_table_bytes_are_pinned():
+def _streamed_sha256(n_max):
+    # The digest of mu(0..n_max) hashed one `_mu_span` block at a time.
+    digest = hashlib.sha256()
+    for lo in range(0, n_max + 1, 1 << 16):
+        digest.update(mu_module._mu_span(lo, min(lo + (1 << 16), n_max + 1) - 1).tobytes())
+    return digest.hexdigest()
+
+
+def test_table_bytes_are_pinned(fresh_head):
+    for n in HEAD_STEPS:
+        mu_module._head_to(n)
+    assert _streamed_sha256(1 << 22) == STEPPED_SHA256
     for n, digest in TABLE_SHA256.items():
-        assert _sha256(q.MuTable(n).values) == digest, n
-    grown = q.MuTable()
-    for n in GROWTH_STEPS:
-        grown.ensure(n)
-    assert _sha256(grown.values) == GROWN_SHA256
+        assert _streamed_sha256(n) == digest, n
+    assert _sha256(q.MuTable(1_999_000).values) == TABLE_SHA256[1_999_000]
 
 
 def test_matches_exhaustive_oracle(table, fold):
@@ -141,7 +150,7 @@ def test_fold_shares_nothing_with_the_fill():
     tree = ast.parse(inspect.getsource(mu_module._mu_fold))
     loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     loaded |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    fill = {"MuTable", "_blocks", "_fill_block", "_DEPTH", "_GREEDY", "_HEAD", "_shared"}
+    fill = {"MuTable", "_blocks", "_fill_block", "_DEPTH", "_GREEDY", "_BASE", "_head", "_head_to", "_mu_span"}
     assert loaded & fill == set()
 
 
@@ -173,47 +182,70 @@ def test_subadditive(table):
         assert np.all(lhs >= values[2 * i : 1501])
 
 
-def test_extension_matches_fresh_build():
-    grown = q.MuTable()
+def test_extension_matches_fresh_build(fresh_head):
+    # The head filled forward in steps holds what one fill to its end writes.
     for target in (1, 7, 50, 512, 1300):
-        grown.ensure(target)
-    fresh = q.MuTable(grown.n_max)
-    assert np.array_equal(grown.values, fresh.values)
+        mu_module._head_to(target)
+    end = mu_module._filled
+    assert end == q.triangular(q.largest_index(1300) + 1) - 1
+    stepped = mu_module._head[: end + 1].copy()
+    mu_module._filled = -1
+    mu_module._head[:] = 0
+    assert np.array_equal(mu_module._head_to(end)[: end + 1], stepped)
 
 
-def test_growth_in_random_steps_matches_fold(fold):
-    # Each pass grows one table by seeded random ensure steps and ends a
-    # fill exactly at every mark, so the next fill starts right after it:
-    # level starts C(j,2) - 1, C(j,2) and C(j,2) + 1, two of them the
-    # starts of blocks of a fresh fill, the first past 2**14 and 2**17.
-    # The random steps stop at a quarter of each mark, so the fill that
-    # ends at the mark spans many blocks, and most fills start mid-level.
-    starts = [start for start, _, _ in mu_module._blocks(28, GROWTH_LIMIT)]
-    block_starts = [next(s for s in starts if s > m) for m in (1 << 14, 1 << 17)]
+def test_growth_in_random_steps_matches_fold(fresh_head, fold):
+    # The head fills forward in seeded random steps, each to the end of a
+    # level, with a stop at the end of every mark's level: among them
+    # C(417,2) - 1, so the next fill starts a block at level 417, the last
+    # one below the greedy rule, and C(418,2) - 1, the head's last entry.
+    # Then every n to GROWTH_LIMIT, read by the level rule past the head,
+    # has the fold's value.
     rng = random.Random(8)
-    for d in (-1, 0, 1):
-        marks = sorted([q.triangular(j) + d for j in (10, 100, 400, 774)] + [s + d for s in block_starts])
-        grown = q.MuTable()
-        for mark in marks:
-            while grown.n_max < mark // 4:
-                grown.ensure(rng.randint(grown.n_max + 1, mark // 4))
-            grown.ensure(mark)
-            assert grown.n_max == mark
-        grown.ensure(GROWTH_LIMIT)
-        mismatches = np.flatnonzero(grown.values[: GROWTH_LIMIT + 1] != fold)
-        assert mismatches.size == 0, (d, mismatches[:5])
+    for j in (10, 100, 400, 417, 418):
+        mark = q.triangular(j) - 1
+        for _ in range(3):
+            if mu_module._filled < mark:
+                n = rng.randint(mu_module._filled + 1, mark)
+                assert mu_module._mu_span(n, n)[0] == fold[n], n
+        mismatches = np.flatnonzero(mu_module._mu_span(0, mark) != fold[: mark + 1])
+        assert mismatches.size == 0, (j, mismatches[:5])
+        assert mu_module._filled == mark
+    mismatches = np.flatnonzero(mu_module._mu_span(0, GROWTH_LIMIT) != fold)
+    assert mismatches.size == 0, mismatches[:5]
+
+
+def test_spans_and_scalar_match_fold(fold):
+    # Seeded windows of `_mu_span` that straddle levels 417/418 and later
+    # level ends, and lone n, against the fold; the scalar `mu` reads what
+    # `_mu_span(n, n)` reads.
+    rng = random.Random(35)
+    ends = [q.triangular(j) for j in (417, 418, 419, 500, 774)]
+    windows = [(t - d, t + e) for t in ends for d, e in ((1, 0), (0, 1), (5, 5), (400, 700))]
+    windows += [(lo, lo + rng.randrange(1 << 17)) for lo in rng.sample(range(GROWTH_LIMIT - (1 << 17)), 20)]
+    for lo, hi in windows:
+        mismatches = np.flatnonzero(mu_module._mu_span(lo, hi) != fold[lo : hi + 1])
+        assert mismatches.size == 0, (lo, hi, mismatches[:5])
+    for n in [0, 27, 28, *(t + d for t in ends for d in (-1, 0, 1)), *rng.sample(range(10**8), 200), 10**8]:
+        assert q.mu(n) == int(mu_module._mu_span(n, n)[0]), n
+        if n <= GROWTH_LIMIT:
+            assert q.mu(n) == fold[n], n
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
-def test_fill_at_many_chunk_boundaries(chunk, fold, monkeypatch):
+def test_fill_at_many_chunk_boundaries(chunk, fold, fresh_head, monkeypatch):
     # Blocks capped at `chunk` entries: one level per block, or a few
-    # where the block cut allows, so the block depth and the cut are taken
-    # afresh at every level, each entry checked against the fold.
+    # where the block cut allows, so the cut is taken afresh at every
+    # level, in the head fill and in spans past it, each entry checked
+    # against the fold.
     monkeypatch.setattr(mu_module, "_BLOCK", chunk)
     n_max = 4000
-    for start, end, _ in mu_module._blocks(28, n_max):
+    for start, end in mu_module._blocks(28, n_max):
         assert end - start < chunk or q.largest_index(start) == q.largest_index(end)
     mismatches = np.flatnonzero(q.MuTable(n_max).values != fold[: n_max + 1])
+    assert mismatches.size == 0, (chunk, mismatches[:5])
+    lo, hi = q.triangular(417) - 5, q.triangular(430) + 5
+    mismatches = np.flatnonzero(mu_module._mu_span(lo, hi) != fold[lo : hi + 1])
     assert mismatches.size == 0, (chunk, mismatches[:5])
 
 
@@ -221,9 +253,9 @@ def test_fill_at_many_chunk_boundaries(chunk, fold, monkeypatch):
 def test_fill_window_keeps_an_optimal_partition(chunk, largest_optimal, monkeypatch):
     # Every n from 28 to 2*10**5 has an optimal partition, read off the
     # fold, whose largest index lies in its level's window i - depth..i
-    # under the fill's rule, so the rule cuts off no optimum; nor does the
-    # depth of the block the fill puts the level in, with blocks capped at
-    # `chunk` entries.
+    # under the level rule, so the rule cuts off no optimum; and every
+    # block, with blocks capped at `chunk` entries, lies on one side of
+    # level 418, so it takes its levels' depth.
     if chunk is not None:
         monkeypatch.setattr(mu_module, "_BLOCK", chunk)
     n_max = 2 * 10**5
@@ -233,23 +265,28 @@ def test_fill_window_keeps_an_optimal_partition(chunk, largest_optimal, monkeypa
     n = np.arange(28, n_max + 1)
     outside = n[(top[28:] < (level - depth)[28:]) | (top[28:] > level[28:])]
     assert outside.size == 0, outside[:5]
-    block_k = np.zeros(n_max + 1, dtype=np.int64)
-    for start, end, d in mu_module._blocks(28, n_max):
-        block_k[start : end + 1] = level[start : end + 1] - d
-    short = np.flatnonzero(top[28:] < block_k[28:]) + 28
-    assert short.size == 0, (chunk, short[:5])
+    size = len(mu_module._head)
+    assert size == q.triangular(mu_module._GREEDY)
+    assert all(end < size for _, end in mu_module._blocks(28, size - 1))
+    assert all(start >= size for start, _ in mu_module._blocks(size, n_max))
 
 
 def _walk(steps):
-    # The blocks the fill writes for a table grown to each of steps in turn.
-    lo = 1
-    for hi in steps:
-        yield from mu_module._blocks(max(lo, 28), hi)
-        lo = hi + 1
+    # The blocks (start, end, depth) that serve mu(0..n) for each n of
+    # steps in turn: the head fill's at depth 3, each to a level's end, then
+    # the span's at depth 0.
+    lo, size = 0, len(mu_module._head)
+    for n in steps:
+        hi = min(q.triangular(q.largest_index(n) + 1), size) - 1
+        if hi >= lo:
+            yield from ((start, end, mu_module._DEPTH) for start, end in mu_module._blocks(max(lo, 28), hi))
+            lo = hi + 1
+    if steps[-1] >= size:
+        yield from ((start, end, 0) for start, end in mu_module._blocks(size, steps[-1]))
 
 
 @pytest.mark.parametrize(
-    "steps", [(q.triangular(2000),), (10**7,), GROWTH_STEPS], ids=["c2000", "1e7", "grown"]
+    "steps", [(q.triangular(2000),), (10**7,), HEAD_STEPS + (1 << 22,)], ids=["c2000", "1e7", "grown"]
 )
 def test_every_block_reads_only_entries_below_it(steps):
     # The whole rectangle each block reads, extra columns included: rows
@@ -271,16 +308,21 @@ def test_every_block_reads_only_entries_below_it(steps):
     assert last == steps[-1]
 
 
-def test_fill_work_counts_at_c_2000():
-    # certify's fill.  The chunked fill before the level blocks walked 163
-    # chunks and 2,696 part-index passes.
-    blocks = list(mu_module._blocks(28, q.triangular(2000)))
-    assert len(blocks) == 36
-    assert sum(depth + 1 for *_, depth in blocks) == 57
+def test_fill_work_counts_at_c_2000(fresh_head):
+    # certify's fill: its gather to C(2000,2) reads the head at C(417,2), so
+    # it fills the whole head in 7 blocks and 28 part-index passes.  Growing
+    # one table to C(2000,2) took 36 blocks and 57 passes, and the chunked
+    # fill before the level blocks 163 chunks and 2,696 passes.
+    i = np.arange(2, 2001, dtype=np.int64)
+    mu_module._mu_gather(i, np.zeros_like(i))
+    assert mu_module._filled == len(mu_module._head) - 1
+    blocks = list(mu_module._blocks(28, len(mu_module._head) - 1))
+    assert len(blocks) == 7
+    assert (mu_module._DEPTH + 1) * len(blocks) == 28
 
 
 def test_depth_census_from_the_fold(largest_optimal):
-    # The census in `MuTable`'s docstring: the least depth that keeps an
+    # The census in `_head_to`'s docstring: the least depth that keeps an
     # optimal partition of every n on the level, read off the fold, is 0,
     # 1, 2 and 3 on 303, 97, 9 and 1 of the levels 8..417, and 0 on every
     # level from 418 to 774, the last whole level below 3*10**5.
@@ -312,10 +354,10 @@ def test_greedy_identity_past_level_417(fold):
 
 
 def test_greedy_identity_to_the_table_limit(fold):
-    # The fill's rule from level _GREEDY to the table's top, from the fold
-    # alone, never the table.  Levels _GREEDY..774 are checked directly;
+    # The level rule from level _GREEDY to the top level served, from the
+    # fold alone, never the head.  Levels _GREEDY..774 are checked directly;
     # on every level i from 745 to largest_index(TABLE_LIMIT) the proof in
-    # `MuTable`'s docstring needs, with U = i + max mu(0..i-1), lo = C(i,2)
+    # `_mu_span`'s docstring needs, with U = i + max mu(0..i-1), lo = C(i,2)
     # and k1 = max(2, 1 + ceil(2*lo/U)), that 2*k1 >= U, that C(i-2,2) +
     # C(U-i+2,2) < lo, and that mu(r+i-1) - mu(r) >= 1 for every r < i.
     assert _greedy_failing_levels(fold, mu_module._GREEDY, 774).size == 0
@@ -333,35 +375,41 @@ def test_greedy_identity_to_the_table_limit(fold):
 
 
 def test_table_is_uint16_within_its_bound():
-    # The MuTable docstring's bound on every sum the fill forms.
-    assert math.ceil(q.gauss_bound(q.TABLE_LIMIT)) + q.largest_index(q.TABLE_LIMIT) < 2**16
+    # The bounds of `_head_to` and `_mu_span` on every sum they form: mu(m)
+    # plus a part index below 418 in the head, i + mu(r) with r < i <=
+    # 14,142 past it.
+    top = q.largest_index(q.TABLE_LIMIT)
+    size = len(mu_module._head)
+    assert math.ceil(q.gauss_bound(size - 1)) + mu_module._GREEDY - 1 < 2**16
+    assert math.ceil(q.gauss_bound(top - 1)) + top < 2**16
     tracemalloc.start()
     try:
-        table = q.MuTable(q.triangular(2000))
+        values = mu_module._mu_span(0, q.triangular(2000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert table.values.dtype == np.uint16
+    assert values.dtype == np.uint16
     # 2 bytes per entry is 4 MB; int64 entries alone would be 16 MB.
     assert peak < 6 << 20, peak
 
 
-def test_fill_speed_at_c_2000():
-    # certify fills the table to C(2000,2) in a fresh process.  The fastest
-    # of three fresh fills is timed, so one scheduling stall does not count.
+def test_fill_speed_at_c_2000(fresh_head):
+    # certify's fill: the whole head, in a fresh process.  The fastest of
+    # three fresh fills is timed, so one scheduling stall does not count.
     times = []
     for _ in range(3):
+        mu_module._filled = -1
         start = time.perf_counter()
-        table = q.MuTable(q.triangular(2000))
+        mu_module._head_to(len(mu_module._head) - 1)
         times.append(time.perf_counter() - start)
-    assert min(times) < 0.3, times
-    assert table[q.triangular(2000)] == 2000
+    assert min(times) < 0.1, times
+    assert q.mu(q.triangular(2000)) == 2000
 
 
 def test_fill_speed_at_ten_million():
-    # Past level 417 every level takes one part index, one pass per block;
-    # the linear bound alone, in the chunked fill before the level blocks,
-    # took about 1.1 s on a 2-vCPU machine.
+    # Past level 417 every level is the greedy copy of the head, one pass
+    # per block; the linear bound alone, in the chunked fill before the
+    # level blocks, took about 1.1 s on a 2-vCPU machine.
     times = []
     for _ in range(3):
         start = time.perf_counter()
@@ -371,17 +419,49 @@ def test_fill_speed_at_ten_million():
     assert table[q.triangular(4472)] == 4472
 
 
+def test_level_sums_match_span_sums():
+    # `_mu_sum(a)` from level sums against a running sum of mu(0..a-1) over
+    # `_mu_span` blocks: around the head's end C(418,2), at level ends, and
+    # at seeded a.  `genus` at 10**8 - 1 is pinned in the next test.
+    rng = random.Random(36)
+    ends = [q.triangular(j) + d for j in (8, 100, 417, 418, 419, 420, 1000, 4472) for d in (-1, 0, 1)]
+    targets = sorted({1, 2, *ends, *rng.sample(range(1, 10**7), 30), 10**7 + 1})
+    total = lo = 0
+    for a in targets:
+        while lo < a:
+            hi = min(a, lo + (1 << 20))
+            total += int(mu_module._mu_span(lo, hi - 1).sum(dtype=np.int64))
+            lo = hi
+        assert mu_module._mu_sum(a) == total, a
+
+
+def test_memory_stays_flat_at_the_limit():
+    # The scalar mu at 10**8 fills the head only to mu(r), r < 14,142, and
+    # the genus at 10**8 - 1 sums levels off the head's prefix sums: neither
+    # holds anything of size a.
+    s = q.make_semigroup(10**8 - 1, 1)
+    tracemalloc.start()
+    try:
+        assert q.mu(10**8) == 14_142 + q.mu(10**8 - q.triangular(14_142))
+        g = q.genus(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g == 953_011_630_009
+    assert peak < 8 << 20, peak
+
+
 @pytest.mark.slow
 def test_full_table_at_limit():
+    assert _streamed_sha256(q.TABLE_LIMIT) == LIMIT_SHA256
     values = q.MuTable(q.TABLE_LIMIT).values
     assert _sha256(values) == LIMIT_SHA256
-    # Every level from 8 to the last, 14,142, fits in a block of its own
-    # at the depth of the fill's rule (see `MuTable`).
+    # Every level from 8 to 417 fits in a block of its own at depth 3 (see
+    # `_head_to`).
     top = q.largest_index(q.TABLE_LIMIT)
     assert top == 14_142
-    i = np.arange(8, top + 1)
-    depth = np.where(i < mu_module._GREEDY, mu_module._DEPTH, 0)
-    assert ((depth + 1) * i - 1 - depth * (depth + 1) // 2 < i * (i - 1) // 2).all()
+    i = np.arange(8, mu_module._GREEDY)
+    assert (4 * i - 7 < i * (i - 1) // 2).all()
     i = np.arange(2, q.largest_index(q.TABLE_LIMIT) + 1, dtype=np.int64)
     assert np.array_equal(values[i * (i - 1) // 2], i)
     # The envelope at every n, a block of 2**20 at a time.
@@ -397,11 +477,13 @@ def test_full_table_at_limit():
     print(f"\nsmallest ceiling slack up to {q.TABLE_LIMIT}: {slack:.3f}")
 
 
-def test_mu_function_extends_given_table(monkeypatch):
-    # mu reads the process-wide table and grows it on demand.
-    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
+def test_mu_function_extends_given_table(fresh_head):
+    # mu reads the head and fills it on demand, to the end of the level it
+    # reads: n's own below level 418, r's for n = C(i,2) + r from there on.
     assert q.mu(26) == 13
-    assert q.shared_table().n_max >= 26
+    assert mu_module._filled == q.triangular(8) - 1
+    assert q.mu(q.triangular(5000) + 1000) == 5000 + q.mu(1000)
+    assert mu_module._filled == q.triangular(q.largest_index(1000) + 1) - 1
     with pytest.raises(ValueError):
         q.mu(-1)
 
@@ -418,16 +500,16 @@ def test_getitem_bounds(table):
         table[table.n_max + 1]
     with pytest.raises(ValueError):
         q.MuTable(-1)
-    with pytest.raises(ValueError):
-        q.MuTable().ensure(-1)
 
 
-def test_ensure_below_n_max_keeps_the_table():
-    table = q.MuTable(10)
-    before = table.values.copy()
-    assert table.ensure(5) is table
-    assert table.n_max == 10
-    assert np.array_equal(table.values, before)
+def test_ensure_below_n_max_keeps_the_table(fresh_head):
+    # A read below the head's fill mark fills nothing and keeps its bytes.
+    mu_module._head_to(100)
+    filled, before = mu_module._filled, mu_module._head.copy()
+    assert mu_module._head_to(5) is mu_module._head
+    assert q.MuTable(50).n_max == 50
+    assert mu_module._filled == filled
+    assert np.array_equal(mu_module._head, before)
 
 
 def test_oracle_domain():
@@ -508,8 +590,7 @@ def test_envelope_equals_the_scalar_bounds():
     assert combined == [q.combined_bound(n) for n in ns]
 
 
-def test_bound_profiles_shape(monkeypatch):
-    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
+def test_bound_profiles_shape():
     rows = bound_rows(10)
     assert [row[0] for row in rows] == list(range(1, 11))
     assert rows[0] == (1, 2, 2.0, q.gauss_bound(1), 5.0)
@@ -522,28 +603,18 @@ def test_bound_profiles_shape(monkeypatch):
         mu_module._bounds_columns(q.TABLE_LIMIT + 1)
 
 
-def test_bound_profiles_grow_table_to_n_max(monkeypatch):
-    # The call fills the table to exactly n_max: growing it by doubling
-    # from n = 1 would end it at n = 2**20.
-    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
-    assert len(bound_rows(600_000)) == 600_000
-    assert q.shared_table().n_max == 600_000
-    # A table already past n_max still ends the rows at n_max.
-    assert len(bound_rows(10)) == 10
-
-
-def test_bound_profiles_come_in_full_chunks(monkeypatch):
-    # Blocks are cut at `_BLOCK // 4` rows and n_max alone.
-    monkeypatch.setattr(mu_module, "_shared", q.MuTable())
-    sizes = [len(block[0]) for block in mu_module._bounds_columns(100_000)]
+def test_bound_profiles_come_in_full_chunks():
+    # Blocks are cut at `_BLOCK // 4` rows and n_max alone, and each block's
+    # mu column is the span of its n.
+    blocks = list(mu_module._bounds_columns(100_000))
     rows = mu_module._BLOCK // 4
     assert rows == 1 << 14
-    assert sizes == [rows] * 6 + [100_000 - 6 * rows]
+    assert [len(block[0]) for block in blocks] == [rows] * 6 + [100_000 - 6 * rows]
+    assert [m for block in blocks for m in block[1]] == mu_module._mu_span(1, 100_000).tolist()
 
 
-def test_bounds_csv(monkeypatch, capsys):
+def test_bounds_csv(capsys):
     # The bounds CSV is written by the CLI renderer from `_bounds_columns`.
-    monkeypatch.setattr(mu_module, "_shared", mu_module.MuTable())
     assert cli.run(["bounds", "--n-max", "12", "--format", "csv"]) == 0
     text = capsys.readouterr().out
     lines = text.splitlines()
@@ -555,22 +626,25 @@ def test_bounds_csv(monkeypatch, capsys):
     assert row10[:3] == ["10", "5", "5"]
 
 
-def test_ensure_refuses_past_limit_before_allocating():
+def test_ensure_refuses_past_limit_before_allocating(fresh_head):
+    # Every reader of mu refuses an n past TABLE_LIMIT before allocating
+    # anything of its size, and leaves the head unfilled.
     assert q.TABLE_LIMIT >= 2 * 10**7
-    table = q.MuTable(10)
+    message = f"mu table is limited to n <= {q.TABLE_LIMIT}, asked for {10**10}"
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="limited"):
-            table.ensure(10**10)
+        for read in (q.MuTable, q.mu, lambda n: mu_module._mu_span(0, n), lambda n: mu_module._mu_sum(n + 1)):
+            with pytest.raises(ValueError) as error:
+                read(10**10)
+            assert str(error.value) == message
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert table.n_max == 10
+    assert mu_module._filled == -1
 
 
-def test_cli_mu_past_limit_is_domain_error(monkeypatch, capsys):
-    monkeypatch.setattr(mu_module, "_shared", mu_module.MuTable())
+def test_cli_mu_past_limit_is_domain_error(capsys):
     assert cli.run(["mu", "--n", "10000000000"]) == 1
     out, err = capsys.readouterr()
     assert out == ""

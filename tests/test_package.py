@@ -64,19 +64,18 @@ PUBLIC_NAMES = {
     "require_nontrivial",
     "search_embedding_eq",
     "search_mu_drop",
-    "shared_table",
     "triangular",
     "verify_decomposition",
 }
 
 
 def test_public_names():
-    assert len(q.__all__) == len(set(q.__all__))
+    assert len(q.__all__) == len(set(q.__all__)) == 54
     assert set(q.__all__) == PUBLIC_NAMES
 
 
 def test_no_function_takes_a_table():
-    # Every function reads the process-wide table behind quadsg.mu.
+    # Every function reads mu through the head behind quadsg.mu.
     takes_table = {
         name
         for name in q.__all__
@@ -177,9 +176,9 @@ def test_cross_module_private_names():
         if private:
             shared[path.stem] = private
     assert shared == {
-        "cli": {"_bounds_columns", "_sweep_columns"},
-        "invariants": {"_BLOCK", "_grow"},
-        "search": {"_BLOCK"},
+        "cli": {"_bounds_columns", "_mu_gather", "_mu_span", "_sweep_columns"},
+        "invariants": {"_BLOCK", "_check_limit", "_mu_span", "_mu_sum"},
+        "search": {"_BLOCK", "_mu_span"},
     }
 
 

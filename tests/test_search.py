@@ -14,11 +14,8 @@ from helpers import drop_hits_plain, drop_hits_scan, residue_hits_plain, residue
 
 @pytest.fixture(scope="module")
 def table():
-    """mu to 1400, installed as the process-wide table the searches read."""
-    t = q.MuTable(2 * 700)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(importlib.import_module("quadsg.mu"), "_shared", t)
-        yield t
+    """mu to 1400, what the searches read to a_max = 700."""
+    return q.MuTable(2 * 700)
 
 
 def test_drop_search_small(table):
@@ -90,12 +87,11 @@ def test_scans_match_plain_loops(table, a_max):
     assert [astuple(h) for h in eq.hits] == [hit[:-1] for hit in plain]
 
 
-def test_pruned_searches_match_scans(monkeypatch):
+def test_pruned_searches_match_scans():
     # The pruned searches read only the pairs the floor of mu leaves; the
     # reference scans read every pair.  Compare at 3000, at a stride of
     # a_max, and on each side of every hit's a, where a miss would show.
     t = q.MuTable(2 * 3000)
-    monkeypatch.setattr(importlib.import_module("quadsg.mu"), "_shared", t)
     drop, residue = drop_hits_scan(t.values, 3000), residue_hits_scan(t.values, 3000)
     edges = {a - d for a, *_ in drop + residue for d in (0, 1)}
     for a_max in sorted(set(range(4, 3001, 97)) | edges | {3000}):
@@ -107,31 +103,26 @@ def test_pruned_searches_match_scans(monkeypatch):
     assert [hit[:2] for hit in residue] == list(q.EXPECTED_RESIDUE_PAIRS)
 
 
-def test_floor_of_mu_in_integers(monkeypatch):
+def test_floor_of_mu_in_integers():
     # The premise of both prunes, mu(m) >= f(m) for m >= 1, in the integer
-    # form they use: m <= C(mu(m), 2), on the served table to C(2000,2).
-    monkeypatch.setattr(importlib.import_module("quadsg.mu"), "_shared", q.MuTable())
+    # form they use: m <= C(mu(m), 2), on the served mu to C(2000,2).
     top = q.triangular(2000)
-    q.mu(top)
-    k = q.shared_table().values[1 : top + 1].astype(np.int64)
+    k = q.MuTable(top).values[1:].astype(np.int64)
     assert np.all(np.arange(1, top + 1) <= k * (k - 1) // 2)
 
 
-def test_drop_search_to_search_cap(monkeypatch):
+def test_drop_search_to_search_cap():
     # Nothing past the eight: the drop search over every a <= 10**5 (about
-    # 10 ms on a 2-vCPU machine, the fill to 2*10**5 included) finds only
-    # the known pairs, each a drop of 2.
-    monkeypatch.setattr(importlib.import_module("quadsg.mu"), "_shared", q.MuTable())
+    # 10 ms on a 2-vCPU machine, mu to 2*10**5 included) finds only the
+    # known pairs, each a drop of 2.
     report = q.search_mu_drop(100_000)
     assert report.pairs() == q.EXPECTED_DROP_PAIRS
     assert all(hit.drop == 2 for hit in report.hits)
-    assert q.shared_table().n_max == 200_000
 
 
-def test_residue_search_to_search_cap(monkeypatch):
+def test_residue_search_to_search_cap():
     # Nothing past the thirty: the residue search over every a <= 10**5
     # (about 0.2 s on a 2-vCPU machine) finds only the tabulated pairs.
-    monkeypatch.setattr(importlib.import_module("quadsg.mu"), "_shared", q.MuTable())
     assert q.search_embedding_eq(100_000).pairs() == q.EXPECTED_RESIDUE_PAIRS
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .mu import _BLOCK, TABLE_LIMIT, _check_limit, _mu_span, _mu_sum, largest_index, mu, triangular
+from .mu import _BLOCK, _GREEDY, TABLE_LIMIT, _check_limit, _mu_span, _mu_sum, largest_index, mu, triangular
 
 __all__ = [
     "AperySet",
@@ -239,28 +239,22 @@ class AperySet(NamedTuple):
     elements: tuple[int, ...]
 
 
-def _lifted(a: int, b: int, width: int) -> Iterator[np.ndarray]:
-    """mu_{a,b}(n)*a + n*b over n = 0..a-1, in 1-D blocks of `width` n.
+def _lifted(a: int, b: int, count: int) -> np.ndarray:
+    """mu_{a,b}(n)*a + n*b over n = 0..count-1, 1 <= count <= a, in one array.
 
-    The last block may be shorter, and each block reads and widens only
-    its own span of mu.  mu_{a,b}(n) is mu(n), less one at the exceptional
-    n of (a, b): the values `mu_ab_closed` gives one n at a time.  Exact
-    for every b: a block is int64 while its largest value, at most
-    max(mu)*a + (hi-1)*b over its n < hi, stays below 2**63, and Python
-    ints (object arrays) past that.  An a - 1 past TABLE_LIMIT is refused
-    before the first block.
+    mu_{a,b}(n) is mu(n), less one at the exceptional n of (a, b), as in
+    `mu_ab_closed`; every exceptional a is at most 79, where count = a.
+    Exact for every b: int64 while max(mu)*a + (count-1)*b < 2**63,
+    Python ints (an object array) past that.
     """
-    _check_limit(a - 1)
+    lifts = _mu_span(0, count - 1)
+    dtype = object if int(lifts.max()) * a + (count - 1) * b >= 1 << 63 else np.int64
+    values = np.arange(count, dtype=dtype) * b
+    values += np.multiply(lifts, a, dtype=dtype)
     case = _EXCEPTIONAL.get((a, b))
-    for lo in range(0, a, width):
-        hi = min(lo + width, a)
-        lifts = _mu_span(lo, hi - 1)
-        dtype = object if int(lifts.max()) * a + (hi - 1) * b >= 1 << 63 else np.int64
-        values = np.arange(lo, hi, dtype=dtype) * b
-        values += np.multiply(lifts, a, dtype=dtype)
-        if case is not None and lo <= case.n < hi:
-            values[case.n - lo] -= a
-        yield values
+    if case is not None:
+        values[case.n] -= a
+    return values
 
 
 def apery_closed(s: QuadraticSemigroup) -> AperySet:
@@ -268,9 +262,9 @@ def apery_closed(s: QuadraticSemigroup) -> AperySet:
 
     The element in the class of n*b mod a is mu_{a,b}(n)*a + n*b; as n
     runs over 0..a-1 the classes are hit exactly once since gcd(a,b) = 1.
-    All a lifts come in one array, and one scatter puts each element at
-    its class (n*(b mod a)) mod a.  Tests check it against the scalar
-    definition, `mu_ab_closed` called once per n.
+    All a lifts come in one array from `_lifted`, and one scatter puts
+    each element at its class (n*(b mod a)) mod a.  Tests check it
+    against the scalar definition, `mu_ab_closed` called once per n.
 
     Raises ValueError, before reading mu, past a = _TUPLE_LIMIT = 10**7:
     its arrays, list and tuple take about 1.2 GB there.  `frobenius` and
@@ -282,7 +276,7 @@ def apery_closed(s: QuadraticSemigroup) -> AperySet:
     a = s.a
     if a > _TUPLE_LIMIT:
         raise ValueError(f"Apery set is limited to {_TUPLE_LIMIT} elements, S({a},{s.b}) has {a}")
-    values = next(_lifted(a, s.b, a))
+    values = _lifted(a, s.b, a)
     elements = np.empty_like(values)
     elements[np.arange(a, dtype=np.int64) * (s.b % a) % a] = values
     return AperySet(tuple(elements.tolist()))
@@ -300,15 +294,32 @@ def apery_oracle(s: QuadraticSemigroup) -> AperySet:
 def frobenius(s: QuadraticSemigroup) -> int:
     """Largest integer outside S; -1 when S is everything (trivial case).
 
-    The largest Apery element less a, taken as the max of the lifted
-    values mu_{a,b}(n)*a + n*b without scattering them.  The maximum runs
-    over blocks of `_BLOCK` entries, so the temporaries stay small however
-    large a is.  Tests check it against the scalar definition,
-    `mu_ab_closed` called once per n, and the sweep's scans against it.
+    F + a is the largest lift L(n) = mu_{a,b}(n)*a + n*b over n < a (the
+    largest Apery element), read off the lifts of the head (`_lifted`) and
+    two level terms, so mu is read only to n = 87,152.  On a level i >= 418
+    (see `_mu_span`), n = C(i,2) + r, r < i, has L(n) = i*a + C(i,2)*b +
+    L(r): no exceptional pair (all have a <= 79) lies there.  With
+    P(t) = max L(0..t-1), level i's largest lift is i*a + C(i,2)*b + P(i),
+    which grows with i, so of the whole levels 418..k-1 below a,
+    k = largest_index(a - 1), level k - 1 wins, and level k holds the
+    t = a - C(k,2) lifts from C(k,2) to a - 1.  So F + a is the largest of
+    max L(n) over n < min(a, 87,153); (k-1)*a + C(k-1,2)*b + P(k-1) when
+    k - 1 >= 418; and k*a + C(k,2)*b + P(t) when k >= 418.  The level rule
+    holds only to TABLE_LIMIT, so a - 1 past it is refused first.  Tests
+    check F against all a lifts streamed off `_mu_span`, and the sweep's
+    scans against F.
     """
     if s.trivial:
         return -1
-    return int(max(block.max() for block in _lifted(s.a, s.b, _BLOCK))) - s.a
+    a, b = s.a, s.b
+    _check_limit(a - 1)
+    lifts = _lifted(a, b, min(a, triangular(_GREEDY)))
+    top = int(lifts.max())
+    k = largest_index(a - 1)
+    for i, t in ((k - 1, k - 1), (k, a - triangular(k))):
+        if i >= _GREEDY:
+            top = max(top, i * a + triangular(i) * b + int(lifts[:t].max()))
+    return top - a
 
 
 def frobenius_oracle(s: QuadraticSemigroup) -> int:
@@ -483,7 +494,8 @@ def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:
 
     Rows come a ascending, then b ascending, in int64 arrays of at most
     `_BLOCK // 8` pairs.  F and g for every a come from scans of mu, not
-    from one lift array per a.
+    from one lift array per a, nor from `frobenius`'s level terms, so the
+    tests compare the two.
 
     Let M(a) = max mu(0..a-1), and let last_m(a) be the largest n < a with
     mu(n) = m.  F(a, b) + a is the largest lift mu(n)*a + n*b over n < a,

@@ -14,10 +14,10 @@ Level i holds the i numbers n = C(i,2) + r, 0 <= r < i.  From level 418 on,
 up to `TABLE_LIMIT`, mu follows the greedy rule mu(n) = i + mu(r) (proven
 at `_mu_span`), so every mu the package serves is one read of a fixed head,
 mu(0..C(418,2) - 1) = mu(0..87,152) in 87,153 uint16 entries (174 KB).
-The head fills forward as far as callers read, by blocks of levels with
-one strided pass per part index (`_head_to`).  Readers: `_mu_span` (a range
-of n), `mu` (one n), `_mu_gather` (points given by level) and `_mu_sum`
-(sum of mu(0..a-1) from level sums); `MuTable` is a read-only snapshot.
+The head is built once, at import, by blocks of levels with one strided
+pass per part index (`_build_head`), and is read-only.  Readers: `_mu_span`
+(a range of n), `mu` (one n), `_mu_gather` (points given by level) and
+`_mu_sum` (sum of mu(0..a-1) from level sums); `MuTable` is a snapshot.
 An oracle (`mu_oracle`) folds in one part at a time with no such rule and
 checks the head and the level rule up to n = 10**6.  The analytic
 envelope around mu: `lower_bound`, `gauss_bound`, `combined_bound`.
@@ -52,18 +52,16 @@ TABLE_LIMIT = 10**8
 
 # Most entries in one working array: the one block size of the package.
 # As int64, 2**16 entries are 512 KiB, so a temporary cut to it keeps
-# memory flat however large the input: the head fills, and `_mu_span`
-# builds the levels past it, in blocks of at most this many entries,
-# `frobenius` takes its lifts and search's `_pairs` their pairs in blocks
-# of 2**16, and `bounds` (five columns) and the sweep (`invariants._scan`,
-# eight) take a quarter and an eighth as many rows, about 2**16 cells a
-# block, which the CLI prints as one string.  Uncut, the sweep would
-# allocate a * b_max entries before its first row (800 MB at a = 2,
-# b_max = 5*10**7) and F at a = 10**8 - 1 would widen the whole lift array
-# (several GB).
+# memory flat however large the input: the head build, and `_mu_span`
+# past the head, fill blocks of at most this many entries, search's
+# `_pairs` takes its pairs in blocks of 2**16, and `bounds` (five columns)
+# and the sweep (`invariants._scan`, eight) take a quarter and an eighth as
+# many rows, about 2**16 cells a block, which the CLI prints as one string.
+# Uncut, the sweep would allocate a * b_max entries before its first row
+# (800 MB at a = 2, b_max = 5*10**7).
 _BLOCK = 1 << 16
 
-# mu(0..27), which the head fill copies: below C(8,2) = 28 some levels read
+# mu(0..27), which the head build copies: below C(8,2) = 28 some levels read
 # their own entries, so the level blocks start at 28.  The tests check these
 # against the recursion.
 _BASE = (0, 2, 4, 3, 5, 7, 4, 6, 8, 7, 5, 7, 8, 8, 10, 6, 8, 10, 9, 11, 10, 7, 9, 11, 10, 11, 13, 11)
@@ -99,65 +97,11 @@ def largest_index(n: int) -> int:
     return (1 + math.isqrt(8 * n + 1)) // 2
 
 
-# mu(0..C(_GREEDY,2) - 1), valid on 0.._filled, the end of a level: see `_head_to`.
-_head = np.zeros(triangular(_GREEDY), dtype=np.uint16)
-_filled = -1
-
-
-def _head_to(n: int) -> np.ndarray:
-    """The head, filled forward to cover mu(0..n) at least, 0 <= n < len(_head).
-
-    A fill takes the head to the end of n's level, so it always stops at a
-    level's end, and a caller that steps n upward fills it at most once a
-    level.  The buffer is allocated once, at import, and never grows.
-
-    The fill works by levels.  It takes mu(n) as the least mu(n - C(i-d,2))
-    + i - d over the depths 0 <= d <= `_DEPTH` = 3: the part indices
-    i-3..i.  Every depth is a real partition, so the rule can only err by
-    cutting off every optimal largest index of some n.  It is checked on
-    the whole head: the tests compare the fill with the fold of
-    `mu_oracle`.  Read off the fold, the least depth that keeps an optimal
-    partition is 0, 1, 2 and 3 on 303, 97, 9 and 1 of the levels 8..417;
-    the 107 that need more than 0 are the levels where greedy fails.
-
-    The source of depth d is n - C(i-d,2) = r + d*i - C(d+1,2): for one d
-    its offset is linear in i.  `_fill_block` therefore fills a block of
-    consecutive levels i0..i1-1 with one strided 2-D view per d, row i - i0
-    starting at d*i0 - C(d+1,2) + d*(i - i0) and as wide as the widest
-    level (the shorter rows' extra columns are read, never written), takes
-    the minimum over d, and writes the rows back with one np.concatenate.
-
-    `_blocks` ends each block at `_BLOCK` entries (one level at least)
-    and where its last level i = i1 - 1 would read at or past its first
-    entry, start: that level's last entry reads 4*i - 7 at depth 3.
-    Blocks start at level 8, so 3 <= i0 - 2: every part index i - d is at
-    least 2, every source r + d*i - C(d+1,2) (r < i, extra columns
-    included) grows with r, d and the row's level, stays below start, and
-    is final: one pass per d fills the block.  A block of one level
-    i0 >= 8 is not cut: its last entry reads 4*i0 - 7 < C(i0,2).  Below
-    C(8,2) = 28 levels 2, 3, 4, 5 and 7 read their own entries, so
-    mu(0..27) is copied from `_BASE`.  The whole head is 7 blocks and 28
-    passes.
-
-    No uint16 sum wraps: each is at most mu(m) + 417 with m < 87,153, and
-    mu(m) <= gauss_bound(87,152) < 725 (see `_mu_span`).
-    """
-    global _filled
-    if n > _filled:
-        lo, hi = _filled + 1, triangular(largest_index(n) + 1) - 1
-        base = _BASE[lo : hi + 1]
-        _head[lo : lo + len(base)] = base
-        for start, end in _blocks(max(lo, len(_BASE)), hi):
-            _fill_block(_head, start, end, _DEPTH, _head[start : end + 1])
-        _filled = hi
-    return _head
-
-
 def _fill_block(dp: np.ndarray, start: int, end: int, depth: int, out: np.ndarray) -> None:
     """Write mu(start..end) into out from the part indices i-depth..i, sources read from dp.
 
-    The head fill writes into dp itself at depth 3, every source below start
-    (see `_head_to`); `_mu_span` takes depth 0, the greedy copy i + dp[r].
+    The head build writes into dp itself at depth 3, every source below start
+    (see `_build_head`); `_mu_span` takes depth 0, the greedy copy i + dp[r].
     """
     i0, i1 = largest_index(start), largest_index(end) + 1
     rows, width = i1 - i0, i1 - 1
@@ -184,7 +128,7 @@ def _blocks(lo: int, hi: int) -> Iterator[tuple[int, int]]:
 
     A block is the n of whole levels, but for its first and last ones when
     lo or hi cuts them, at most `_BLOCK` entries or one level, and cut
-    where the head fill would read its own entries (see `_head_to`).  Past
+    where the head build would read its own entries (see `_build_head`).  Past
     the head that cut, at least (start + 6) // 4 > 14,142, never binds.
     """
     top = largest_index(hi)
@@ -198,6 +142,52 @@ def _blocks(lo: int, hi: int) -> Iterator[tuple[int, int]]:
         end = min(hi, triangular(i1) - 1)
         yield start, end
         start = end + 1
+
+
+def _build_head() -> np.ndarray:
+    """The head, mu(0..C(_GREEDY,2) - 1) = mu(0..87,152) as read-only uint16.
+
+    Built once, at import, in about 0.5 ms.  The build works by levels.  It
+    takes mu(n) as the least mu(n - C(i-d,2)) + i - d over the depths
+    0 <= d <= `_DEPTH` = 3: the part indices i-3..i.  Every depth is a real
+    partition, so the rule can only err by cutting off every optimal largest
+    index of some n.  It is checked on the whole head: the tests compare the
+    head with the fold of `mu_oracle`.  Read off the fold, the least depth
+    that keeps an optimal partition is 0, 1, 2 and 3 on 303, 97, 9 and 1 of
+    the levels 8..417; the 107 that need more than 0 are the levels where
+    greedy fails.
+
+    The source of depth d is n - C(i-d,2) = r + d*i - C(d+1,2): for one d
+    its offset is linear in i.  `_fill_block` therefore fills a block of
+    consecutive levels i0..i1-1 with one strided 2-D view per d, row i - i0
+    starting at d*i0 - C(d+1,2) + d*(i - i0) and as wide as the widest
+    level (the shorter rows' extra columns are read, never written), takes
+    the minimum over d, and writes the rows back with one np.concatenate.
+
+    `_blocks` ends each block at `_BLOCK` entries (one level at least)
+    and where its last level i = i1 - 1 would read at or past its first
+    entry, start: that level's last entry reads 4*i - 7 at depth 3.
+    Blocks start at level 8, so 3 <= i0 - 2: every part index i - d is at
+    least 2, every source r + d*i - C(d+1,2) (r < i, extra columns
+    included) grows with r, d and the row's level, stays below start, and
+    is final: one pass per d fills the block.  A block of one level
+    i0 >= 8 is not cut: its last entry reads 4*i0 - 7 < C(i0,2).  Below
+    C(8,2) = 28 levels 2, 3, 4, 5 and 7 read their own entries, so
+    mu(0..27) is copied from `_BASE`.  The whole head is 7 blocks and 28
+    passes.
+
+    No uint16 sum wraps: each is at most mu(m) + 417 with m < 87,153, and
+    mu(m) <= gauss_bound(87,152) < 725 (see `_mu_span`).
+    """
+    head = np.empty(triangular(_GREEDY), dtype=np.uint16)
+    head[: len(_BASE)] = _BASE
+    for start, end in _blocks(len(_BASE), len(head) - 1):
+        _fill_block(head, start, end, _DEPTH, head[start : end + 1])
+    head.flags.writeable = False
+    return head
+
+
+_head = _build_head()
 
 
 def _check_limit(n: int) -> None:
@@ -242,15 +232,12 @@ def _mu_span(lo: int, hi: int) -> np.ndarray:
     """
     _check_limit(hi)
     size = len(_head)
-    head = _head_to(min(hi, size - 1))
     if hi < size:
-        view = head[lo : hi + 1]
-        view.flags.writeable = False
-        return view
+        return _head[lo : hi + 1]
     out = np.empty(hi + 1 - lo, dtype=np.uint16)
-    out[: max(0, size - lo)] = head[lo:]
+    out[: max(0, size - lo)] = _head[lo:]
     for start, end in _blocks(max(lo, size), hi):
-        _fill_block(head, start, end, 0, out[start - lo : end + 1 - lo])
+        _fill_block(_head, start, end, 0, out[start - lo : end + 1 - lo])
     return out
 
 
@@ -259,11 +246,10 @@ def mu(n: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n < len(_head):
-        return int(_head_to(n)[n])
+        return int(_head[n])
     _check_limit(n)
     i = largest_index(n)
-    r = n - triangular(i)
-    return i + int(_head_to(r)[r])
+    return i + int(_head[n - triangular(i)])
 
 
 def _mu_gather(i: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -274,7 +260,7 @@ def _mu_gather(i: np.ndarray, r: np.ndarray) -> np.ndarray:
     """
     greedy = i >= _GREEDY
     at = np.where(greedy, r, i * (i - 1) // 2 + r)
-    return _head_to(int(at.max()))[at] + np.where(greedy, i, 0)
+    return _head[at] + np.where(greedy, i, 0)
 
 
 def _mu_sum(a: int) -> int:
@@ -288,8 +274,7 @@ def _mu_sum(a: int) -> int:
     """
     _check_limit(a - 1)
     size = len(_head)
-    head = _head_to(min(a, size) - 1)
-    sums = np.concatenate(([0], np.cumsum(head[: min(a, size)], dtype=np.int64)))
+    sums = np.concatenate(([0], np.cumsum(_head[: min(a, size)], dtype=np.int64)))
     if a <= size:
         return int(sums[a])
     k = largest_index(a)
@@ -347,7 +332,7 @@ def _mu_fold(n: int) -> np.ndarray:
     The steps run while 2**S*w <= n, so the last leaves 2**(S+1)*w > n and
     every r <= n // w is covered.  No int64 sum wraps: entries stay at most
     2n, and 2**S*w <= n bounds each cost 2**S*i by 2n/(i-1).  Shares
-    nothing with the head fill.
+    nothing with the head build.
     """
     values = 2 * np.arange(n + 1, dtype=np.int64)
     for i in range(3, largest_index(n) + 1):

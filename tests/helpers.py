@@ -1,22 +1,26 @@
 """Independent reference implementations used only by tests.
 
 Deliberately naive: plain Python, no windowing, no numpy closures, so a
-bug in the package's optimized paths cannot hide here too.  Two kinds
+bug in the package's optimized paths cannot hide here too.  Three kinds
 are the exception.  The `*_scan` searches make one numpy pass per a over
 every pair, fast enough to check the package's pruned searches at a few
 thousand.  The mu fixpoint check makes one numpy pass per part index,
-fast enough to check the table at 10**7.  `invariants_row` is no
-reference at all: it spells the expected `invariants` row of one pair
-from the package's public functions, so the CLI tests share one.
+fast enough to check the table at 10**7.  `frobenius_streamed` forms
+every lift in numpy blocks, fast enough to check F at 10**8.
+`invariants_row` is no reference at all: it spells the expected
+`invariants` row of one pair from the package's public functions, so the
+CLI tests share one.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
 
 from quadsg import (
+    EXCEPTIONAL_CASES,
     bounds_certified,
     frobenius,
     frobenius_bounds,
@@ -71,6 +75,33 @@ def mu_fixpoint_mismatches(values) -> np.ndarray:
         np.minimum(best[t:], np.add(values[:width], i, out=buf[:width]), out=best[t:])
         i, t = i + 1, t + i
     return np.flatnonzero(best != values)
+
+
+def frobenius_streamed(a: int, b: int) -> int:
+    """F of nontrivial S(a,b): the largest lift mu_{a,b}(n)*a + n*b over every
+    n < a, less a, streamed off `_mu_span` in blocks of 2**14 n.
+
+    mu_{a,b}(n) is mu(n) less one at an exceptional (a, 1, n).  No level
+    rule: every lift is formed.  Each is held exactly in int64 as two
+    limbs, lift = top*2**32 + rest, with b = high*2**32 + low: rest and
+    the carry into top come from n*low + m*a < 2**60, and top adds n*high
+    < 2**58, for n < 2**27 and m < 2**15.  The largest lift has the largest
+    top, and the largest rest among the n with that top.
+    """
+    quadsg_mu = importlib.import_module("quadsg.mu")
+    drops = [c.n for c in EXCEPTIONAL_CASES if (c.a, 1) == (a, b)]
+    high, low = divmod(b, 1 << 32)
+    best = -1
+    for lo in range(0, a, 1 << 14):
+        hi = min(lo + (1 << 14), a)
+        m = quadsg_mu._mu_span(lo, hi - 1).astype(np.int64)
+        m[[n - lo for n in drops if lo <= n < hi]] -= 1
+        n = np.arange(lo, hi, dtype=np.int64)
+        total = n * low + m * a
+        top, rest = (total >> 32) + n * high, total & ((1 << 32) - 1)
+        peak = int(top.max())
+        best = max(best, peak << 32 | int(rest[top == peak].max()))
+    return best - a
 
 
 def semigroup_members(a: int, b: int, bound: int) -> set[int]:

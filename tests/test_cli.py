@@ -162,16 +162,14 @@ def test_closed_forms_past_limit_are_domain_errors(capsys):
     assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
-def test_bounds_domain_errors_byte_for_byte(capsys, fresh_head):
-    # Both are refused before any row and leave the head as it was.
-    mu_module._head_to(10)
+def test_bounds_domain_errors_byte_for_byte(capsys):
+    # Both are refused before any row.
     assert run_cli(capsys, "bounds", "--n-max", "0") == (1, "", "error: n_max must be at least 1\n")
     assert run_cli(capsys, "bounds", "--n-max", "100000001") == (
         1,
         "",
         "error: mu table is limited to n <= 100000000, asked for 100000001\n",
     )
-    assert mu_module._filled == q.triangular(q.largest_index(10) + 1) - 1
 
 
 @pytest.mark.parametrize(
@@ -181,10 +179,9 @@ def test_bounds_domain_errors_byte_for_byte(capsys, fresh_head):
         (("invariants", "--sweep", "--a-max", "3000", "--b-max", "17"), 2999),
     ],
 )
-def test_streams_read_mu_block_by_block(capsys, monkeypatch, fresh_head, argv, n_max):
+def test_streams_read_mu_block_by_block(capsys, monkeypatch, argv, n_max):
     # `bounds` and the sweep read mu one span per block, together exactly
-    # the n they print, and fill the head no further than their last n's
-    # level.
+    # the n they print.
     spans = []
     span = mu_module._mu_span
 
@@ -201,8 +198,6 @@ def test_streams_read_mu_block_by_block(capsys, monkeypatch, fresh_head, argv, n
     assert len(spans) > 1
     assert [lo for lo, _ in spans] == [1] + [hi + 1 for _, hi in spans[:-1]]
     assert spans[-1][1] == n_max
-    size = len(mu_module._head)
-    assert mu_module._filled == min(size, q.triangular(q.largest_index(n_max) + 1)) - 1
 
 
 def test_sweep_past_limit_is_domain_error(capsys):

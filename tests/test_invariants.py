@@ -4,6 +4,7 @@ import importlib
 import itertools
 import json
 import math
+import random
 import time
 import tracemalloc
 
@@ -11,17 +12,21 @@ import numpy as np
 import pytest
 
 import quadsg as q
-from helpers import apery_closed_plain, invariant_bounds_plain, invariants_row, semigroup_members
+from helpers import (
+    apery_closed_plain,
+    frobenius_streamed,
+    invariant_bounds_plain,
+    invariants_row,
+    semigroup_members,
+)
 from quadsg import cli
 
-# The package exports a function named mu; go through importlib for the module.
-mu_module = importlib.import_module("quadsg.mu")
 invariants_module = importlib.import_module("quadsg.invariants")
 
 
-# F and g of S(a, 1), read off an int64 mu table without F's blocks: at
-# b = 1, F + a is max(mu)*a plus the last n < a where mu attains its max,
-# and g is the sum of mu(0..a-1).
+# F and g of S(a, 1), read off an int64 mu table without F's level terms:
+# at b = 1, F + a is max(mu)*a plus the last n < a where mu attains its
+# max, and g is the sum of mu(0..a-1).
 AT_SCALE = {
     10**6 + 1: (1_482_000_435, 978_309_399),
     10**7 + 1: (45_860_001_727, 30_413_207_600),
@@ -199,12 +204,9 @@ def test_invariant_summary(capsys):
     assert invariants(1, 1) == (1, "", "error: S(1,1) is trivial; operation needs a >= 2 and b >= 1\n")
 
 
-def test_sweep_matches_pair_by_pair(fresh_head):
-    # The benchmark's grid.  The scan fills the head only to the end of the
-    # level of a_max - 1, in the four blocks of the head fill to 405.
+def test_sweep_matches_pair_by_pair():
+    # The benchmark's grid.
     assert list(sweep_rows(400, 10)) == summaries_pair_by_pair(400, 10)
-    assert mu_module._filled == q.triangular(q.largest_index(399) + 1) - 1 == 405
-    assert len(list(mu_module._blocks(28, 405))) == 4
 
 
 def test_bounds_floats_equal_the_scalar_expressions():
@@ -220,9 +222,7 @@ def test_bounds_floats_equal_the_scalar_expressions():
 @pytest.mark.parametrize("block", [None, 40])
 def test_sweep_covers_exceptional_pairs(block, monkeypatch):
     # All eight exceptional pairs (a <= 79, b = 1); with 40-entry blocks
-    # the scan takes 5 pairs at a time, so every a spans three blocks of b,
-    # and the drops of a = 47 and 79 (n = 44 and 74) sit in the second
-    # block of `_lifted`.
+    # the scan takes 5 pairs at a time, so every a spans three blocks of b.
     if block is not None:
         monkeypatch.setattr(invariants_module, "_BLOCK", block)
     rows = list(sweep_rows(80, 12))
@@ -292,17 +292,16 @@ def test_sweep_streams_in_bounded_memory():
     assert peak < 8 << 20, peak
 
 
-def test_sweep_block_is_not_cut_by_table_growth(fresh_head):
+def test_sweep_block_is_not_cut_by_table_growth():
     # A grid within one block's cap comes in one block, read off one span
-    # of mu from a fresh head.
+    # of mu.
     blocks = list(invariants_module._sweep_columns(400, 10))
     assert len(blocks) == 1
-    assert blocks[0][0][-1] == 400 and mu_module._filled == 405
+    assert blocks[0][0][-1] == 400
 
 
-def test_closed_forms_refuse_oversized_a_before_allocating(fresh_head):
+def test_closed_forms_refuse_oversized_a_before_allocating():
     s = q.make_semigroup(10**11, 1)
-    mu_module._head_to(10)
     tracemalloc.start()
     try:
         for closed_form in (q.apery_closed, q.frobenius, q.genus):
@@ -316,7 +315,6 @@ def test_closed_forms_refuse_oversized_a_before_allocating(fresh_head):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert mu_module._filled == q.triangular(q.largest_index(10) + 1) - 1
 
 
 def test_closed_forms_exact_past_int64():
@@ -362,19 +360,48 @@ def test_frobenius_genus_speed_at_a_million():
     assert time.perf_counter() - start < 0.5
 
 
-def test_frobenius_and_genus_read_the_table_in_blocks(fresh_head):
-    # F reads and widens one fixed-size block of mu at a time and g sums
-    # levels off the head; a lift array widened whole would take about
-    # 228 MiB here.
-    s = q.make_semigroup(10**7 + 1, 1)
-    tracemalloc.start()
-    try:
-        f, g = q.frobenius(s), q.genus(s)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (f, g) == AT_SCALE[10**7 + 1]
-    assert peak < 8 << 20, peak
+# a where `frobenius` takes its level terms: around the ends of levels 417,
+# 418 and 419, where the head, level k - 1 and level k win in turn, and
+# seeded a spread evenly in log scale from C(418,2) up to 10**7 + 1; the
+# exceptional a keep their drop at b = 1.
+_rng = random.Random(37)
+_low, _high = math.log(q.triangular(418)), math.log(10**7)
+F_POINTS = sorted(a for a, _ in q.EXCEPTIONAL_PAIRS)
+F_POINTS += [q.triangular(j) + d for j in (418, 419, 420) for d in (-1, 0, 1)]
+F_POINTS += sorted(round(math.exp(_rng.uniform(_low, _high))) for _ in range(19)) + [10**7 + 1]
+
+
+@pytest.mark.parametrize("b", [1, 2, 1000, 10**6 + 1, 2**62 + 1])
+def test_frobenius_matches_streamed_lifts(b):
+    for a in F_POINTS:
+        if math.gcd(a, b) == 1:
+            assert q.frobenius(q.make_semigroup(a, b)) == frobenius_streamed(a, b), (a, b)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("b", [1, 2**62 + 1])
+def test_frobenius_matches_streamed_lifts_at_the_limit(b):
+    s = q.make_semigroup(10**8 - 1, b)
+    assert q.frobenius(s) == frobenius_streamed(s.a, b)
+
+
+def test_frobenius_reads_only_the_head(monkeypatch):
+    # F reads mu only in the head, up to n = C(418,2) - 1 = 87,152, however
+    # large a is.
+    spans = []
+    span = invariants_module._mu_span
+
+    def counted(lo, hi):
+        spans.append((lo, hi))
+        return span(lo, hi)
+
+    monkeypatch.setattr(invariants_module, "_mu_span", counted)
+    head_end = q.triangular(418)
+    for a in (29, head_end - 1, head_end, q.triangular(419) + 1, 10**7 + 1, 10**8 - 1, 10**8 + 1):
+        for b in (1, 2**62 + 1):
+            if math.gcd(a, b) == 1:
+                q.frobenius(q.make_semigroup(a, b))
+    assert spans and max(hi for _, hi in spans) == head_end - 1
 
 
 @pytest.mark.slow
@@ -385,13 +412,11 @@ def test_closed_vs_oracle_at_a_100001(b):
     assert q.minimal_generators_oracle(s).indices == q.minimal_generators_closed(s).indices
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("a", sorted(AT_SCALE))
-def test_invariants_inside_bounds_at_scale(a, capsys, fresh_head):
-    # F streams a fixed-size block of mu at a time and g sums levels off
-    # the head, so neither holds anything of size a: at a = 10**8 - 1 F
-    # streams 10**8 entries, and a lift array widened whole would take
-    # several GB.
+def test_invariants_inside_bounds_at_scale(a, capsys):
+    # F takes the lifts of the head and two level terms, and g sums levels
+    # off the head's prefix sums, so neither holds anything of size a: a
+    # lift array widened whole would take about 228 MiB at a = 10**7 + 1.
     s = q.make_semigroup(a, 1)
     tracemalloc.start()
     try:

@@ -30,9 +30,7 @@ TABLE_SHA256 = {
     1_999_000: "553eedac45410c590c1a6a17238107d454bf7b6ca0f6e8892119390cb5c88f6d",
     10**7: "3efc41da00e095bda517377232701618c285bafc8dde9378d7c2a03cf080cf6b",
 }
-# The same for mu(0..2**22), read after the head filled forward to each of
-# these n in turn.
-HEAD_STEPS = (1, 2, 3, 100, 2015, 2016, 2017, 5000, 70_000)
+# The same for mu(0..2**22).
 STEPPED_SHA256 = "ec4fd833ec032815cb46ddada111fb4c4306d0259e1a7dfa9b4ef849d5268ab5"
 LIMIT_SHA256 = "f594d3d5cd6a176d14a0fafeb1c344a6e4dd5658670e494df08a8b163cc05df3"
 
@@ -121,9 +119,7 @@ def _streamed_sha256(n_max):
     return digest.hexdigest()
 
 
-def test_table_bytes_are_pinned(fresh_head):
-    for n in HEAD_STEPS:
-        mu_module._head_to(n)
+def test_table_bytes_are_pinned():
     assert _streamed_sha256(1 << 22) == STEPPED_SHA256
     for n, digest in TABLE_SHA256.items():
         assert _streamed_sha256(n) == digest, n
@@ -150,7 +146,7 @@ def test_fold_shares_nothing_with_the_fill():
     tree = ast.parse(inspect.getsource(mu_module._mu_fold))
     loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     loaded |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    fill = {"MuTable", "_blocks", "_fill_block", "_DEPTH", "_GREEDY", "_BASE", "_head", "_head_to", "_mu_span"}
+    fill = {"MuTable", "_blocks", "_fill_block", "_DEPTH", "_GREEDY", "_BASE", "_head", "_build_head", "_mu_span"}
     assert loaded & fill == set()
 
 
@@ -182,46 +178,14 @@ def test_subadditive(table):
         assert np.all(lhs >= values[2 * i : 1501])
 
 
-def test_extension_matches_fresh_build(fresh_head):
-    # The head filled forward in steps holds what one fill to its end writes.
-    for target in (1, 7, 50, 512, 1300):
-        mu_module._head_to(target)
-    end = mu_module._filled
-    assert end == q.triangular(q.largest_index(1300) + 1) - 1
-    stepped = mu_module._head[: end + 1].copy()
-    mu_module._filled = -1
-    mu_module._head[:] = 0
-    assert np.array_equal(mu_module._head_to(end)[: end + 1], stepped)
-
-
-def test_growth_in_random_steps_matches_fold(fresh_head, fold):
-    # The head fills forward in seeded random steps, each to the end of a
-    # level, with a stop at the end of every mark's level: among them
-    # C(417,2) - 1, so the next fill starts a block at level 417, the last
-    # one below the greedy rule, and C(418,2) - 1, the head's last entry.
-    # Then every n to GROWTH_LIMIT, read by the level rule past the head,
-    # has the fold's value.
-    rng = random.Random(8)
-    for j in (10, 100, 400, 417, 418):
-        mark = q.triangular(j) - 1
-        for _ in range(3):
-            if mu_module._filled < mark:
-                n = rng.randint(mu_module._filled + 1, mark)
-                assert mu_module._mu_span(n, n)[0] == fold[n], n
-        mismatches = np.flatnonzero(mu_module._mu_span(0, mark) != fold[: mark + 1])
-        assert mismatches.size == 0, (j, mismatches[:5])
-        assert mu_module._filled == mark
-    mismatches = np.flatnonzero(mu_module._mu_span(0, GROWTH_LIMIT) != fold)
-    assert mismatches.size == 0, mismatches[:5]
-
-
 def test_spans_and_scalar_match_fold(fold):
-    # Seeded windows of `_mu_span` that straddle levels 417/418 and later
-    # level ends, and lone n, against the fold; the scalar `mu` reads what
-    # `_mu_span(n, n)` reads.
+    # The span of every n to GROWTH_LIMIT, seeded windows of `_mu_span` that
+    # straddle levels 417/418 and later level ends, and lone n, against the
+    # fold; the scalar `mu` reads what `_mu_span(n, n)` reads.
     rng = random.Random(35)
     ends = [q.triangular(j) for j in (417, 418, 419, 500, 774)]
-    windows = [(t - d, t + e) for t in ends for d, e in ((1, 0), (0, 1), (5, 5), (400, 700))]
+    windows = [(0, GROWTH_LIMIT)]
+    windows += [(t - d, t + e) for t in ends for d, e in ((1, 0), (0, 1), (5, 5), (400, 700))]
     windows += [(lo, lo + rng.randrange(1 << 17)) for lo in rng.sample(range(GROWTH_LIMIT - (1 << 17)), 20)]
     for lo, hi in windows:
         mismatches = np.flatnonzero(mu_module._mu_span(lo, hi) != fold[lo : hi + 1])
@@ -233,16 +197,17 @@ def test_spans_and_scalar_match_fold(fold):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
-def test_fill_at_many_chunk_boundaries(chunk, fold, fresh_head, monkeypatch):
+def test_fill_at_many_chunk_boundaries(chunk, fold, monkeypatch):
     # Blocks capped at `chunk` entries: one level per block, or a few
     # where the block cut allows, so the cut is taken afresh at every
-    # level, in the head fill and in spans past it, each entry checked
-    # against the fold.
+    # level, in a fresh head build and in spans past the head, each entry
+    # checked against the fold.
     monkeypatch.setattr(mu_module, "_BLOCK", chunk)
     n_max = 4000
     for start, end in mu_module._blocks(28, n_max):
         assert end - start < chunk or q.largest_index(start) == q.largest_index(end)
-    mismatches = np.flatnonzero(q.MuTable(n_max).values != fold[: n_max + 1])
+    head = mu_module._build_head()
+    mismatches = np.flatnonzero(head != fold[: len(head)])
     assert mismatches.size == 0, (chunk, mismatches[:5])
     lo, hi = q.triangular(417) - 5, q.triangular(430) + 5
     mismatches = np.flatnonzero(mu_module._mu_span(lo, hi) != fold[lo : hi + 1])
@@ -271,30 +236,22 @@ def test_fill_window_keeps_an_optimal_partition(chunk, largest_optimal, monkeypa
     assert all(start >= size for start, _ in mu_module._blocks(size, n_max))
 
 
-def _walk(steps):
-    # The blocks (start, end, depth) that serve mu(0..n) for each n of
-    # steps in turn: the head fill's at depth 3, each to a level's end, then
-    # the span's at depth 0.
-    lo, size = 0, len(mu_module._head)
-    for n in steps:
-        hi = min(q.triangular(q.largest_index(n) + 1), size) - 1
-        if hi >= lo:
-            yield from ((start, end, mu_module._DEPTH) for start, end in mu_module._blocks(max(lo, 28), hi))
-            lo = hi + 1
-    if steps[-1] >= size:
-        yield from ((start, end, 0) for start, end in mu_module._blocks(size, steps[-1]))
+def _walk(n):
+    # The blocks (start, end, depth) that serve mu(0..n), n past the head:
+    # the head build's at depth 3, then the span's at depth 0.
+    size = len(mu_module._head)
+    yield from ((start, end, mu_module._DEPTH) for start, end in mu_module._blocks(28, size - 1))
+    yield from ((start, end, 0) for start, end in mu_module._blocks(size, n))
 
 
-@pytest.mark.parametrize(
-    "steps", [(q.triangular(2000),), (10**7,), HEAD_STEPS + (1 << 22,)], ids=["c2000", "1e7", "grown"]
-)
-def test_every_block_reads_only_entries_below_it(steps):
+@pytest.mark.parametrize("n", [q.triangular(2000), 10**7], ids=["c2000", "1e7"])
+def test_every_block_reads_only_entries_below_it(n):
     # The whole rectangle each block reads, extra columns included: rows
     # i0..i, columns 0..i-1, depths 0..D.  Every source is below the
     # block's first entry, every part index is at least 2, and the blocks
     # tile 28..n_max with at most _BLOCK entries or one level each.
     last = 27
-    for start, end, depth in _walk(steps):
+    for start, end, depth in _walk(n):
         assert start == last + 1
         last = end
         i0, i = q.largest_index(start), q.largest_index(end)
@@ -305,24 +262,21 @@ def test_every_block_reads_only_entries_below_it(steps):
         d = np.arange(depth + 1)[None, None, :]
         sources = r + d * rows - d * (d + 1) // 2
         assert sources.min() >= 0 and sources.max() < start, (start, end, depth)
-    assert last == steps[-1]
+    assert last == n
 
 
-def test_fill_work_counts_at_c_2000(fresh_head):
-    # certify's fill: its gather to C(2000,2) reads the head at C(417,2), so
-    # it fills the whole head in 7 blocks and 28 part-index passes.  Growing
-    # one table to C(2000,2) took 36 blocks and 57 passes, and the chunked
-    # fill before the level blocks 163 chunks and 2,696 passes.
-    i = np.arange(2, 2001, dtype=np.int64)
-    mu_module._mu_gather(i, np.zeros_like(i))
-    assert mu_module._filled == len(mu_module._head) - 1
+def test_fill_work_counts_at_c_2000():
+    # The head build, which serves certify's gather to C(2000,2): 7 blocks
+    # and 28 part-index passes.  Growing one table to C(2000,2) took 36
+    # blocks and 57 passes, and the chunked fill before the level blocks
+    # 163 chunks and 2,696 passes.
     blocks = list(mu_module._blocks(28, len(mu_module._head) - 1))
     assert len(blocks) == 7
     assert (mu_module._DEPTH + 1) * len(blocks) == 28
 
 
 def test_depth_census_from_the_fold(largest_optimal):
-    # The census in `_head_to`'s docstring: the least depth that keeps an
+    # The census in `_build_head`'s docstring: the least depth that keeps an
     # optimal partition of every n on the level, read off the fold, is 0,
     # 1, 2 and 3 on 303, 97, 9 and 1 of the levels 8..417, and 0 on every
     # level from 418 to 774, the last whole level below 3*10**5.
@@ -375,7 +329,7 @@ def test_greedy_identity_to_the_table_limit(fold):
 
 
 def test_table_is_uint16_within_its_bound():
-    # The bounds of `_head_to` and `_mu_span` on every sum they form: mu(m)
+    # The bounds of `_build_head` and `_mu_span` on every sum they form: mu(m)
     # plus a part index below 418 in the head, i + mu(r) with r < i <=
     # 14,142 past it.
     top = q.largest_index(q.TABLE_LIMIT)
@@ -393,16 +347,17 @@ def test_table_is_uint16_within_its_bound():
     assert peak < 6 << 20, peak
 
 
-def test_fill_speed_at_c_2000(fresh_head):
-    # certify's fill: the whole head, in a fresh process.  The fastest of
-    # three fresh fills is timed, so one scheduling stall does not count.
+def test_fill_speed_at_c_2000():
+    # certify's fill: the whole head, built afresh as at import.  The
+    # fastest of three builds is timed, so one scheduling stall does not
+    # count.
     times = []
     for _ in range(3):
-        mu_module._filled = -1
         start = time.perf_counter()
-        mu_module._head_to(len(mu_module._head) - 1)
+        head = mu_module._build_head()
         times.append(time.perf_counter() - start)
     assert min(times) < 0.1, times
+    assert np.array_equal(head, mu_module._head)
     assert q.mu(q.triangular(2000)) == 2000
 
 
@@ -436,18 +391,19 @@ def test_level_sums_match_span_sums():
 
 
 def test_memory_stays_flat_at_the_limit():
-    # The scalar mu at 10**8 fills the head only to mu(r), r < 14,142, and
-    # the genus at 10**8 - 1 sums levels off the head's prefix sums: neither
+    # The scalar mu at 10**8 reads the head at r < 14,142, the Frobenius
+    # number at a = 10**8 - 1 takes the lifts of the head and two level
+    # terms, and the genus sums levels off the head's prefix sums: none
     # holds anything of size a.
     s = q.make_semigroup(10**8 - 1, 1)
     tracemalloc.start()
     try:
         assert q.mu(10**8) == 14_142 + q.mu(10**8 - q.triangular(14_142))
-        g = q.genus(s)
+        f, g = q.frobenius(s), q.genus(s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert g == 953_011_630_009
+    assert (f, g) == (1_433_399_976_564, 953_011_630_009)
     assert peak < 8 << 20, peak
 
 
@@ -457,7 +413,7 @@ def test_full_table_at_limit():
     values = q.MuTable(q.TABLE_LIMIT).values
     assert _sha256(values) == LIMIT_SHA256
     # Every level from 8 to 417 fits in a block of its own at depth 3 (see
-    # `_head_to`).
+    # `_build_head`).
     top = q.largest_index(q.TABLE_LIMIT)
     assert top == 14_142
     i = np.arange(8, mu_module._GREEDY)
@@ -477,13 +433,11 @@ def test_full_table_at_limit():
     print(f"\nsmallest ceiling slack up to {q.TABLE_LIMIT}: {slack:.3f}")
 
 
-def test_mu_function_extends_given_table(fresh_head):
-    # mu reads the head and fills it on demand, to the end of the level it
-    # reads: n's own below level 418, r's for n = C(i,2) + r from there on.
+def test_mu_function_extends_given_table():
+    # mu reads the head: n's own entry below level 418, r's for
+    # n = C(i,2) + r from there on.
     assert q.mu(26) == 13
-    assert mu_module._filled == q.triangular(8) - 1
     assert q.mu(q.triangular(5000) + 1000) == 5000 + q.mu(1000)
-    assert mu_module._filled == q.triangular(q.largest_index(1000) + 1) - 1
     with pytest.raises(ValueError):
         q.mu(-1)
 
@@ -500,16 +454,6 @@ def test_getitem_bounds(table):
         table[table.n_max + 1]
     with pytest.raises(ValueError):
         q.MuTable(-1)
-
-
-def test_ensure_below_n_max_keeps_the_table(fresh_head):
-    # A read below the head's fill mark fills nothing and keeps its bytes.
-    mu_module._head_to(100)
-    filled, before = mu_module._filled, mu_module._head.copy()
-    assert mu_module._head_to(5) is mu_module._head
-    assert q.MuTable(50).n_max == 50
-    assert mu_module._filled == filled
-    assert np.array_equal(mu_module._head, before)
 
 
 def test_oracle_domain():
@@ -626,9 +570,9 @@ def test_bounds_csv(capsys):
     assert row10[:3] == ["10", "5", "5"]
 
 
-def test_ensure_refuses_past_limit_before_allocating(fresh_head):
+def test_ensure_refuses_past_limit_before_allocating():
     # Every reader of mu refuses an n past TABLE_LIMIT before allocating
-    # anything of its size, and leaves the head unfilled.
+    # anything of its size.
     assert q.TABLE_LIMIT >= 2 * 10**7
     message = f"mu table is limited to n <= {q.TABLE_LIMIT}, asked for {10**10}"
     tracemalloc.start()
@@ -641,7 +585,6 @@ def test_ensure_refuses_past_limit_before_allocating(fresh_head):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert mu_module._filled == -1
 
 
 def test_cli_mu_past_limit_is_domain_error(capsys):

@@ -177,9 +177,21 @@ def test_cross_module_private_names():
             shared[path.stem] = private
     assert shared == {
         "cli": {"_bounds_columns", "_mu_gather", "_mu_span", "_sweep_columns"},
-        "invariants": {"_BLOCK", "_check_limit", "_mu_span", "_mu_sum"},
+        "invariants": {"_BLOCK", "_GREEDY", "_check_limit", "_mu_span", "_mu_sum"},
         "search": {"_BLOCK", "_mu_span"},
     }
+
+
+def test_no_module_state_is_rebound():
+    # The package keeps no state that a call rebinds: no `global` statement
+    # anywhere, and the mu head is one read-only array of C(418,2) entries,
+    # built at import.  The one cache left is `_apery`'s lru_cache.
+    for path in sorted(Path(q.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not any(isinstance(node, ast.Global) for node in ast.walk(tree)), path.name
+    head = importlib.import_module("quadsg.mu")._head
+    assert not head.flags.writeable
+    assert len(head) == q.triangular(418)
 
 
 def test_no_private_twins():

@@ -178,14 +178,34 @@ def test_subadditive(table):
         assert np.all(lhs >= values[2 * i : 1501])
 
 
+def test_growth_in_random_steps_matches_fold(fold):
+    # mu(0..GROWTH_LIMIT) read forward in seeded random steps of `_mu_span`,
+    # each step starting right after the last, with a stop at the end of
+    # every mark's level: among them C(417,2) - 1, so the next step starts
+    # at level 417, the last one below the greedy rule, and C(418,2) - 1,
+    # the head's last entry, so the next step is the first past the head.
+    # The steps put together hold the fold's value at every n.
+    rng = random.Random(8)
+    stops = [q.triangular(j) - 1 for j in (10, 100, 400, 417, 418)] + [GROWTH_LIMIT]
+    lo, steps = 0, []
+    for stop in stops:
+        while lo <= stop:
+            hi = min(stop, lo + rng.randrange(1 << rng.randint(0, 15)))
+            steps.append(mu_module._mu_span(lo, hi))
+            lo = hi + 1
+    grown = np.concatenate(steps)
+    assert len(steps) > len(stops) and len(grown) == GROWTH_LIMIT + 1
+    mismatches = np.flatnonzero(grown != fold)
+    assert mismatches.size == 0, mismatches[:5]
+
+
 def test_spans_and_scalar_match_fold(fold):
-    # The span of every n to GROWTH_LIMIT, seeded windows of `_mu_span` that
-    # straddle levels 417/418 and later level ends, and lone n, against the
-    # fold; the scalar `mu` reads what `_mu_span(n, n)` reads.
+    # Seeded windows of `_mu_span` that straddle levels 417/418 and later
+    # level ends, and lone n, against the fold; the scalar `mu` reads what
+    # `_mu_span(n, n)` reads.
     rng = random.Random(35)
     ends = [q.triangular(j) for j in (417, 418, 419, 500, 774)]
-    windows = [(0, GROWTH_LIMIT)]
-    windows += [(t - d, t + e) for t in ends for d, e in ((1, 0), (0, 1), (5, 5), (400, 700))]
+    windows = [(t - d, t + e) for t in ends for d, e in ((1, 0), (0, 1), (5, 5), (400, 700))]
     windows += [(lo, lo + rng.randrange(1 << 17)) for lo in rng.sample(range(GROWTH_LIMIT - (1 << 17)), 20)]
     for lo, hi in windows:
         mismatches = np.flatnonzero(mu_module._mu_span(lo, hi) != fold[lo : hi + 1])

@@ -492,7 +492,8 @@ def bounds_certified(a: int, b: int) -> bool:
 def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     """(a, b, F, g) of every coprime pair 2 <= a <= a_max, 1 <= b <= b_max.
 
-    Rows come a ascending, then b ascending, in int64 arrays of at most
+    Takes a_max >= 2 and b_max >= 1, as `_sweep_columns` checks.  Rows
+    come a ascending, then b ascending, in int64 arrays of at most
     `_BLOCK // 8` pairs.  F and g for every a come from scans of mu, not
     from one lift array per a, nor from `frobenius`'s level terms, so the
     tests compare the two.
@@ -525,8 +526,6 @@ def _scan(a_max: int, b_max: int) -> Iterator[tuple[np.ndarray, ...]]:
     reached by a.  Everything fits in int64 under `_sweep_columns`' size
     check: M*a <= 2*a**2 since mu(n) <= 2n, and (a-1)*b <= 10**8.
     """
-    if a_max < 2 or b_max < 1:
-        return
     cap = _BLOCK // 8
     width = max(1, cap // b_max)
     last = np.full(min(1 << 16, 2 * a_max), -1, dtype=np.int64)  # one slot per level
@@ -579,10 +578,12 @@ def _sweep_columns(a_max: int, b_max: int) -> Iterator[list[list]]:
     One list of Python lists per block of `_scan`.  The bounds take the
     terms in a alone once per a and add the terms in b over the whole
     block through `_with_b`, so every float equals the single-pair one.
-    An oversized grid is refused at the call, before any row; this also
-    keeps a_max - 1 within TABLE_LIMIT.
+    An empty or oversized grid is refused at the call, before any row;
+    this also keeps a_max - 1 within TABLE_LIMIT.
     """
-    if (a_max - 1) * max(b_max, 1) > TABLE_LIMIT:
+    if a_max < 2 or b_max < 1:
+        raise ValueError("sweep needs a_max >= 2 and b_max >= 1")
+    if (a_max - 1) * b_max > TABLE_LIMIT:
         raise ValueError(f"sweep needs (a_max - 1) * b_max <= {TABLE_LIMIT}")
 
     def blocks() -> Iterator[list[list]]:

@@ -14,10 +14,11 @@ Level i holds the i numbers n = C(i,2) + r, 0 <= r < i.  From level 418 on,
 up to `TABLE_LIMIT`, mu follows the greedy rule mu(n) = i + mu(r) (proven
 at `_mu_span`), so every mu the package serves is one read of a fixed head,
 mu(0..C(418,2) - 1) = mu(0..87,152) in 87,153 uint16 entries (174 KB).
-The head is built once, at import, by blocks of levels with one strided
-pass per part index (`_build_head`), and is read-only.  Readers: `_mu_span`
-(a range of n), `mu` (one n), `_mu_gather` (points given by level) and
-`_mu_sum` (sum of mu(0..a-1) from level sums); `MuTable` is a snapshot.
+The head is built once, at import, by blocks of whole levels with one
+strided pass per part index (`_build_head`), and is read-only.  Readers:
+`_mu_span` (a range of n, one slice add per level past the head), `mu`
+(one n), `_mu_gather` (points given by level) and `_mu_sum` (sum of
+mu(0..a-1) from level sums); `MuTable` is a snapshot.
 An oracle (`mu_oracle`) folds in one part at a time with no such rule and
 checks the head and the level rule up to n = 10**6.  The analytic
 envelope around mu: `lower_bound`, `gauss_bound`, `combined_bound`.
@@ -50,21 +51,16 @@ ORACLE_LIMIT = 10**6
 # largest_index(TABLE_LIMIT) = 14,142 (see `_mu_span`).
 TABLE_LIMIT = 10**8
 
-# Most entries in one working array: the one block size of the package.
-# As int64, 2**16 entries are 512 KiB, so a temporary cut to it keeps
-# memory flat however large the input: the head build, and `_mu_span`
-# past the head, fill blocks of at most this many entries, search's
-# `_pairs` takes its pairs in blocks of 2**16, and `bounds` (five columns)
-# and the sweep (`invariants._scan`, eight) take a quarter and an eighth as
-# many rows, about 2**16 cells a block, which the CLI prints as one string.
-# Uncut, the sweep would allocate a * b_max entries before its first row
-# (800 MB at a = 2, b_max = 5*10**7).
+# Most entries in one working array of the streams that read mu.  As int64,
+# 2**16 entries are 512 KiB, so a temporary cut to it keeps memory flat
+# however large the input: search's `_pairs` takes its pairs in blocks of
+# 2**16, and `bounds` (five columns) and the sweep (`invariants._scan`,
+# eight) take a quarter and an eighth as many rows, about 2**16 cells a
+# block, which the CLI prints as one string.  Uncut, the sweep would
+# allocate a * b_max entries before its first row (800 MB at a = 2,
+# b_max = 5*10**7).  mu itself needs no cut: the head is a fixed 87,153
+# entries, and `_mu_span` allocates nothing but its result.
 _BLOCK = 1 << 16
-
-# mu(0..27), which the head build copies: below C(8,2) = 28 some levels read
-# their own entries, so the level blocks start at 28.  The tests check these
-# against the recursion.
-_BASE = (0, 2, 4, 3, 5, 7, 4, 6, 8, 7, 5, 7, 8, 8, 10, 6, 8, 10, 9, 11, 10, 7, 9, 11, 10, 11, 13, 11)
 
 # The levels below _GREEDY fill from part indices i - _DEPTH..i; from
 # _GREEDY on, mu is the greedy copy of the head.
@@ -97,92 +93,60 @@ def largest_index(n: int) -> int:
     return (1 + math.isqrt(8 * n + 1)) // 2
 
 
-def _fill_block(dp: np.ndarray, start: int, end: int, depth: int, out: np.ndarray) -> None:
-    """Write mu(start..end) into out from the part indices i-depth..i, sources read from dp.
-
-    The head build writes into dp itself at depth 3, every source below start
-    (see `_build_head`); `_mu_span` takes depth 0, the greedy copy i + dp[r].
-    """
-    i0, i1 = largest_index(start), largest_index(end) + 1
-    rows, width = i1 - i0, i1 - 1
-
-    def sources(d: int) -> np.ndarray:
-        # Row i - i0, column r: dp[C(i,2) + r - C(i-d,2)].
-        offset = d * i0 - triangular(d + 1)
-        return np.ndarray((rows, width), np.uint16, dp, 2 * offset, (2 * d, 2))
-
-    # best = min over d' <= d of mu(source d') + d - d', one d at a time.
-    best = sources(0).copy()
-    for d in range(1, depth + 1):
-        best += 1
-        np.minimum(best, sources(d), out=best)
-    best += np.arange(i0 - depth, i1 - depth, dtype=np.uint16)[:, None]
-    levels = [best[j, : i0 + j] for j in range(rows)]
-    levels[-1] = levels[-1][: end + 1 - triangular(i1 - 1)]
-    levels[0] = levels[0][start - triangular(i0) :]
-    np.concatenate(levels, out=out)
-
-
-def _blocks(lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """The blocks (start, end) that cover mu(lo..hi), lo >= 28, in order.
-
-    A block is the n of whole levels, but for its first and last ones when
-    lo or hi cuts them, at most `_BLOCK` entries or one level, and cut
-    where the head build would read its own entries (see `_build_head`).  Past
-    the head that cut, at least (start + 6) // 4 > 14,142, never binds.
-    """
-    top = largest_index(hi)
-    start = lo
-    while start <= hi:
-        i0 = largest_index(start)
-        # The last level i's last entry reads dp[(D+1)*i - 1 - C(D+1,2)] at
-        # depth D = _DEPTH, which must lie below start.
-        fit = (start + triangular(_DEPTH + 1)) // (_DEPTH + 1)
-        i1 = max(i0 + 1, min(largest_index(start + _BLOCK), top + 1, fit + 1))
-        end = min(hi, triangular(i1) - 1)
-        yield start, end
-        start = end + 1
-
-
 def _build_head() -> np.ndarray:
     """The head, mu(0..C(_GREEDY,2) - 1) = mu(0..87,152) as read-only uint16.
 
-    Built once, at import, in about 0.5 ms.  The build works by levels.  It
-    takes mu(n) as the least mu(n - C(i-d,2)) + i - d over the depths
-    0 <= d <= `_DEPTH` = 3: the part indices i-3..i.  Every depth is a real
-    partition, so the rule can only err by cutting off every optimal largest
-    index of some n.  It is checked on the whole head: the tests compare the
-    head with the fold of `mu_oracle`.  Read off the fold, the least depth
-    that keeps an optimal partition is 0, 1, 2 and 3 on 303, 97, 9 and 1 of
-    the levels 8..417; the 107 that need more than 0 are the levels where
-    greedy fails.
+    Built once, at import.  mu(0..27) comes from the recursion itself: below
+    C(8,2) = 28 levels 2, 3, 4, 5 and 7 read their own entries.  From level
+    8 on the build works by blocks of whole levels.  It takes mu(n) as the
+    least mu(n - C(i-d,2)) + i - d over the depths 0 <= d <= `_DEPTH` = 3:
+    the part indices i-3..i.  Every depth is a real partition, so the rule
+    can only err by cutting off every optimal largest index of some n.  It
+    is checked on the whole head: the tests compare the head with the fold
+    of `mu_oracle`.  Read off the fold, the least depth that keeps an
+    optimal partition is 0, 1, 2 and 3 on 303, 97, 9 and 1 of the levels
+    8..417; the 107 that need more than 0 are the levels where greedy fails.
 
     The source of depth d is n - C(i-d,2) = r + d*i - C(d+1,2): for one d
-    its offset is linear in i.  `_fill_block` therefore fills a block of
-    consecutive levels i0..i1-1 with one strided 2-D view per d, row i - i0
-    starting at d*i0 - C(d+1,2) + d*(i - i0) and as wide as the widest
-    level (the shorter rows' extra columns are read, never written), takes
-    the minimum over d, and writes the rows back with one np.concatenate.
+    its offset is linear in i.  A block of levels i0..i1-1 is therefore
+    read with one strided 2-D view per d, row i - i0 starting at
+    d*i0 - C(d+1,2) + d*(i - i0) and as wide as the widest level (the
+    shorter rows' extra columns are read, never written).  The minimum over
+    d is written back, row i's first i entries, with one np.concatenate.
 
-    `_blocks` ends each block at `_BLOCK` entries (one level at least)
-    and where its last level i = i1 - 1 would read at or past its first
-    entry, start: that level's last entry reads 4*i - 7 at depth 3.
-    Blocks start at level 8, so 3 <= i0 - 2: every part index i - d is at
-    least 2, every source r + d*i - C(d+1,2) (r < i, extra columns
-    included) grows with r, d and the row's level, stays below start, and
-    is final: one pass per d fills the block.  A block of one level
-    i0 >= 8 is not cut: its last entry reads 4*i0 - 7 < C(i0,2).  Below
-    C(8,2) = 28 levels 2, 3, 4, 5 and 7 read their own entries, so
-    mu(0..27) is copied from `_BASE`.  The whole head is 7 blocks and 28
-    passes.
+    A block ends at i1 = min(418, (C(i0,2) + 6) // 4 + 1): its last level
+    i = i1 - 1 has its last source, extra columns included, at 4*i - 7 at
+    depth 3, below the block's first entry C(i0,2).  Blocks start at level
+    8, so i1 > i0 and 3 <= i0 - 2: every part index i - d is at least 2,
+    and every source r + d*i - C(d+1,2) grows with r, d and the row's level,
+    stays below C(i0,2), and is final: one pass per d fills the block.  The
+    whole head is 6 blocks and 24 passes.
 
     No uint16 sum wraps: each is at most mu(m) + 417 with m < 87,153, and
     mu(m) <= gauss_bound(87,152) < 725 (see `_mu_span`).
     """
+    base = [0]
+    for n in range(1, triangular(8)):
+        base.append(min(base[n - triangular(i)] + i for i in range(2, largest_index(n) + 1)))
     head = np.empty(triangular(_GREEDY), dtype=np.uint16)
-    head[: len(_BASE)] = _BASE
-    for start, end in _blocks(len(_BASE), len(head) - 1):
-        _fill_block(head, start, end, _DEPTH, head[start : end + 1])
+    head[: len(base)] = base
+    i0 = 8
+    while i0 < _GREEDY:
+        i1 = min(_GREEDY, (triangular(i0) + 6) // 4 + 1)
+        rows, width = i1 - i0, i1 - 1
+        # Row i - i0, column r of view d: head[C(i,2) + r - C(i-d,2)].
+        views = [
+            np.ndarray((rows, width), np.uint16, head, 2 * (d * i0 - triangular(d + 1)), (2 * d, 2))
+            for d in range(_DEPTH + 1)
+        ]
+        # best = min over d' <= d of mu(source d') + d - d', one d at a time.
+        best = views[0].copy()
+        for view in views[1:]:
+            best += 1
+            np.minimum(best, view, out=best)
+        best += np.arange(i0 - _DEPTH, i1 - _DEPTH, dtype=np.uint16)[:, None]
+        np.concatenate([best[j, : i0 + j] for j in range(rows)], out=head[triangular(i0) : triangular(i1)])
+        i0 = i1
     head.flags.writeable = False
     return head
 
@@ -200,10 +164,9 @@ def _mu_span(lo: int, hi: int) -> np.ndarray:
     """mu(lo..hi) as uint16, 0 <= lo <= hi <= TABLE_LIMIT; read-only where it is the head's.
 
     Below the head's end it is a slice of the head.  Past it, level i
-    holds mu(C(i,2) + r) = i + mu(r), r < i, built by `_fill_block` at depth
-    0 from the head over blocks of whole levels (`_blocks`), never one n at
-    a time: a per-element form with np.sqrt and np.where was 10-40 times
-    slower.
+    holds mu(C(i,2) + r) = i + mu(r), r < i: one np.add of i to a slice of
+    the head per level, clipped to lo..hi and written straight into the
+    result.
 
     The greedy rule holds on every level from 418 to largest_index(
     TABLE_LIMIT) = 14,142.  The fold checks it directly on levels 418..774.
@@ -236,8 +199,10 @@ def _mu_span(lo: int, hi: int) -> np.ndarray:
         return _head[lo : hi + 1]
     out = np.empty(hi + 1 - lo, dtype=np.uint16)
     out[: max(0, size - lo)] = _head[lo:]
-    for start, end in _blocks(max(lo, size), hi):
-        _fill_block(_head, start, end, 0, out[start - lo : end + 1 - lo])
+    for i in range(largest_index(max(lo, size)), largest_index(hi) + 1):
+        t = triangular(i)
+        first, last = max(lo, t), min(hi, t + i - 1)
+        np.add(_head[first - t : last + 1 - t], i, out=out[first - lo : last + 1 - lo])
     return out
 
 

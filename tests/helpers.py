@@ -60,8 +60,9 @@ def mu_fixpoint_mismatches(values) -> np.ndarray:
     check reads T only, with one np.add and one np.minimum per part index.
 
     No uint16 sum wraps: each is T(m) + i with i <= largest_index(N) <=
-    14,142 and T(m) = mu(m) <= 24,497 up to TABLE_LIMIT (see `MuTable`), and
-    38,639 < 65,535.  A T past that bound is not mu, and is refused.
+    14,142 and T(m) = mu(m) <= 24,497 up to TABLE_LIMIT (by Gauss, see the
+    no-wrap paragraph of `quadsg.mu._mu_span`), and 38,639 < 65,535.  A T
+    past that bound is not mu, and is refused.
     """
     n_max = len(values) - 1
     i_max = (1 + math.isqrt(8 * n_max + 1)) // 2

@@ -349,9 +349,14 @@ def test_sweep_json_streams_objects():
     assert expected[count - 1] == "  },\n"
 
 
+# An empty grid is refused before the header, as `bounds --n-max 0` is.
+SWEEP_EXTENT_REFUSAL = (1, "", "error: sweep needs a_max >= 2 and b_max >= 1\n")
+
+
 @pytest.mark.parametrize("a_max", [30, 1, -3])
 def test_sweep_json_matches_list_form(capsys, monkeypatch, a_max):
-    # Byte for byte what json.dump writes for the whole list, [] included.
+    # Byte for byte what json.dump writes for the whole list; a_max below
+    # 2 is refused byte for byte.
     summaries = [
         invariants_row(a, b)
         for a in range(2, a_max + 1)
@@ -361,8 +366,10 @@ def test_sweep_json_matches_list_form(capsys, monkeypatch, a_max):
     expected = io.StringIO()
     json.dump(summaries, expected, indent=2)
     argv = ["invariants", "--sweep", "--a-max", str(a_max), "--b-max", "3", "--format", "json"]
+    if a_max < 2:
+        assert run_cli(capsys, *argv) == SWEEP_EXTENT_REFUSAL
+        return
     assert run_cli(capsys, *argv) == (0, expected.getvalue() + "\n", "")
-    assert (expected.getvalue() == "[]") == (a_max < 2)
     # Again with blocks of 5 pairs, so the array's commas cross block edges.
     monkeypatch.setattr(invariants_module, "_BLOCK", 40)
     assert run_cli(capsys, *argv) == (0, expected.getvalue() + "\n", "")
@@ -418,16 +425,19 @@ def sweep_row(a, b):
 
 
 @pytest.mark.parametrize(
-    "a_max,b_max,block", [(400, 10, None), (80, 12, 40), (-3, 2, None), (30, 0, None)]
+    "a_max,b_max,block",
+    [(400, 10, None), (80, 12, 40), (-3, 2, None), (30, 0, None), (-5, 3, None), (5, -3, None)],
 )
 def test_sweep_csv_matches_csv_writer(a_max, b_max, block, capsys, monkeypatch):
+    # A grid with no pair is refused byte for byte.
     if block is not None:
         monkeypatch.setattr(invariants_module, "_BLOCK", block)
     pairs = [(a, b) for a in range(2, a_max + 1) for b in range(1, b_max + 1) if math.gcd(a, b) == 1]
     expected = csv_writer_text(SWEEP_HEADER, [sweep_row(a, b) for a, b in pairs])
     argv = ["invariants", "--sweep", "--a-max", str(a_max), "--b-max", str(b_max)]
-    assert run_cli(capsys, *argv) == (0, expected, "")
-    assert run_cli(capsys, *argv, "--format", "plain") == (0, expected, "")
+    result = (0, expected, "") if pairs else SWEEP_EXTENT_REFUSAL
+    assert run_cli(capsys, *argv) == result
+    assert run_cli(capsys, *argv, "--format", "plain") == result
 
 
 def test_single_pair_csv_matches_csv_writer(capsys):

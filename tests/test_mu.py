@@ -103,8 +103,6 @@ def test_frozen_values(table, plain):
 
 def test_table_matches_plain_dp(table, plain):
     assert np.array_equal(table.values, np.array(plain))
-    # The entries the fill copies rather than computes.
-    assert list(mu_module._BASE) == plain[: len(mu_module._BASE)]
 
 
 def _sha256(values):
@@ -146,7 +144,7 @@ def test_fold_shares_nothing_with_the_fill():
     tree = ast.parse(inspect.getsource(mu_module._mu_fold))
     loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     loaded |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    fill = {"MuTable", "_blocks", "_fill_block", "_DEPTH", "_GREEDY", "_BASE", "_head", "_build_head", "_mu_span"}
+    fill = {"MuTable", "_DEPTH", "_GREEDY", "_head", "_build_head", "_mu_span"}
     assert loaded & fill == set()
 
 
@@ -202,7 +200,10 @@ def test_growth_in_random_steps_matches_fold(fold):
 def test_spans_and_scalar_match_fold(fold):
     # Seeded windows of `_mu_span` that straddle levels 417/418 and later
     # level ends, and lone n, against the fold; the scalar `mu` reads what
-    # `_mu_span(n, n)` reads.
+    # `_mu_span(n, n)` reads.  Past the fold, windows that end at
+    # TABLE_LIMIT, lie inside level 14,142, or cross two or three level ends
+    # near 10**7 are checked entry by entry against the scalar `mu`, so each
+    # level's slice is clipped to the window at both ends.
     rng = random.Random(35)
     ends = [q.triangular(j) for j in (417, 418, 419, 500, 774)]
     windows = [(t - d, t + e) for t in ends for d, e in ((1, 0), (0, 1), (5, 5), (400, 700))]
@@ -210,39 +211,23 @@ def test_spans_and_scalar_match_fold(fold):
     for lo, hi in windows:
         mismatches = np.flatnonzero(mu_module._mu_span(lo, hi) != fold[lo : hi + 1])
         assert mismatches.size == 0, (lo, hi, mismatches[:5])
+    assert q.largest_index(q.TABLE_LIMIT) == 14_142
+    top, t = q.triangular(14_142), q.triangular(4472)
+    far = [(q.TABLE_LIMIT - 3000, q.TABLE_LIMIT), (top + 100, top + 8000), (t - 10, t + 2 * 4472 + 10)]
+    far += [(t - 4471 - 5, t + 5), (t + 1, t + 4472 + 4473 - 1)]
+    for lo, hi in far:
+        span = mu_module._mu_span(lo, hi)
+        assert span.tolist() == [q.mu(n) for n in range(lo, hi + 1)], (lo, hi)
     for n in [0, 27, 28, *(t + d for t in ends for d in (-1, 0, 1)), *rng.sample(range(10**8), 200), 10**8]:
         assert q.mu(n) == int(mu_module._mu_span(n, n)[0]), n
         if n <= GROWTH_LIMIT:
             assert q.mu(n) == fold[n], n
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64])
-def test_fill_at_many_chunk_boundaries(chunk, fold, monkeypatch):
-    # Blocks capped at `chunk` entries: one level per block, or a few
-    # where the block cut allows, so the cut is taken afresh at every
-    # level, in a fresh head build and in spans past the head, each entry
-    # checked against the fold.
-    monkeypatch.setattr(mu_module, "_BLOCK", chunk)
-    n_max = 4000
-    for start, end in mu_module._blocks(28, n_max):
-        assert end - start < chunk or q.largest_index(start) == q.largest_index(end)
-    head = mu_module._build_head()
-    mismatches = np.flatnonzero(head != fold[: len(head)])
-    assert mismatches.size == 0, (chunk, mismatches[:5])
-    lo, hi = q.triangular(417) - 5, q.triangular(430) + 5
-    mismatches = np.flatnonzero(mu_module._mu_span(lo, hi) != fold[lo : hi + 1])
-    assert mismatches.size == 0, (chunk, mismatches[:5])
-
-
-@pytest.mark.parametrize("chunk", [None, 7])
-def test_fill_window_keeps_an_optimal_partition(chunk, largest_optimal, monkeypatch):
+def test_fill_window_keeps_an_optimal_partition(largest_optimal):
     # Every n from 28 to 2*10**5 has an optimal partition, read off the
     # fold, whose largest index lies in its level's window i - depth..i
-    # under the level rule, so the rule cuts off no optimum; and every
-    # block, with blocks capped at `chunk` entries, lies on one side of
-    # level 418, so it takes its levels' depth.
-    if chunk is not None:
-        monkeypatch.setattr(mu_module, "_BLOCK", chunk)
+    # under the level rule, so the rule cuts off no optimum.
     n_max = 2 * 10**5
     top = largest_optimal[: n_max + 1]
     level = _levels(n_max)
@@ -250,49 +235,32 @@ def test_fill_window_keeps_an_optimal_partition(chunk, largest_optimal, monkeypa
     n = np.arange(28, n_max + 1)
     outside = n[(top[28:] < (level - depth)[28:]) | (top[28:] > level[28:])]
     assert outside.size == 0, outside[:5]
-    size = len(mu_module._head)
-    assert size == q.triangular(mu_module._GREEDY)
-    assert all(end < size for _, end in mu_module._blocks(28, size - 1))
-    assert all(start >= size for start, _ in mu_module._blocks(size, n_max))
+    assert len(mu_module._head) == q.triangular(mu_module._GREEDY)
 
 
-def _walk(n):
-    # The blocks (start, end, depth) that serve mu(0..n), n past the head:
-    # the head build's at depth 3, then the span's at depth 0.
-    size = len(mu_module._head)
-    yield from ((start, end, mu_module._DEPTH) for start, end in mu_module._blocks(28, size - 1))
-    yield from ((start, end, 0) for start, end in mu_module._blocks(size, n))
-
-
-@pytest.mark.parametrize("n", [q.triangular(2000), 10**7], ids=["c2000", "1e7"])
-def test_every_block_reads_only_entries_below_it(n):
-    # The whole rectangle each block reads, extra columns included: rows
-    # i0..i, columns 0..i-1, depths 0..D.  Every source is below the
-    # block's first entry, every part index is at least 2, and the blocks
-    # tile 28..n_max with at most _BLOCK entries or one level each.
-    last = 27
-    for start, end, depth in _walk(n):
-        assert start == last + 1
-        last = end
-        i0, i = q.largest_index(start), q.largest_index(end)
-        assert end + 1 - start <= mu_module._BLOCK or i == i0, (start, end)
-        assert i0 - depth >= 2, (start, depth)
-        rows = np.arange(i0, i + 1)[:, None, None]
-        r = np.arange(i)[None, :, None]
+def test_head_blocks_read_only_entries_below_them():
+    # The block rule of `_build_head`, i1 = min(418, (C(i0,2) + 6) // 4 + 1)
+    # from i0 = 8, tiles levels 8..417 in 6 blocks.  The whole rectangle each
+    # block reads, extra columns included: rows i0..i1-1, columns 0..i1-2,
+    # depths 0..3.  Every source is below the block's first entry C(i0,2)
+    # and every part index is at least 2.  Past the head, level i reads the
+    # head at r < i <= largest_index(TABLE_LIMIT), inside the head.
+    depth = mu_module._DEPTH
+    assert depth == 3
+    blocks, i0 = [], 8
+    while i0 < mu_module._GREEDY:
+        i1 = min(mu_module._GREEDY, (q.triangular(i0) + 6) // 4 + 1)
+        blocks.append((i0, i1))
+        i0 = i1
+    assert len(blocks) == 6 and blocks[-1][1] == 418
+    for i0, i1 in blocks:
+        assert i1 > i0 and i0 - depth >= 2, (i0, i1)
+        rows = np.arange(i0, i1)[:, None, None]
+        r = np.arange(i1 - 1)[None, :, None]
         d = np.arange(depth + 1)[None, None, :]
         sources = r + d * rows - d * (d + 1) // 2
-        assert sources.min() >= 0 and sources.max() < start, (start, end, depth)
-    assert last == n
-
-
-def test_fill_work_counts_at_c_2000():
-    # The head build, which serves certify's gather to C(2000,2): 7 blocks
-    # and 28 part-index passes.  Growing one table to C(2000,2) took 36
-    # blocks and 57 passes, and the chunked fill before the level blocks
-    # 163 chunks and 2,696 passes.
-    blocks = list(mu_module._blocks(28, len(mu_module._head) - 1))
-    assert len(blocks) == 7
-    assert (mu_module._DEPTH + 1) * len(blocks) == 28
+        assert sources.min() >= 0 and sources.max() < q.triangular(i0), (i0, i1)
+    assert q.largest_index(q.TABLE_LIMIT) < q.triangular(418) == len(mu_module._head)
 
 
 def test_depth_census_from_the_fold(largest_optimal):
@@ -367,10 +335,10 @@ def test_table_is_uint16_within_its_bound():
     assert peak < 6 << 20, peak
 
 
-def test_fill_speed_at_c_2000():
-    # certify's fill: the whole head, built afresh as at import.  The
-    # fastest of three builds is timed, so one scheduling stall does not
-    # count.
+def test_head_build_speed():
+    # The whole head, built afresh as at import, serves certify's gather to
+    # C(2000,2).  The fastest of three builds is timed, so one scheduling
+    # stall does not count.
     times = []
     for _ in range(3):
         start = time.perf_counter()
@@ -382,9 +350,8 @@ def test_fill_speed_at_c_2000():
 
 
 def test_fill_speed_at_ten_million():
-    # Past level 417 every level is the greedy copy of the head, one pass
-    # per block; the linear bound alone, in the chunked fill before the
-    # level blocks, took about 1.1 s on a 2-vCPU machine.
+    # Past level 417 every level is the greedy copy of the head, one
+    # np.add per level.
     times = []
     for _ in range(3):
         start = time.perf_counter()
@@ -590,7 +557,7 @@ def test_bounds_csv(capsys):
     assert row10[:3] == ["10", "5", "5"]
 
 
-def test_ensure_refuses_past_limit_before_allocating():
+def test_readers_refuse_past_limit_before_allocating():
     # Every reader of mu refuses an n past TABLE_LIMIT before allocating
     # anything of its size.
     assert q.TABLE_LIMIT >= 2 * 10**7

@@ -8,20 +8,23 @@ command), 2 verification failure (a certify run found a mismatch, or
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, astuple
-from typing import NamedTuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import invariants as invariants_mod
 from .mu import _bounds_columns, _mu_gather, _mu_span, mu
 from . import search as search_mod
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["USAGE_EXIT", "FAILURE_EXIT", "build_parser", "main", "run"]
 
@@ -31,13 +34,6 @@ FAILURE_EXIT = 2
 
 class _UsageError(Exception):
     """Command line misuse detected after parsing."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):
-        # argparse defaults to exit code 2; usage problems are 64 here.
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
 def _fmt(x: float) -> str:
@@ -305,124 +301,194 @@ def _cmd_tgrid(ns) -> _Record:
     return _Record(header=["m", "n", "member"], rows=rows, lines=lines)
 
 
-def _add_format(p, default: str, choices=("plain", "json", "csv")) -> None:
-    p.add_argument("--format", choices=list(choices), default=default)
+_REQUIRED = object()  # the default of an option that must be given
 
 
-def _add_pair(p, oracle: bool) -> None:
-    """--a and --b, both required, for a command on one pair; --oracle for one with an oracle."""
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    if oracle:
-        p.add_argument("--oracle", action="store_true", help="derive from the round-robin Apery set")
+class _Option(NamedTuple):
+    """One flag of a command: `kind` is int, bool (a switch) or the tuple of its choices."""
+
+    flag: str
+    kind: object
+    default: object = None
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of `command` alone when it names one.
+class _Command(NamedTuple):
+    """One command word: its handler and options, or the mode words under it."""
 
-    `run` passes the first word of argv, so a run builds the parser of the
-    command it runs and no other.  A word that names no command (--help,
-    an unknown word, none) builds every command's, so the command list and
-    its usage errors read as from the full parser.
+    name: str
+    help: str
+    func: Callable[..., _Record] | None = None
+    options: tuple[_Option, ...] = ()
+    forms: tuple[str, str] | None = None  # names in invariants_mod: closed form, oracle
+    modes: tuple[_Command, ...] = ()
+
+
+def _handler(cmd: _Command) -> dict:
+    """`func`, and `forms` looked up in invariants_mod when argv is read, not when the table is built."""
+    found = {"func": cmd.func}
+    if cmd.forms:
+        found["forms"] = tuple(getattr(invariants_mod, name) for name in cmd.forms)
+    return found
+
+
+def _format(default: str, choices: tuple = ("plain", "json", "csv")) -> _Option:
+    return _Option("--format", choices, default)
+
+
+_PAIR = (_Option("--a", int, _REQUIRED), _Option("--b", int, _REQUIRED))
+_ORACLE = _Option("--oracle", bool, False, "derive from the round-robin Apery set")
+_SEARCH = (_Option("--a-max", int, _REQUIRED), _format("csv", ("csv", "json")))
+
+# Every command, in the order of the help text; `build_parser` and `_match`
+# both read it.
+_COMMANDS = (
+    _Command("mu", "minimum index-weight of a triangular partition", _cmd_mu,
+             (_Option("--n", int, _REQUIRED), _format("plain"))),
+    _Command("bounds", "mu with its analytic envelope, tabulated", _cmd_bounds,
+             (_Option("--n-max", int, _REQUIRED), _format("csv"))),
+    _Command("semigroup", "validate (a,b) and describe S(a,b)", _cmd_semigroup,
+             (*_PAIR, _format("json", ("plain", "json")))),
+    _Command("apery", "least member of S per residue class mod a", _cmd_apery,
+             (*_PAIR, _ORACLE, _format("plain")), ("apery_closed", "apery_oracle")),
+    _Command("frobenius", "largest integer outside S", _cmd_frobenius_or_genus,
+             (*_PAIR, _ORACLE, _format("plain", ("plain", "json"))), ("frobenius", "frobenius_oracle")),
+    _Command("genus", "number of gaps of S", _cmd_frobenius_or_genus,
+             (*_PAIR, _ORACLE, _format("plain", ("plain", "json"))), ("genus", "genus_oracle")),
+    _Command("invariants", "frobenius, genus, and bounds together", _cmd_invariants, (
+        _Option("--a", int),
+        _Option("--b", int),
+        _Option("--sweep", bool, False, "tabulate a coprime grid (rows print as they are made)"),
+        _Option("--a-max", int),
+        _Option("--b-max", int),
+        _format("csv"),
+    )),
+    _Command("embedding", "minimal generators and their count", _cmd_embedding,
+             (*_PAIR, _ORACLE, _format("plain", ("plain", "json"))),
+             ("minimal_generators_closed", "minimal_generators_oracle")),
+    _Command("search", "exhaustive searches", modes=(
+        _Command("mu-drop", "pairs where one shift lowers mu by 2..4", _cmd_search_drop, _SEARCH),
+        _Command("embedding-eq", "pairs where an extra generator could enter", _cmd_search_eq, _SEARCH),
+    )),
+    _Command("g-analysis", "peak and roots of the bound-gap margin", _cmd_g_analysis, (_format("plain"),)),
+    _Command("certify", "replay every certificate and search", _cmd_certify,
+             (_Option("--all", bool, False, "accepted for compatibility; always runs everything"),)),
+    _Command("tgrid", "membership grid of the lifted pair monoid", _cmd_tgrid,
+             (_Option("--m-max", int, 49), _Option("--n-max", int, 49), _format("csv", ("csv", "plain")))),
+)
+
+
+def _match(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` returns, for an argv spelled exactly; else None.
+
+    Exactly means: the command word (and the mode word of `search`), then
+    each option at most once, flag spelled in full, a switch alone and any
+    other flag followed by its value: an int as ASCII `-?[0-9]+`, a choice
+    as declared.  Every required flag must be present.  Anything else
+    (help, abbreviations, `--flag=value`, repeats, stray words, `--`) is
+    left to argparse, which also accepts some of it, such as `+5` or
+    `1_0` for an int.
     """
+    values = {}
+    commands, words = _COMMANDS, iter(argv)
+    for dest in ("command", "mode"):
+        word = next(words, None)
+        cmd = next((c for c in commands if c.name == word), None)
+        if cmd is None:
+            return None
+        values[dest] = word
+        if not cmd.modes:
+            break
+        commands = cmd.modes
+    options = {opt.flag: opt for opt in cmd.options}
+    values.update((opt.dest, opt.default) for opt in cmd.options)
+    for word in words:
+        opt = options.pop(word, None)
+        if opt is None:
+            return None
+        if opt.kind is bool:
+            values[opt.dest] = True
+            continue
+        value = next(words, None)
+        if value is None:
+            return None
+        if opt.kind is int:
+            digits = value[1:] if value.startswith("-") else value
+            if not (digits.isascii() and digits.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # more digits than int() converts
+                return None
+        elif value not in opt.kind:
+            return None
+        values[opt.dest] = value
+    if any(opt.default is _REQUIRED for opt in options.values()):
+        return None
+    return SimpleNamespace(**values, **_handler(cmd))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Every command's argparse parser, built from the command table.
+
+    `run` builds it only for an argv `_match` does not read: help, usage
+    errors, and valid but unusual spellings such as abbreviated or
+    `=`-joined flags.  It is the only writer of help and usage text, and
+    the only importer of argparse (and, through it, gettext and locale).
+    """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str):
+            # argparse defaults to exit code 2; usage problems are 64 here.
+            self.print_usage(sys.stderr)
+            self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+
+    def add_commands(parser: argparse.ArgumentParser, commands: tuple[_Command, ...], dest: str) -> None:
+        sub = parser.add_subparsers(dest=dest, metavar=dest, required=True)
+        for cmd in commands:
+            p = sub.add_parser(cmd.name, help=cmd.help)
+            if cmd.modes:
+                add_commands(p, cmd.modes, "mode")
+                continue
+            for opt in cmd.options:
+                if opt.kind is bool:
+                    p.add_argument(opt.flag, action="store_true", help=opt.help)
+                elif opt.kind is int and opt.default is _REQUIRED:
+                    p.add_argument(opt.flag, type=int, required=True)
+                elif opt.kind is int:
+                    p.add_argument(opt.flag, type=int, default=opt.default)
+                else:
+                    p.add_argument(opt.flag, choices=list(opt.kind), default=opt.default)
+            p.set_defaults(**_handler(cmd))
+
     parser = _Parser(
         prog="quadsg",
         description="Invariants of numerical semigroups generated by quadratic sequences.",
     )
-    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser | None:
-        """The parser of command `name`, or None if this build leaves it out."""
-        return sub.add_parser(name, help=help_text) if command in (None, name) else None
-
-    if p := add("mu", "minimum index-weight of a triangular partition"):
-        p.add_argument("--n", type=int, required=True)
-        _add_format(p, "plain")
-        p.set_defaults(func=_cmd_mu)
-
-    if p := add("bounds", "mu with its analytic envelope, tabulated"):
-        p.add_argument("--n-max", type=int, required=True)
-        _add_format(p, "csv")
-        p.set_defaults(func=_cmd_bounds)
-
-    if p := add("semigroup", "validate (a,b) and describe S(a,b)"):
-        _add_pair(p, oracle=False)
-        _add_format(p, "json", choices=("plain", "json"))
-        p.set_defaults(func=_cmd_semigroup)
-
-    if p := add("apery", "least member of S per residue class mod a"):
-        _add_pair(p, oracle=True)
-        _add_format(p, "plain")
-        forms = (invariants_mod.apery_closed, invariants_mod.apery_oracle)
-        p.set_defaults(func=_cmd_apery, forms=forms)
-
-    for name, help_text, closed, oracle in (
-        ("frobenius", "largest integer outside S", invariants_mod.frobenius, invariants_mod.frobenius_oracle),
-        ("genus", "number of gaps of S", invariants_mod.genus, invariants_mod.genus_oracle),
-    ):
-        if p := add(name, help_text):
-            _add_pair(p, oracle=True)
-            _add_format(p, "plain", choices=("plain", "json"))
-            p.set_defaults(func=_cmd_frobenius_or_genus, forms=(closed, oracle))
-
-    if p := add("invariants", "frobenius, genus, and bounds together"):
-        p.add_argument("--a", type=int)
-        p.add_argument("--b", type=int)
-        p.add_argument(
-            "--sweep",
-            action="store_true",
-            help="tabulate a coprime grid (rows print as they are made)",
-        )
-        p.add_argument("--a-max", type=int)
-        p.add_argument("--b-max", type=int)
-        _add_format(p, "csv")
-        p.set_defaults(func=_cmd_invariants)
-
-    if p := add("embedding", "minimal generators and their count"):
-        _add_pair(p, oracle=True)
-        _add_format(p, "plain", choices=("plain", "json"))
-        forms = (invariants_mod.minimal_generators_closed, invariants_mod.minimal_generators_oracle)
-        p.set_defaults(func=_cmd_embedding, forms=forms)
-
-    if p := add("search", "exhaustive searches"):
-        mode = p.add_subparsers(dest="mode", metavar="mode", required=True)
-        for name, help_text, handler in (
-            ("mu-drop", "pairs where one shift lowers mu by 2..4", _cmd_search_drop),
-            ("embedding-eq", "pairs where an extra generator could enter", _cmd_search_eq),
-        ):
-            m = mode.add_parser(name, help=help_text)
-            m.add_argument("--a-max", type=int, required=True)
-            _add_format(m, "csv", choices=("csv", "json"))
-            m.set_defaults(func=handler)
-
-    if p := add("g-analysis", "peak and roots of the bound-gap margin"):
-        _add_format(p, "plain")
-        p.set_defaults(func=_cmd_g_analysis)
-
-    if p := add("certify", "replay every certificate and search"):
-        p.add_argument(
-            "--all", action="store_true", help="accepted for compatibility; always runs everything"
-        )
-        p.set_defaults(func=_cmd_certify)
-
-    if p := add("tgrid", "membership grid of the lifted pair monoid"):
-        p.add_argument("--m-max", type=int, default=49)
-        p.add_argument("--n-max", type=int, default=49)
-        _add_format(p, "csv", choices=("csv", "plain"))
-        p.set_defaults(func=_cmd_tgrid)
-
-    return parser if sub.choices else build_parser()
+    add_commands(parser, _COMMANDS, "command")
+    return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Run one command line (default sys.argv[1:]) on its command's parser alone; the exit code."""
+    """Run one command line (default sys.argv[1:]); the exit code.
+
+    An argv spelled exactly is read off the command table (`_match`)
+    without building a parser; any other goes to `build_parser().parse_args`,
+    which prints help and usage errors.
+    """
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        # Only _Parser.error (64) and parser.exit (0) leave parse_args.
-        return exc.code
+    ns = _match(argv)
+    if ns is None:
+        try:
+            ns = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # Only _Parser.error (64) and parser.exit (0) leave parse_args.
+            return exc.code
 
     try:
         record = ns.func(ns)

@@ -65,19 +65,60 @@ def test_mu_negative_is_domain_error(capsys):
     assert err.startswith("error:")
 
 
-USAGE_ERRORS = [
-    ("nonsense",),
-    ("mu", "--n", "5", "--bogus"),
-    ("search",),
-    ("mu",),
-    ("certify", "--all", "--threads", "2"),
-    ("search", "mu-drop", "--a-max", "30", "--threads", "2"),
-]
+# Each usage error's stderr at the width argparse reads from COLUMNS.  The
+# last four are argv a matcher looser than argparse would run.
+USAGE_ERRORS = {
+    ("nonsense",): (
+        "usage: quadsg [-h] command ...\n"
+        "quadsg: error: argument command: invalid choice: 'nonsense' (choose from 'mu', "
+        "'bounds', 'semigroup', 'apery', 'frobenius', 'genus', 'invariants', 'embedding', "
+        "'search', 'g-analysis', 'certify', 'tgrid')\n"
+    ),
+    ("mu", "--n", "5", "--bogus"): (
+        "usage: quadsg [-h] command ...\n"
+        "quadsg: error: unrecognized arguments: --bogus\n"
+    ),
+    ("search",): (
+        "usage: quadsg search [-h] mode ...\n"
+        "quadsg search: error: the following arguments are required: mode\n"
+    ),
+    ("mu",): (
+        "usage: quadsg mu [-h] --n N [--format {plain,json,csv}]\n"
+        "quadsg mu: error: the following arguments are required: --n\n"
+    ),
+    ("certify", "--all", "--threads", "2"): (
+        "usage: quadsg [-h] command ...\n"
+        "quadsg: error: unrecognized arguments: --threads 2\n"
+    ),
+    ("search", "mu-drop", "--a-max", "30", "--threads", "2"): (
+        "usage: quadsg [-h] command ...\n"
+        "quadsg: error: unrecognized arguments: --threads 2\n"
+    ),
+    # int("-1_0") is -10, but argparse reads -1_0 as a flag.
+    ("invariants", "--a", "-1_0", "--b", "1"): (
+        "usage: quadsg invariants [-h] [--a A] [--b B] [--sweep] [--a-max A_MAX]\n"
+        "                         [--b-max B_MAX] [--format {plain,json,csv}]\n"
+        "quadsg invariants: error: argument --a: expected one argument\n"
+    ),
+    ("certify", "--all=1"): (
+        "usage: quadsg certify [-h] [--all]\n"
+        "quadsg certify: error: argument --all: ignored explicit argument '1'\n"
+    ),
+    ("mu", "--n", "5", "--n"): (
+        "usage: quadsg mu [-h] --n N [--format {plain,json,csv}]\n"
+        "quadsg mu: error: argument --n: expected one argument\n"
+    ),
+    ("certify", "extra"): (
+        "usage: quadsg [-h] command ...\n"
+        "quadsg: error: unrecognized arguments: extra\n"
+    ),
+}
 
 
-def test_usage_errors(capsys):
-    for argv in USAGE_ERRORS:
-        assert run_cli(capsys, *argv)[0] == cli.USAGE_EXIT, argv
+def test_usage_errors(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, err in USAGE_ERRORS.items():
+        assert run_cli(capsys, *argv) == (cli.USAGE_EXIT, "", err), argv
 
 
 def test_help_exits_zero(capsys):
@@ -1135,16 +1176,23 @@ def test_help_stdout(capsys, monkeypatch, argv):
     "argv", [*HELP, *USAGE_ERRORS, ()], ids=lambda argv: " ".join(argv) or "<empty>"
 )
 def test_run_reads_as_the_full_parser(capsys, monkeypatch, argv):
-    # `run` builds only the named command's parser; help, usage errors and
-    # argv that names no command ("nonsense", none) read as from the full one.
+    # Help, usage errors and an empty argv print the same with the command
+    # table's matcher bypassed, that is with every argv read by argparse.
     monkeypatch.setenv("COLUMNS", "80")
     expected = run_cli(capsys, *argv)
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    monkeypatch.setattr(cli, "_match", lambda argv: None)
     assert run_cli(capsys, *argv) == expected
 
 
-def test_run_builds_only_the_named_command_parser(capsys, monkeypatch):
+def test_abbreviated_flags_run_as_spelled_out(capsys):
+    # argparse still serves valid argv the matcher leaves to it.
+    spelled = run_cli(capsys, "invariants", "--sweep", "--a-max", "40", "--b-max", "3")
+    assert spelled[0] == 0 and spelled[1].count("\n") > 1
+    assert run_cli(capsys, "invariants", "--sweep", "--a-m", "40", "--b-m", "3") == spelled
+    assert run_cli(capsys, "invariants", "--sweep", "--a-max=40", "--b-max=3") == spelled
+
+
+def test_run_builds_no_parser_for_a_matched_argv(capsys, monkeypatch):
     # Every parser a run makes, the subcommands' included, runs this __init__.
     built = []
     init = argparse.ArgumentParser.__init__
@@ -1163,10 +1211,27 @@ def test_run_builds_only_the_named_command_parser(capsys, monkeypatch):
         capsys.readouterr()
         return len(built)
 
-    assert parsers("certify", "--all") <= 2
-    assert parsers("search", "mu-drop", "--a-max", "30") <= 4
-    # A first word that names no command builds them all (and one spare top level).
-    assert parsers("--help") >= every
+    assert parsers("certify", "--all") == 0
+    assert parsers("search", "mu-drop", "--a-max", "30") == 0
+    assert parsers("invariants", "--sweep", "--a-max", "400", "--b-max", "10") == 0
+    assert parsers("--help") == every
+
+
+def test_matched_run_imports_no_argparse():
+    src_dir = str(Path(q.__file__).resolve().parents[1])
+    path = os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])
+    code = (
+        "import contextlib, io, sys\n"
+        "from quadsg import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['certify', '--all']) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 _INT_FLAGS = {
@@ -1209,3 +1274,64 @@ def test_any_argv_exits_cleanly(capsys, argv):
     assert "Traceback" not in out + err, argv
     # A refused command prints nothing of a table it never made.
     assert code not in (1, cli.USAGE_EXIT) or out == "", argv
+
+
+# Values at the edge of what the matcher reads: int() takes "+5", " 5" and
+# "1_0", argparse reads "-1_0" as a flag, int() refuses more than 4,300
+# digits, and "JSON" is no declared choice; "-5", "007" and "-0" are ints.
+_ODD_VALUES = ["-5", "+5", " 5", "1_0", "-1_0", "007", "-0", "", "9" * 5000, "JSON"]
+_STRAY_WORDS = ["-h", "--help", "extra", "--", "-5"]
+_OWN_SWITCHES = {
+    "apery": ["--oracle"], "frobenius": ["--oracle"], "genus": ["--oracle"],
+    "embedding": ["--oracle"], "invariants": ["--sweep"], "certify": ["--all"],
+}
+_SPELLINGS = ["exact"] * 12 + ["abbreviated", "joined", "bare", "odd"]
+
+
+@st.composite
+def _spellings(draw):
+    """An argv of any command: some of its flags in any order, now and then
+    one repeated or foreign, each spelled exactly or else abbreviated,
+    `=`-joined, left without its value or given an odd one; sometimes a
+    stray word."""
+    command = draw(st.sampled_from(sorted(_INT_FLAGS)))
+    argv = command.split()
+    own = [*_INT_FLAGS[command], *_OWN_SWITCHES.get(command, []), "--format"]
+    flags = draw(st.permutations(own))[: draw(st.integers(0, len(own)))]
+    if draw(st.integers(0, 4)) == 0:
+        flags.append(draw(st.sampled_from(own + _SWITCHES)))
+    for flag in flags:
+        spelling = draw(st.sampled_from(_SPELLINGS))
+        if flag in _SWITCHES:
+            value = "1" if spelling == "odd" else None
+        elif spelling == "odd":
+            value = draw(st.sampled_from(_ODD_VALUES))
+        elif flag == "--format":
+            value = draw(st.sampled_from(_FORMATS))
+        else:
+            value = str(draw(st.integers(-3, 40)))
+        if spelling == "abbreviated":
+            flag = flag[: draw(st.integers(3, len(flag)))]
+        if spelling == "joined" and value is not None:
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag] if value is None or spelling == "bare" else [flag, value]
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_STRAY_WORDS)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_spellings())
+def test_matcher_reads_as_argparse(capsys, argv):
+    # Whatever the matcher reads, argparse reads to the same namespace; the
+    # rest it leaves to argparse.
+    ns = cli._match(argv)
+    if ns is not None:
+        assert vars(ns) == vars(cli.build_parser().parse_args(argv)), argv
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_matcher_reads_every_golden_argv(argv):
+    ns = cli._match(list(argv))
+    assert ns is not None and vars(ns) == vars(cli.build_parser().parse_args(list(argv)))

@@ -103,7 +103,7 @@ def _stream(fmt: str, header: str, templates: dict, blocks: Iterator[list[list]]
     """
     fmt = fmt if fmt in templates else "csv"
     row, sep = templates[fmt], ",\n  " if fmt == "json" else "\n"
-    lines = (sep.join(row % cells for cells in zip(*block)) for block in blocks)
+    lines = (sep.join(map(row.__mod__, zip(*block))) for block in blocks)
     if fmt == "csv":
         lines = itertools.chain([header], lines)
     return _Record(lines, lines=lines)
@@ -448,6 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
             self.print_usage(sys.stderr)
             self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
+    class _Store(argparse.Action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            # argparse reads `--flag=--` as [], past the type and choice
+            # checks; refuse it as it refuses `--flag --`.
+            if values == []:
+                raise argparse.ArgumentError(self, "expected one argument")
+            setattr(namespace, self.dest, values)
+
     def add_commands(parser: argparse.ArgumentParser, commands: tuple[_Command, ...], dest: str) -> None:
         sub = parser.add_subparsers(dest=dest, metavar=dest, required=True)
         for cmd in commands:
@@ -459,11 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
                 if opt.kind is bool:
                     p.add_argument(opt.flag, action="store_true", help=opt.help)
                 elif opt.kind is int and opt.default is _REQUIRED:
-                    p.add_argument(opt.flag, type=int, required=True)
+                    p.add_argument(opt.flag, action=_Store, type=int, required=True)
                 elif opt.kind is int:
-                    p.add_argument(opt.flag, type=int, default=opt.default)
+                    p.add_argument(opt.flag, action=_Store, type=int, default=opt.default)
                 else:
-                    p.add_argument(opt.flag, choices=list(opt.kind), default=opt.default)
+                    p.add_argument(opt.flag, action=_Store, choices=list(opt.kind), default=opt.default)
             p.set_defaults(**_handler(cmd))
 
     parser = _Parser(

@@ -160,8 +160,8 @@ def _apery(a: int, b: int) -> tuple[np.ndarray, tuple[int, ...]]:
     and a fold adds at most K*y <= max(Ap), so the buffer stays at most
     2*max(Ap).
     The indices are 1, 2 and every n whose y_n was folded, in order;
-    `minimal_generators_oracle` returns them.  Uses only the generators;
-    never mu or a closed form.
+    `minimal_generators_oracle` returns them.  Uses only the generators:
+    no mu and none of the package's closed forms.
 
     Raises ValueError, before allocating, past a = _APERY_LIMIT.
     """

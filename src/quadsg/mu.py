@@ -18,7 +18,8 @@ The head is built once, at import, by blocks of whole levels with one
 strided pass per part index (`_build_head`), and is read-only.  Readers:
 `_mu_span` (a range of n, one slice add per level past the head), `mu`
 (one n), `_mu_gather` (points given by level) and `_mu_sum` (sum of
-mu(0..a-1) from level sums); `MuTable` is a snapshot.
+mu(0..a-1) from level sums).  `MuTable(n).values` is the span mu(0..n);
+like every span, it is read-only.
 An oracle (`mu_oracle`) folds in one part at a time with no such rule and
 checks the head and the level rule up to n = 10**6.  The analytic
 envelope around mu: `lower_bound`, `gauss_bound`, `combined_bound`.
@@ -161,7 +162,7 @@ def _check_limit(n: int) -> None:
 
 
 def _mu_span(lo: int, hi: int) -> np.ndarray:
-    """mu(lo..hi) as uint16, 0 <= lo <= hi <= TABLE_LIMIT; read-only where it is the head's.
+    """mu(lo..hi) as a read-only uint16 array, 0 <= lo <= hi <= TABLE_LIMIT.
 
     Below the head's end it is a slice of the head.  Past it, level i
     holds mu(C(i,2) + r) = i + mu(r), r < i: one np.add of i to a slice of
@@ -203,6 +204,7 @@ def _mu_span(lo: int, hi: int) -> np.ndarray:
         t = triangular(i)
         first, last = max(lo, t), min(hi, t + i - 1)
         np.add(_head[first - t : last + 1 - t], i, out=out[first - lo : last + 1 - lo])
+    out.flags.writeable = False
     return out
 
 
@@ -249,38 +251,19 @@ def _mu_sum(a: int) -> int:
 
 
 class MuTable:
-    """Read-only snapshot of mu(0..n_max), read off the head by `_mu_span`.
+    """Snapshot of mu(0..n_max) as `values`, read off the head by `_mu_span`.
 
-    Raises ValueError past TABLE_LIMIT, before allocating.
+    `values` is read-only uint16.  Widen it before arithmetic, with
+    astype(np.int64) or a dtype=np.int64 argument: numpy keeps uint16 when
+    a uint16 array meets a Python int or another uint16 array, so a
+    difference or a product wraps silently.  Raises ValueError for n_max < 0
+    and past TABLE_LIMIT, before allocating.
     """
 
-    def __init__(self, n_max: int = 0):
+    def __init__(self, n_max: int):
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
-        self._values = _mu_span(0, n_max)
-        self._values.flags.writeable = False
-
-    @property
-    def n_max(self) -> int:
-        return len(self._values) - 1
-
-    @property
-    def values(self) -> np.ndarray:
-        """Read-only uint16 array of mu(0..n_max).
-
-        Widen before arithmetic, with astype(np.int64) or a dtype=np.int64
-        argument: numpy keeps uint16 when a uint16 array meets a Python int
-        or another uint16 array, so a difference or a product wraps
-        silently.
-        """
-        return self._values
-
-    def __getitem__(self, n: int) -> int:
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if n > self.n_max:
-            raise IndexError(f"table holds 0..{self.n_max}, asked for {n}")
-        return int(self._values[n])
+        self.values = _mu_span(0, n_max)
 
 
 def _mu_fold(n: int) -> np.ndarray:

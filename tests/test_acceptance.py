@@ -53,10 +53,11 @@ def _grid(a_max: int, b_max: int):
 def test_criterion_01_mu_base_values(report):
     start = time.perf_counter()
     table = q.MuTable(q.triangular(2000))
+    values = table.values
     bad = []
-    if table[0] != 0 or table[1] != 2 or table[2] != 4:
+    if values[0] != 0 or values[1] != 2 or values[2] != 4:
         bad.append("anchors")
-    bad += [i for i in range(2, 2001) if table[q.triangular(i)] != i]
+    bad += [i for i in range(2, 2001) if values[q.triangular(i)] != i]
     elapsed = time.perf_counter() - start
     ok = not bad and elapsed < 1.0
     report(1, ok, f"anchors and 1999 triangular identities, {elapsed:.3f}s")
@@ -69,7 +70,7 @@ def test_criterion_02_oracle_equivalence(big_table, report):
     start = time.perf_counter()
     fold = importlib.import_module("quadsg.mu")._mu_fold(10**4)
     bad = np.flatnonzero(big_table.values[: 10**4 + 1] != fold).tolist()
-    bad += [n for n in range(301) if big_table[n] != q.mu_oracle(n)]
+    bad += [n for n in range(301) if big_table.values[n] != q.mu_oracle(n)]
     elapsed = time.perf_counter() - start
     ok = not bad and elapsed < 30.0
     report(2, ok, f"recursion equals fold oracle for n <= 10000, {elapsed:.3f}s")
@@ -82,7 +83,7 @@ def test_criterion_03_bound_sandwich(big_table, report):
     slack = 1e-9
     bad = []
     for n in range(1, 2001):
-        value = big_table[n]
+        value = big_table.values[n]
         low = q.lower_bound(n)
         high = min(q.gauss_bound(n), q.combined_bound(n))
         if not (low - slack <= value <= high + slack):

@@ -94,6 +94,46 @@ USAGE_ERRORS = {
         "usage: quadsg [-h] command ...\n"
         "quadsg: error: unrecognized arguments: --threads 2\n"
     ),
+    # argparse reads `--flag=--` as [], past its type and choice checks;
+    # each is refused as `--flag --` is, and a switch as `--all=1` is.
+    ("mu", "--n=--"): (
+        "usage: quadsg mu [-h] --n N [--format {plain,json,csv}]\n"
+        "quadsg mu: error: argument --n: expected one argument\n"
+    ),
+    ("apery", "--a=--", "--b", "1"): (
+        "usage: quadsg apery [-h] --a A --b B [--oracle] [--format {plain,json,csv}]\n"
+        "quadsg apery: error: argument --a: expected one argument\n"
+    ),
+    ("bounds", "--n-max=--"): (
+        "usage: quadsg bounds [-h] --n-max N_MAX [--format {plain,json,csv}]\n"
+        "quadsg bounds: error: argument --n-max: expected one argument\n"
+    ),
+    ("tgrid", "--m-max=--"): (
+        "usage: quadsg tgrid [-h] [--m-max M_MAX] [--n-max N_MAX]\n"
+        "                    [--format {csv,plain}]\n"
+        "quadsg tgrid: error: argument --m-max: expected one argument\n"
+    ),
+    ("search", "mu-drop", "--a-max=--"): (
+        "usage: quadsg search mu-drop [-h] --a-max A_MAX [--format {csv,json}]\n"
+        "quadsg search mu-drop: error: argument --a-max: expected one argument\n"
+    ),
+    ("invariants", "--sweep", "--a-max=--", "--b-max", "3"): (
+        "usage: quadsg invariants [-h] [--a A] [--b B] [--sweep] [--a-max A_MAX]\n"
+        "                         [--b-max B_MAX] [--format {plain,json,csv}]\n"
+        "quadsg invariants: error: argument --a-max: expected one argument\n"
+    ),
+    ("mu", "--n", "5", "--format=--"): (
+        "usage: quadsg mu [-h] --n N [--format {plain,json,csv}]\n"
+        "quadsg mu: error: argument --format: expected one argument\n"
+    ),
+    ("embedding", "--a", "29", "--b", "1", "--format=--"): (
+        "usage: quadsg embedding [-h] --a A --b B [--oracle] [--format {plain,json}]\n"
+        "quadsg embedding: error: argument --format: expected one argument\n"
+    ),
+    ("certify", "--all=--"): (
+        "usage: quadsg certify [-h] [--all]\n"
+        "quadsg certify: error: argument --all: ignored explicit argument '--'\n"
+    ),
     # int("-1_0") is -10, but argparse reads -1_0 as a flag.
     ("invariants", "--a", "-1_0", "--b", "1"): (
         "usage: quadsg invariants [-h] [--a A] [--b B] [--sweep] [--a-max A_MAX]\n"
@@ -119,6 +159,34 @@ def test_usage_errors(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     for argv, err in USAGE_ERRORS.items():
         assert run_cli(capsys, *argv) == (cli.USAGE_EXIT, "", err), argv
+
+
+# A value for every int flag of the command table that makes a valid argv.
+_VALID_INTS = {
+    "--n": "5", "--n-max": "5", "--a": "29", "--b": "1", "--a-max": "30", "--b-max": "3", "--m-max": "3",
+}
+
+
+def _valued_options():
+    """(command words, flag, int flags) for every int or choice option, `search` modes included."""
+    for cmd in cli._COMMANDS:
+        for words, options in [((cmd.name, m.name), m.options) for m in cmd.modes] or [((cmd.name,), cmd.options)]:
+            ints = [opt.flag for opt in options if opt.kind is int]
+            for opt in options:
+                if opt.kind is not bool:
+                    yield pytest.param(words, opt.flag, ints, id=" ".join((*words, opt.flag)))
+
+
+@pytest.mark.parametrize("words, flag, ints", _valued_options())
+def test_joined_double_dash_value_is_usage_error(capsys, words, flag, ints):
+    # `--flag=--` in an otherwise valid argv is refused like `--flag --`.
+    valid = {f: _VALID_INTS[f] for f in ints}
+    assert run_cli(capsys, *words, *(w for item in valid.items() for w in item))[0] == 0
+    valid.pop(flag, None)
+    argv = [*words, *(w for item in valid.items() for w in item), f"{flag}=--"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (cli.USAGE_EXIT, ""), argv
+    assert err.splitlines()[-1].endswith(f"error: argument {flag}: expected one argument"), argv
 
 
 def test_help_exits_zero(capsys):

@@ -95,9 +95,9 @@ def _levels(n_max):
     return np.repeat(i, i)[: n_max + 1]
 
 
-def test_frozen_values(table, plain):
+def test_frozen_values(plain):
     for n, expected in FROZEN_MU.items():
-        assert table[n] == expected
+        assert q.mu(n) == expected
         assert plain[n] == expected
 
 
@@ -124,11 +124,11 @@ def test_table_bytes_are_pinned():
     assert _sha256(q.MuTable(1_999_000).values) == TABLE_SHA256[1_999_000]
 
 
-def test_matches_exhaustive_oracle(table, fold):
+def test_matches_exhaustive_oracle(fold):
     mismatches = np.flatnonzero(q.MuTable(10**5).values != fold[: 10**5 + 1])
     assert mismatches.size == 0, mismatches[:5]
     for n in FROZEN_MU:
-        assert q.mu_oracle(n) == table[n] == fold[n]
+        assert q.mu_oracle(n) == q.mu(n) == fold[n]
 
 
 @pytest.mark.slow
@@ -162,10 +162,10 @@ def test_fixpoint_check_finds_a_wrong_entry(table):
         assert mu_fixpoint_mismatches(values.astype(np.uint16))[0] == n, (n, delta)
 
 
-def test_triangular_arguments_exact(table):
+def test_triangular_arguments_exact():
     i = 2
     while q.triangular(i) <= PLAIN_LIMIT:
-        assert table[q.triangular(i)] == i
+        assert q.mu(q.triangular(i)) == i
         i += 1
 
 
@@ -358,7 +358,7 @@ def test_fill_speed_at_ten_million():
         table = q.MuTable(10**7)
         times.append(time.perf_counter() - start)
     assert min(times) < 0.5, times
-    assert table[q.triangular(4472)] == 4472
+    assert table.values[q.triangular(4472)] == 4472
 
 
 def test_level_sums_match_span_sums():
@@ -434,11 +434,24 @@ def test_values_view_read_only(table):
         table.values[0] = 99
 
 
-def test_getitem_bounds(table):
-    with pytest.raises(ValueError):
-        table[-1]
-    with pytest.raises(IndexError):
-        table[table.n_max + 1]
+def test_spans_are_read_only():
+    # Spans inside the head, across its end C(418,2) = 87,153 and past it
+    # are read-only, and a snapshot's values are the span mu(0..n).
+    size = len(mu_module._head)
+    assert size == q.triangular(418) == 87_153
+    for lo, hi in ((0, 10), (5, size - 1), (size - 5, size + 5), (0, size), (size, size + 1000), (10**7, 10**7 + 10)):
+        span = mu_module._mu_span(lo, hi)
+        with pytest.raises(ValueError):
+            span[0] = 0
+    for n in (10, size - 1, size, size + 1000):
+        table = q.MuTable(n)
+        assert list(vars(table)) == ["values"]
+        values = table.values
+        assert not values.flags.writeable and values.dtype == np.uint16
+        assert np.array_equal(values, mu_module._mu_span(0, n)), n
+
+
+def test_getitem_bounds():
     with pytest.raises(ValueError):
         q.MuTable(-1)
 
@@ -498,9 +511,9 @@ def test_bound_values():
         q.gauss_bound(-1)
 
 
-def test_envelope_sandwich(table):
+def test_envelope_sandwich():
     for n in range(1, 1001):
-        m = table[n]
+        m = q.mu(n)
         assert q.lower_bound(n) - 1e-9 <= m
         assert m <= min(q.gauss_bound(n), q.combined_bound(n)) + 1e-9
 
